@@ -33,7 +33,9 @@
 //! message-driven BFS wave under the forced-dense, forced-sparse and auto
 //! schedules on long-diameter rings (where the active set is 2–4 nodes for
 //! thousands of rounds), a grid, and a dense G(n, p) control where auto
-//! must match dense within noise.  Per-run time via
+//! must match dense within noise.  `sharded2/auto` cells run the ring and
+//! grid waves on two shards, where near-empty rounds make the per-round
+//! barrier and frontier hand-off the whole cost.  Per-run time via
 //! `Throughput::Elements(1)`.
 //!
 //! `-- --smoke` shrinks the scaling graphs to 10³–10⁴ nodes (gossip to
@@ -569,7 +571,10 @@ fn frontier_graphs() -> Vec<(String, WeightedGraph)> {
 /// makes every cell's `per_element_ns` the time per *run*, so the
 /// sparse-vs-dense runs/sec ratio — the point of the active-set loop — reads
 /// straight off the committed JSON, with the G(n, p) cells as the
-/// dense-control (auto must sit within noise of dense there).
+/// dense-control (auto must sit within noise of dense there).  The ring and
+/// grid waves also run in auto mode on the 2-shard executor (`sharded2`),
+/// whose fixed cost per round is one barrier arrival plus the frontier
+/// hand-off.
 fn bench_frontier_schedules(c: &mut Criterion) {
     let graphs = frontier_graphs();
     let mut group = c.benchmark_group("frontier");
@@ -588,6 +593,14 @@ fn bench_frontier_schedules(c: &mut Criterion) {
                 b.iter(|| black_box(sim.run(fleet(g)).unwrap().stats.rounds));
             });
         }
+        if name.starts_with("gnp") {
+            continue;
+        }
+        let exec = ShardedExecutor::for_graph(g, NonZeroUsize::new(2).unwrap());
+        let sim = Sim::on(g).frontier(FrontierMode::Auto);
+        group.bench_with_input(BenchmarkId::new("sharded2/auto", name), g, |b, g| {
+            b.iter(|| black_box(sim.run_on(&exec, fleet(g)).unwrap().stats.rounds));
+        });
     }
     group.finish();
 }

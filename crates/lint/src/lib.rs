@@ -4,8 +4,9 @@
 //! digests must be bit-reproducible (so no nondeterministic iteration,
 //! wall-clock or ambient input on digest paths), the untrusted-byte codec
 //! must be total (no panicking idioms, no silent narrowing), `unsafe` is
-//! forbidden except one audited allocator, and the workload registry must
-//! stay in lock-step with `SCENARIOS.lock` and the round-trip suites.
+//! forbidden except one audited allocator, the workload registry must
+//! stay in lock-step with `SCENARIOS.lock` and the round-trip suites, and
+//! no assertion may compare an expression with itself.
 //! This crate checks all of them lexically — no rustc plumbing, no
 //! dependencies — and anchors every finding to `file:line`.
 //!

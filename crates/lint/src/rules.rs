@@ -10,16 +10,18 @@
 //! | `unsafe-code` | unsafe audit: crate roots carry `#![forbid(unsafe_code)]`; no `unsafe` token anywhere | all scanned files / compilation roots |
 //! | `registry-lock` | registry consistency: catalog workload names ↔ `SCENARIOS.lock` | cross-file |
 //! | `wire-roundtrip` | registry consistency: every `Wire` impl named in the round-trip suites | cross-file |
+//! | `tautological-assert` | checks that can fail: no assertion comparing an expression with itself | every scanned file, test code included |
 //! | `pragma-*` | allowlist hygiene: syntax, known rule, mandatory reason, no stale pragmas | every scanned file |
 //!
 //! Rules are lexical (token-level over comment- and literal-stripped code;
 //! see [`crate::scanner`]) except the two registry rules, which are
 //! cross-file.  Test regions (`#[cfg(test)]` onward) are exempt from all
-//! rules: tests may time, hash and panic freely.
+//! rules but `tautological-assert`: tests may time, hash and panic freely,
+//! but their assertions must be able to fail.
 
 use crate::allowlist::Allowlist;
 use crate::diagnostics::Diagnostic;
-use crate::scanner::{has_token, Scanned};
+use crate::scanner::{has_token, is_ident_byte, Scanned};
 
 /// Determinism: default-hasher containers in digest-affecting code.
 pub const HASH_ITERATION: &str = "hash-iteration";
@@ -37,6 +39,8 @@ pub const UNSAFE_CODE: &str = "unsafe-code";
 pub const REGISTRY_LOCK: &str = "registry-lock";
 /// Registry consistency: `Wire` impls vs the round-trip suites.
 pub const WIRE_ROUNDTRIP: &str = "wire-roundtrip";
+/// Checks that can fail: an assertion comparing an expression with itself.
+pub const TAUTOLOGICAL_ASSERT: &str = "tautological-assert";
 /// Allowlist hygiene: malformed pragma.
 pub const PRAGMA_SYNTAX: &str = "pragma-syntax";
 /// Allowlist hygiene: pragma without a reason.
@@ -79,6 +83,10 @@ pub const ALL: &[(&str, &str)] = &[
     (
         WIRE_ROUNDTRIP,
         "every Wire impl is named in the round-trip property suites",
+    ),
+    (
+        TAUTOLOGICAL_ASSERT,
+        "no assert!/debug_assert! comparison whose two sides are the same token sequence (it cannot fail)",
     ),
     (PRAGMA_SYNTAX, "allow pragmas must parse"),
     (PRAGMA_REASON, "allow pragmas must carry a reason"),
@@ -309,6 +317,8 @@ pub fn check_file(
         }
     }
 
+    check_tautologies(path, scanned, allow, diags);
+
     if is_compilation_root(path) {
         let has_forbid = scanned
             .lines
@@ -325,6 +335,211 @@ pub fn check_file(
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// tautological-assert
+// ---------------------------------------------------------------------------
+
+/// Assertion macros whose first argument is a condition.
+const CONDITION_ASSERTS: &[&str] = &["assert", "debug_assert", "prop_assert"];
+/// Assertion macros comparing their first two arguments.
+const PAIR_ASSERTS: &[&str] = &[
+    "assert_eq",
+    "assert_ne",
+    "debug_assert_eq",
+    "debug_assert_ne",
+    "prop_assert_eq",
+    "prop_assert_ne",
+];
+/// How many lines one assertion's arguments may span before the scan gives
+/// up on it.
+const MAX_ASSERT_LINES: usize = 40;
+
+/// Flags assertions whose comparison has the same token sequence on both
+/// sides — `assert!(x <= x)`, `assert_eq!(a.len(), a.len())` — anywhere in
+/// the file, test regions included.  A condition is split at top-level
+/// `&&` / `||` first, so one vacuous conjunct is caught too.  Sides holding
+/// string or char literals are skipped: the scanner blanks literal
+/// contents, so two different literals would compare equal.
+fn check_tautologies(
+    path: &str,
+    scanned: &Scanned,
+    allow: &mut Allowlist,
+    diags: &mut Vec<Diagnostic>,
+) {
+    for (idx, line) in scanned.lines.iter().enumerate() {
+        for (name, open) in assert_calls(&line.code) {
+            let Some(args) = macro_args(&scanned.lines, idx, open) else {
+                continue;
+            };
+            let args = split_top_level(&args, &[","]);
+            let same = if PAIR_ASSERTS.contains(&name) {
+                match args.as_slice() {
+                    [left, right, ..] => same_tokens(left, right).then(|| left.trim().to_string()),
+                    _ => None,
+                }
+            } else {
+                args.first().and_then(|cond| {
+                    split_top_level(cond, &["&&", "||"])
+                        .iter()
+                        .find_map(|clause| tautological_comparison(clause))
+                })
+            };
+            if let Some(side) = same {
+                push(
+                    diags,
+                    allow,
+                    TAUTOLOGICAL_ASSERT,
+                    path,
+                    idx + 1,
+                    format!(
+                        "`{name}!` compares `{side}` with itself: the assertion cannot fail — \
+                         compare against the value it is meant to check"
+                    ),
+                );
+            }
+        }
+    }
+}
+
+/// The assertion macro calls in one line of stripped code: the macro name
+/// and the byte offset of its opening parenthesis.
+fn assert_calls(code: &str) -> Vec<(&'static str, usize)> {
+    let bytes = code.as_bytes();
+    let mut calls = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if !is_ident_byte(bytes[i]) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && is_ident_byte(bytes[i]) {
+            i += 1;
+        }
+        let word = &code[start..i];
+        let Some(name) = CONDITION_ASSERTS
+            .iter()
+            .chain(PAIR_ASSERTS)
+            .find(|&&m| m == word)
+        else {
+            continue;
+        };
+        let rest = code[i..].trim_start();
+        if let Some(after_bang) = rest.strip_prefix('!') {
+            let after = after_bang.trim_start();
+            if after.starts_with('(') {
+                calls.push((*name, code.len() - after.len()));
+            }
+        }
+    }
+    calls
+}
+
+/// The text between the parenthesis at `open` on line `idx` and its match,
+/// lines joined by spaces; `None` when it does not close within
+/// [`MAX_ASSERT_LINES`].
+fn macro_args(lines: &[crate::scanner::Line], idx: usize, open: usize) -> Option<String> {
+    let mut depth = 0usize;
+    let mut args = String::new();
+    for (k, line) in lines.iter().enumerate().skip(idx).take(MAX_ASSERT_LINES) {
+        let text = if k == idx {
+            &line.code[open..]
+        } else {
+            &line.code
+        };
+        for c in text.chars() {
+            match c {
+                '(' | '[' | '{' => depth += 1,
+                ')' | ']' | '}' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some(args);
+                    }
+                }
+                _ => {}
+            }
+            if depth > 1 || (depth == 1 && c != '(') {
+                args.push(c);
+            }
+        }
+        args.push(' ');
+    }
+    None
+}
+
+/// Splits `text` at every occurrence of one of `seps` outside brackets.
+fn split_top_level(text: &str, seps: &[&str]) -> Vec<String> {
+    let mut parts = Vec::new();
+    let mut depth = 0i32;
+    let mut current = String::new();
+    let mut rest = text;
+    while let Some(c) = rest.chars().next() {
+        if depth == 0 {
+            if let Some(sep) = seps.iter().find(|sep| rest.starts_with(**sep)) {
+                parts.push(std::mem::take(&mut current));
+                rest = &rest[sep.len()..];
+                continue;
+            }
+        }
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' => depth -= 1,
+            _ => {}
+        }
+        current.push(c);
+        rest = &rest[c.len_utf8()..];
+    }
+    parts.push(current);
+    parts
+}
+
+/// For a condition clause `left OP right` with `OP` a comparison at the top
+/// level, the left side when both sides are the same token sequence.
+/// `<` / `>` count only when spaced, so generic arguments never split.
+fn tautological_comparison(clause: &str) -> Option<String> {
+    for op in ["==", "!=", "<=", ">=", " < ", " > "] {
+        let sides = split_top_level(clause, &[op]);
+        if let [left, right] = sides.as_slice() {
+            if same_tokens(left, right) {
+                return Some(left.trim().to_string());
+            }
+        }
+    }
+    None
+}
+
+/// True when both sides are the same non-empty token sequence and neither
+/// holds a (blanked) literal.
+fn same_tokens(left: &str, right: &str) -> bool {
+    let literal = |s: &str| s.contains('"') || s.contains('\'');
+    let (l, r) = (tokens(left), tokens(right));
+    !l.is_empty() && l == r && !literal(left) && !literal(right)
+}
+
+/// Identifier/number runs and single punctuation characters, whitespace
+/// dropped.
+fn tokens(text: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut chars = text.char_indices().peekable();
+    while let Some((start, c)) = chars.next() {
+        if c.is_whitespace() {
+            continue;
+        }
+        let mut end = start + c.len_utf8();
+        if c.is_alphanumeric() || c == '_' {
+            while let Some(&(i, d)) = chars.peek() {
+                if !(d.is_alphanumeric() || d == '_') {
+                    break;
+                }
+                end = i + d.len_utf8();
+                chars.next();
+            }
+        }
+        out.push(&text[start..end]);
+    }
+    out
 }
 
 /// Finds an indexing expression `ident[` / `)[` / `][` in stripped code
@@ -605,6 +820,54 @@ mod tests {
             "#![forbid(unsafe_code)]\npub mod x;\n"
         )
         .is_empty());
+    }
+
+    // ---- tautological-assert ---------------------------------------------
+
+    #[test]
+    fn self_comparisons_in_assertions_are_flagged_in_tests_too() {
+        let diags = lint(
+            "tests/fake.rs",
+            "fn t() {\n    assert!(m.iter().max() <= m.iter().max());\n    assert_eq!(a.len(), a . len(), \"msg\");\n}\n",
+        );
+        assert_eq!(
+            diags.iter().map(|d| (d.rule, d.line)).collect::<Vec<_>>(),
+            vec![(TAUTOLOGICAL_ASSERT, 2), (TAUTOLOGICAL_ASSERT, 3)]
+        );
+        let diags = lint(
+            "crates/sim/src/fake.rs",
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { debug_assert!(\n        ok && x.y(1) != x.y(1),\n    ); }\n}\n",
+        );
+        assert_eq!(
+            diags.iter().map(|d| (d.rule, d.line)).collect::<Vec<_>>(),
+            vec![(TAUTOLOGICAL_ASSERT, 4)]
+        );
+    }
+
+    #[test]
+    fn real_comparisons_literals_and_generics_pass() {
+        assert!(lint(
+            "tests/fake.rs",
+            "fn t() {\n\
+             assert!(m.iter().all(|&x| x == m[0]));\n\
+             assert!(a <= b, \"{a} <= {a}\");\n\
+             assert_eq!(\"left\", \"right\");\n\
+             assert!(Vec::<u8>::new() == Vec::<u8>::new_in(x));\n\
+             assert!(x.is_empty());\n\
+             }\n"
+        )
+        .is_empty());
+    }
+
+    #[test]
+    fn split_and_tokens_respect_brackets() {
+        assert_eq!(split_top_level("f(a, b), c", &[","]), vec!["f(a, b)", " c"]);
+        assert_eq!(tokens("a.len( )"), vec!["a", ".", "len", "(", ")"]);
+        assert_eq!(
+            tautological_comparison("x + 1 == x+1"),
+            Some("x + 1".into())
+        );
+        assert_eq!(tautological_comparison("f(a == a)"), None);
     }
 
     // ---- pragma hygiene ----------------------------------------------------

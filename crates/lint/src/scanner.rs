@@ -60,7 +60,8 @@ pub fn has_token(text: &str, token: &str) -> bool {
     false
 }
 
-fn is_ident_byte(b: u8) -> bool {
+/// True for the bytes of an ASCII identifier.
+pub(crate) fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 

@@ -176,6 +176,53 @@ fn unsafe_code_positive_negative_pragma() {
 }
 
 // ---------------------------------------------------------------------------
+// Checks that can fail
+// ---------------------------------------------------------------------------
+
+#[test]
+fn tautological_assert_positive_negative_pragma() {
+    // The vacuous Theorem 3 check this rule exists for, in an integration
+    // test file, plus a multi-line debug_assert! and an `&&` conjunct.
+    expect(
+        "tests/fake.rs",
+        "fn t(maxima: Vec<usize>, cap: usize) {\n\
+         assert!(maxima.iter().max() <= maxima.iter().max());\n\
+         debug_assert!(\n\
+         cap > 0 && cap == cap,\n\
+         \"cap must be positive\"\n\
+         );\n\
+         }\n",
+        &[("tautological-assert", 2), ("tautological-assert", 3)],
+    );
+    // Test regions are not exempt from this rule.
+    expect(
+        "crates/graph/src/fake.rs",
+        "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { assert_eq!(x.len(), x.len()); }\n}\n",
+        &[("tautological-assert", 4)],
+    );
+    // Real comparisons pass: the fixed check, a closure comparison, two
+    // different (blanked) literals, and spaced-out but different sides.
+    expect(
+        "tests/fake.rs",
+        "fn t(maxima: Vec<usize>) {\n\
+         assert!(maxima.iter().all(|&m| m == maxima[0]));\n\
+         assert_eq!(\"a\", \"b\");\n\
+         assert!(maxima.len() <= maxima.capacity());\n\
+         }\n",
+        &[],
+    );
+    // A determinism check evaluates the same expression twice on purpose.
+    expect(
+        "crates/sim/src/fake.rs",
+        "fn t() {\n\
+         // lint: allow(tautological-assert) — determinism check: two runs must agree\n\
+         assert_eq!(run(&[1, 2]), run(&[1, 2]));\n\
+         }\n",
+        &[],
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Pragma hygiene
 // ---------------------------------------------------------------------------
 

@@ -4,9 +4,10 @@
 //! Structure and protocol are exactly [`crate::sharded`]'s — contiguous
 //! shards, private double-buffered planes per worker, parity-alternating
 //! exchange buffers (cache-line padded, created empty and first-touched by
-//! their producing worker; see the cache-hygiene notes there), one barrier
-//! cycle per round with the leader merging per-shard reports in shard
-//! order — with one extra dimension: every
+//! their producing worker; see the cache-hygiene notes there), one
+//! [`RoundBarrier`] arrival per round whose last arriver merges the
+//! per-shard reports in shard order, and the same frontier hand-off of
+//! non-zero `(word index, word)` pairs — with one extra dimension: every
 //! worker's planes are [`BatchPlaneStore`]s carrying all `W` lanes of the
 //! shard's slots, every report and every piece of leader state is
 //! per-lane, and the boundary exchange ships **whole lane-groups per
@@ -23,11 +24,19 @@
 //! coordinate step lane by lane, so each lane's outputs, stats, trace and
 //! error are bit-identical to its own sequential (and single-run sharded)
 //! execution.
+//!
+//! The frontier pairs are [`BatchFrontier`] *mark* words (lane `l` of node
+//! `v` at word `v · wpn + l / 64`): a worker finds its marked nodes through
+//! its any-lane mask and publishes only their non-zero mark words.  The
+//! leader merges them into one [`WordMerge`] and splits that into the
+//! node-level any-lane mask (the dense↔sparse decision and the workers'
+//! gather set) and the lane-exact active counts each lane records.
 
 use crate::algorithm::{LocalView, MsgSink, NodeAlgorithm};
+use crate::barrier::RoundBarrier;
 use crate::batch::{run_batch_sequential, BatchScatter};
 use crate::batch_plane::{expand_lanes, BatchPlaneStore};
-use crate::frontier::{BatchFrontier, NodeSet};
+use crate::frontier::{pair_ones, split_lanes, BatchFrontier, WordMerge, WordPair};
 use crate::lanes::LaneWords;
 use crate::plane::{ArenaPlane, Backing, HybridPlane, MessagePlane, PlaneStore};
 use crate::runtime::{PendingError, PendingRound, RunConfig, RunError, RunResult};
@@ -37,9 +46,9 @@ use crate::trace::TraceEvent;
 use lma_graph::{Partition, Port, WeightedGraph};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Barrier, Mutex};
+use std::sync::Mutex;
 
-/// What the barrier leader tells every worker to do next.
+/// What the leader's merge tells every worker to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Command {
     /// Execute communication round `round` for the lanes still active.
@@ -65,11 +74,11 @@ struct LaneReport {
 /// unwound out of the sequential lockstep loop).
 struct ShardReport {
     lanes: Vec<LaneReport>,
-    /// The shard's per-(node, lane) frontier mark words for the next round
-    /// (full `n × wpn` shape — scatters mark remote destinations too),
-    /// with the shard's own eager instances pre-ORed.  Empty unless the
-    /// program opts into `MESSAGE_DRIVEN`.
-    frontier: Vec<u64>,
+    /// The shard's non-zero per-(node, lane) frontier mark words for the
+    /// next round (scatters mark remote destinations too), with the shard's
+    /// own eager instances pre-ORed.  Empty unless the program opts into
+    /// `MESSAGE_DRIVEN`.
+    frontier: Vec<WordPair>,
     panic: Option<Box<dyn Any + Send>>,
 }
 
@@ -92,9 +101,13 @@ struct Control {
     /// Whether the program opted into sparse frontier execution
     /// (`MESSAGE_DRIVEN`); gates all frontier work below.
     track_frontier: bool,
-    /// The merged global frontier for the round just commanded, ORed from
-    /// the shard reports in `coordinate`.
-    frontier: BatchFrontier,
+    /// The merged mark words of the shard reports, ORed in `coordinate`.
+    marks: WordMerge,
+    /// The any-lane node mask of `marks` for the round just commanded; on
+    /// a sparse round each worker copies the words over its node range.
+    frontier: WordMerge,
+    /// Per-lane active-node counts of `marks` (scratch).
+    lane_active: Vec<u64>,
     /// The leader's dense↔sparse decision for the commanded round; workers
     /// read it together with the command.
     sparse: bool,
@@ -102,7 +115,7 @@ struct Control {
 }
 
 struct Shared<M, S: PlaneStore<M>> {
-    barrier: Barrier,
+    barrier: RoundBarrier,
     /// `pair_bufs[parity][s * k + t]`, dense over
     /// `partition.boundary(s, t).len() × lanes` positions (whole
     /// lane-groups per boundary slot).  Created empty; worker `s` sizes
@@ -196,7 +209,7 @@ fn run_batch_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         }
     }
     let shared: Shared<A::Msg, S> = Shared {
-        barrier: Barrier::new(k),
+        barrier: RoundBarrier::new(k),
         pair_bufs: [make_bufs(), make_bufs()],
         boundary_lanes,
         reports: (0..k)
@@ -221,11 +234,17 @@ fn run_batch_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
             finished: LaneWords::new(lanes),
             command: Command::Stop,
             track_frontier: A::MESSAGE_DRIVEN,
-            frontier: if A::MESSAGE_DRIVEN {
-                BatchFrontier::new(n, lanes)
+            marks: if A::MESSAGE_DRIVEN {
+                WordMerge::for_marks(n, lanes)
             } else {
-                BatchFrontier::default()
+                WordMerge::default()
             },
+            frontier: if A::MESSAGE_DRIVEN {
+                WordMerge::for_nodes(n)
+            } else {
+                WordMerge::default()
+            },
+            lane_active: vec![0; lanes],
             sparse: false,
             panic: None,
         }),
@@ -282,7 +301,7 @@ fn run_batch_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         .collect()
 }
 
-/// The per-shard worker: init every lane, then one barrier cycle per round
+/// The per-shard worker: init every lane, then one barrier arrival per round
 /// until the leader commands a stop.  Returns the shard's lane programs
 /// (`[l][i]`) so the caller can collate outputs.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
@@ -317,13 +336,15 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
 
     // Sparse frontier state (see `crate::frontier`): `local_front` collects
     // this shard's scatter marks (full `n × lanes` shape — remote
-    // destinations too) with the shard's own eager instances pre-ORed;
-    // `gather_front` is this round's merged global any-lane mask copied
-    // from the leader.  Compiled away unless the program opts in.
+    // destinations too) and starts every round as a copy of the shard's
+    // eager instances; `outgoing` holds the mark words this shard
+    // publishes and `gather` the leader's merged any-lane words over its
+    // node range.  Compiled away unless the program opts in.
     let n = partition.node_count();
     let mut local_front = BatchFrontier::default();
     let mut eager_front = BatchFrontier::default();
-    let mut gather_front = NodeSet::default();
+    let mut outgoing: Vec<WordPair> = Vec::new();
+    let mut gather: Vec<WordPair> = Vec::new();
     let mut use_sparse = false;
     if A::MESSAGE_DRIVEN {
         eager_front = BatchFrontier::new(n, lanes);
@@ -335,12 +356,11 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
             }
         }
         local_front = eager_front.clone();
-        gather_front = NodeSet::new(n);
     }
 
     // First-touch: allocate this shard's outgoing exchange buffers (both
     // parities) on this thread, before the first publish.  Consumers only
-    // read them after the first barrier cycle, so this is race-free.
+    // read them after the first barrier, so this is race-free.
     for parity in 0..2 {
         for t in 0..k {
             let boundary = partition.boundary(s, t);
@@ -383,6 +403,9 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         }
         done_delta
     }));
+    if A::MESSAGE_DRIVEN {
+        local_front.drain_pairs(&eager_front, &mut outgoing);
+    }
     publish(
         s,
         shared,
@@ -391,19 +414,14 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         slot_base,
         1,
         &mut pending,
-        A::MESSAGE_DRIVEN.then_some(&local_front),
+        A::MESSAGE_DRIVEN.then_some(&mut outgoing),
         caught,
     );
-    if A::MESSAGE_DRIVEN {
-        local_front.copy_from(&eager_front);
-    }
 
     loop {
-        let leader = shared.barrier.wait().is_leader();
-        if leader {
-            coordinate(shared, &config, partition.node_count(), budget);
-        }
-        shared.barrier.wait();
+        shared
+            .barrier
+            .wait(|| coordinate(shared, &config, n, budget));
         let (round, finished) = {
             let ctl = shared.control.lock().unwrap();
             let round = match ctl.command {
@@ -411,8 +429,11 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                 Command::Work { round } => round,
             };
             if A::MESSAGE_DRIVEN {
-                gather_front.copy_from(ctl.frontier.any());
                 use_sparse = ctl.sparse;
+                if use_sparse {
+                    gather.clear();
+                    gather.extend(ctl.frontier.pairs_over(nodes.start, nodes.end));
+                }
             }
             (round, ctl.finished.clone())
         };
@@ -514,7 +535,7 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                 }};
             }
             if use_sparse {
-                for v in gather_front.ones_in(nodes.start, nodes.end) {
+                for v in pair_ones(&gather, nodes.start, nodes.end) {
                     gather_step!(v - nodes.start, v);
                 }
             } else {
@@ -536,6 +557,9 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
 
         std::mem::swap(&mut cur, &mut next);
         next.reset_round();
+        if A::MESSAGE_DRIVEN {
+            local_front.drain_pairs(&eager_front, &mut outgoing);
+        }
         publish(
             s,
             shared,
@@ -544,19 +568,18 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
             slot_base,
             (round + 1) & 1,
             &mut pending,
-            A::MESSAGE_DRIVEN.then_some(&local_front),
+            A::MESSAGE_DRIVEN.then_some(&mut outgoing),
             caught,
         );
-        if A::MESSAGE_DRIVEN {
-            local_front.copy_from(&eager_front);
-        }
     }
     programs
 }
 
 /// Drains the boundary lane-groups of `plane` into this shard's outgoing
 /// exchange buffers for `parity`, then publishes the shard's per-lane
-/// report for the round (including its frontier marks when tracking).
+/// report for the round (including its frontier pairs when tracking:
+/// swapped in, so `frontier` comes back as the emptied vector of the last
+/// report).
 #[allow(clippy::too_many_arguments)]
 fn publish<M, S: PlaneStore<M>>(
     s: usize,
@@ -566,7 +589,7 @@ fn publish<M, S: PlaneStore<M>>(
     slot_base: usize,
     parity: usize,
     pending: &mut [PendingRound],
-    frontier: Option<&BatchFrontier>,
+    frontier: Option<&mut Vec<WordPair>>,
     caught: Result<Vec<usize>, Box<dyn Any + Send>>,
 ) {
     let k = partition.shard_count();
@@ -584,8 +607,8 @@ fn publish<M, S: PlaneStore<M>>(
     }
     let mut report = shared.reports[s].0.lock().unwrap();
     if let Some(front) = frontier {
-        report.frontier.clear();
-        report.frontier.extend_from_slice(front.marks());
+        std::mem::swap(&mut report.frontier, front);
+        front.clear();
     }
     for (l, p) in pending.iter_mut().enumerate() {
         let lane = &mut report.lanes[l];
@@ -618,8 +641,9 @@ struct LaneAgg {
     events: Vec<TraceEvent>,
 }
 
-/// The barrier leader's merge step: fold the per-shard reports **in shard
-/// order** into each lane's global state and decide the next command.
+/// The leader's merge step, run by the last worker to arrive at the
+/// barrier: fold the per-shard reports **in shard order** into each lane's
+/// global state and decide the next command.
 /// Per lane, the ordering reproduces the single-run coordinate exactly —
 /// done-check, round-limit check, then the round commit (first pending
 /// error in node order wins; stats and trace only on a clean commit) —
@@ -635,12 +659,13 @@ fn coordinate<M, S: PlaneStore<M>>(
     let mut agg: Vec<LaneAgg> = (0..lanes).map(|_| LaneAgg::default()).collect();
     let mut panic: Option<Box<dyn Any + Send>> = None;
     if ctl.track_frontier {
-        ctl.frontier.clear_all();
+        ctl.marks.clear();
+        ctl.frontier.clear();
     }
     for slot in shared.reports.iter() {
         let mut report = slot.0.lock().unwrap();
         if ctl.track_frontier {
-            ctl.frontier.or_marks(&report.frontier);
+            ctl.marks.or_pairs(&report.frontier);
         }
         for (l, lane) in report.lanes.iter_mut().enumerate() {
             ctl.lanes[l].done_count += lane.done_delta;
@@ -708,15 +733,13 @@ fn coordinate<M, S: PlaneStore<M>>(
     // The global dense↔sparse decision for the round being commanded, plus
     // the lane-exact active counts each surviving lane records (identical
     // to its solo run's).
-    let (sparse, lane_active) = if ctl.track_frontier {
-        ctl.frontier.rebuild_any();
-        let sparse = config.frontier.use_sparse(ctl.frontier.any().count(), n);
-        ctl.sparse = sparse;
-        let mut counts = vec![0; lanes];
-        ctl.frontier.lane_counts(&mut counts);
-        (sparse, counts)
+    let ctl = &mut *ctl;
+    let sparse = if ctl.track_frontier {
+        split_lanes(&ctl.marks, lanes, &mut ctl.frontier, &mut ctl.lane_active);
+        ctl.sparse = config.frontier.use_sparse(ctl.frontier.count(), n);
+        ctl.sparse
     } else {
-        (false, Vec::new())
+        false
     };
     for (l, a) in agg.iter_mut().enumerate() {
         if ctl.finished.get(l) {
@@ -740,7 +763,9 @@ fn coordinate<M, S: PlaneStore<M>>(
                     .stats
                     .record_round(a.messages, a.bits, a.max_bits, a.violations);
                 if ctl.track_frontier {
-                    ctl.lanes[l].stats.record_frontier(lane_active[l], sparse);
+                    ctl.lanes[l]
+                        .stats
+                        .record_frontier(ctl.lane_active[l], sparse);
                 }
                 if config.trace {
                     let mut events = std::mem::take(&mut a.events);

@@ -129,22 +129,9 @@ impl NodeSet {
         self.words.copy_from_slice(&other.words);
     }
 
-    /// ORs raw words into this set (equal capacity).
-    pub(crate) fn or_words(&mut self, words: &[u64]) {
-        debug_assert_eq!(self.words.len(), words.len());
-        for (dst, src) in self.words.iter_mut().zip(words) {
-            *dst |= src;
-        }
-    }
-
     /// Clears every bit.
     pub(crate) fn clear_all(&mut self) {
         self.words.fill(0);
-    }
-
-    /// The backing words (for publication through shard reports).
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
     }
 
     /// Iterates set bits in ascending order.
@@ -152,14 +139,26 @@ impl NodeSet {
         ones_of(&self.words, 0)
     }
 
-    /// Iterates set bits within `start..end` in ascending order — the
-    /// shard-local slice of a global frontier.
+    /// Iterates set bits within `start..end` in ascending order.
     pub(crate) fn ones_in(&self, start: usize, end: usize) -> impl Iterator<Item = usize> + '_ {
         let first_word = start / WORD_BITS;
-        let words = &self.words[first_word..];
+        let words = &self.words[first_word..end.div_ceil(WORD_BITS).max(first_word)];
         ones_of(words, first_word * WORD_BITS)
             .skip_while(move |&v| v < start)
             .take_while(move |&v| v < end)
+    }
+
+    /// Moves every non-zero word into `out` as ascending `(index, word)`
+    /// pairs and resets it to `template`'s word — the sharded worker's
+    /// publish step.  This set must hold `template` plus marks (as a worker's
+    /// scatter set does), so it equals `template` afterwards.
+    pub(crate) fn drain_pairs(&mut self, template: &Self, out: &mut Vec<WordPair>) {
+        for (i, (word, &keep)) in self.words.iter_mut().zip(&template.words).enumerate() {
+            if *word != 0 {
+                out.push((i, *word));
+                *word = keep;
+            }
+        }
     }
 }
 
@@ -172,6 +171,102 @@ fn ones_of(words: &[u64], base: usize) -> impl Iterator<Item = usize> + '_ {
         })
         .map(move |w| base + i * WORD_BITS + w.trailing_zeros() as usize)
     })
+}
+
+/// One non-zero bitset word and its index: the unit of the sharded
+/// engines' frontier hand-off.  Shards publish their marks as ascending
+/// pairs, the leader merges them into a [`WordMerge`], and each worker
+/// copies back the merged pairs over its own node range.
+pub(crate) type WordPair = (usize, u64);
+
+/// The set bits in `start..end` of ascending `pairs`, in ascending order —
+/// a worker's sparse gather order.
+pub(crate) fn pair_ones(
+    pairs: &[WordPair],
+    start: usize,
+    end: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    pairs
+        .iter()
+        .flat_map(|(i, word)| ones_of(std::slice::from_ref(word), i * WORD_BITS))
+        .filter(move |v| (start..end).contains(v))
+}
+
+/// The sharded leader's merged frontier: an OR-accumulator over a dense
+/// word array plus a one-bit-per-word occupancy set, so merging the shards'
+/// [`WordPair`]s, counting, listing and clearing all cost the number of
+/// non-zero words (plus a scan of `len / 64` occupancy words), not the
+/// array's length.  The single-run engine merges [`NodeSet`] words into
+/// one; the batch engine merges [`BatchFrontier`] mark words into one and
+/// derives its node-level mask into a second.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WordMerge {
+    words: Vec<u64>,
+    occupied: NodeSet,
+}
+
+impl WordMerge {
+    /// An empty accumulator over `len` words.
+    fn new(len: usize) -> Self {
+        Self {
+            words: vec![0; len],
+            occupied: NodeSet::new(len),
+        }
+    }
+
+    /// An empty accumulator with one bit per node `0..n`.
+    pub(crate) fn for_nodes(n: usize) -> Self {
+        Self::new(n.div_ceil(WORD_BITS))
+    }
+
+    /// An empty accumulator over the mark words of a [`BatchFrontier`] for
+    /// `n` nodes × `lanes` lanes.
+    pub(crate) fn for_marks(n: usize, lanes: usize) -> Self {
+        Self::new(n * lanes.div_ceil(WORD_BITS))
+    }
+
+    /// ORs `pairs` in.
+    pub(crate) fn or_pairs(&mut self, pairs: &[WordPair]) {
+        for &(i, word) in pairs {
+            self.words[i] |= word;
+            self.occupied.insert(i);
+        }
+    }
+
+    /// Sets bit `bit`.
+    pub(crate) fn insert(&mut self, bit: usize) {
+        self.or_pairs(&[(bit / WORD_BITS, 1 << (bit % WORD_BITS))]);
+    }
+
+    /// The non-zero words as ascending pairs.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = WordPair> + '_ {
+        self.occupied.ones().map(|i| (i, self.words[i]))
+    }
+
+    /// The non-zero words holding any of bits `start..end`, ascending
+    /// (the edge words may carry bits outside the range).
+    pub(crate) fn pairs_over(
+        &self,
+        start: usize,
+        end: usize,
+    ) -> impl Iterator<Item = WordPair> + '_ {
+        self.occupied
+            .ones_in(start / WORD_BITS, end.div_ceil(WORD_BITS))
+            .map(|i| (i, self.words[i]))
+    }
+
+    /// Number of set bits.
+    pub(crate) fn count(&self) -> usize {
+        self.pairs().map(|(_, w)| w.count_ones() as usize).sum()
+    }
+
+    /// Clears every bit, touching only the non-zero words.
+    pub(crate) fn clear(&mut self) {
+        for i in self.occupied.ones() {
+            self.words[i] = 0;
+        }
+        self.occupied.clear_all();
+    }
 }
 
 /// The lane-striped frontier used by the batch executors: per-(node, lane)
@@ -212,41 +307,31 @@ impl BatchFrontier {
         &self.any
     }
 
-    /// The raw per-(node, lane) mark words (for shard reports).
-    pub(crate) fn marks(&self) -> &[u64] {
-        &self.marks
-    }
-
     /// Overwrites this frontier with `other` (equal shape).
     pub(crate) fn copy_from(&mut self, other: &Self) {
         self.marks.copy_from_slice(&other.marks);
         self.any.copy_from(&other.any);
     }
 
-    /// ORs raw mark words into this frontier **without** updating the any
-    /// mask; call [`BatchFrontier::rebuild_any`] after the last merge.
-    pub(crate) fn or_marks(&mut self, words: &[u64]) {
-        debug_assert_eq!(self.marks.len(), words.len());
-        for (dst, src) in self.marks.iter_mut().zip(words) {
-            *dst |= src;
-        }
-    }
-
-    /// Recomputes the any mask from the mark words (used by the sharded
-    /// leader after merging shard contributions).
-    pub(crate) fn rebuild_any(&mut self) {
-        self.any.clear_all();
-        for (v, node_words) in self.marks.chunks_exact(self.wpn.max(1)).enumerate() {
-            if node_words.iter().any(|&w| w != 0) {
-                self.any.insert(v);
+    /// Moves every non-zero mark word into `out` as ascending
+    /// `(index, word)` pairs and resets this frontier to `template` — the
+    /// batch analogue of [`NodeSet::drain_pairs`].  The any mask finds the
+    /// marked nodes, so the scan covers `n / 64` words, not `n · wpn`.
+    pub(crate) fn drain_pairs(&mut self, template: &Self, out: &mut Vec<WordPair>) {
+        let wpn = self.wpn;
+        let any = self.any.words.iter_mut().zip(&template.any.words);
+        for (i, (word, &keep)) in any.enumerate() {
+            let nodes = *word;
+            for v in ones_of(std::slice::from_ref(&nodes), i * WORD_BITS) {
+                for j in v * wpn..(v + 1) * wpn {
+                    if self.marks[j] != 0 {
+                        out.push((j, self.marks[j]));
+                        self.marks[j] = template.marks[j];
+                    }
+                }
             }
+            *word = keep;
         }
-    }
-
-    /// Clears every mark.
-    pub(crate) fn clear_all(&mut self) {
-        self.marks.fill(0);
-        self.any.clear_all();
     }
 
     /// Per-lane active-node counts (`counts[l] = |{v : (v, l) marked}|`),
@@ -264,6 +349,26 @@ impl BatchFrontier {
                     rest &= rest - 1;
                 }
             }
+        }
+    }
+}
+
+/// Splits merged batch mark words (in [`BatchFrontier`]'s layout for
+/// `lanes` lanes) into the node-level any-lane mask, ORed into `nodes`, and
+/// per-lane active-node counts — the sharded batch leader's analogue of
+/// [`BatchFrontier::any`] and [`BatchFrontier::lane_counts`].
+pub(crate) fn split_lanes(
+    marks: &WordMerge,
+    lanes: usize,
+    nodes: &mut WordMerge,
+    counts: &mut [u64],
+) {
+    let wpn = lanes.div_ceil(WORD_BITS);
+    counts.fill(0);
+    for (i, word) in marks.pairs() {
+        nodes.insert(i / wpn);
+        for lane in ones_of(std::slice::from_ref(&word), (i % wpn) * WORD_BITS) {
+            counts[lane] += 1;
         }
     }
 }
@@ -309,14 +414,61 @@ mod tests {
         assert_eq!(ranged, vec![63, 64, 65, 127]);
 
         let mut other = NodeSet::new(130);
-        other.or_words(set.words());
-        assert_eq!(other.count(), 8);
-        other.clear_all();
-        assert_eq!(other.count(), 0);
         other.insert(5);
         other.copy_from(&set);
         assert!(!other.contains(5));
         assert_eq!(other.count(), 8);
+        other.clear_all();
+        assert_eq!(other.count(), 0);
+    }
+
+    #[test]
+    fn drained_pairs_merge_back_to_the_union() {
+        // Two "shards" over 200 nodes, each with an eager template.
+        let mut eager = [NodeSet::new(200), NodeSet::new(200)];
+        eager[0].insert(3);
+        eager[1].insert(150);
+        let mut local = eager.clone();
+        let mut merge = WordMerge::for_nodes(200);
+        for _round in 0..2 {
+            // Scatter marks, remote ones included, then the hand-off.
+            for v in [3, 64, 65, 199] {
+                local[0].insert(v);
+            }
+            local[1].insert(65);
+            merge.clear();
+            let mut union = NodeSet::new(200);
+            for (s, set) in local.iter_mut().enumerate() {
+                for v in set.ones() {
+                    union.insert(v);
+                }
+                let mut pairs = Vec::new();
+                set.drain_pairs(&eager[s], &mut pairs);
+                assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
+                assert!(pairs.iter().all(|&(_, w)| w != 0));
+                assert_eq!(
+                    set.ones().collect::<Vec<_>>(),
+                    eager[s].ones().collect::<Vec<_>>()
+                );
+                merge.or_pairs(&pairs);
+            }
+            assert_eq!(merge.count(), union.count());
+            let merged: Vec<WordPair> = merge.pairs().collect();
+            assert_eq!(
+                pair_ones(&merged, 0, 200).collect::<Vec<_>>(),
+                union.ones().collect::<Vec<_>>()
+            );
+            // A worker's slice: only words over its range, only its bits.
+            let slice: Vec<WordPair> = merge.pairs_over(60, 151).collect();
+            assert_eq!(slice.iter().map(|p| p.0).collect::<Vec<_>>(), vec![0, 1, 2]);
+            assert_eq!(
+                pair_ones(&slice, 60, 151).collect::<Vec<_>>(),
+                union.ones_in(60, 151).collect::<Vec<_>>()
+            );
+        }
+        merge.clear();
+        assert_eq!(merge.count(), 0);
+        assert_eq!(merge.pairs().count(), 0);
     }
 
     #[test]
@@ -334,12 +486,23 @@ mod tests {
         assert_eq!(counts[69], 2);
         assert_eq!(counts.iter().sum::<u64>(), 4);
 
-        let mut merged = BatchFrontier::new(5, 70);
-        merged.or_marks(f.marks());
-        merged.rebuild_any();
-        assert_eq!(merged.any().ones().collect::<Vec<_>>(), vec![0, 3, 4]);
-        merged.clear_all();
-        assert_eq!(merged.any().count(), 0);
-        assert!(merged.marks().iter().all(|&w| w == 0));
+        // The sharded hand-off: drain to pairs, merge, split back per lane.
+        let eager = BatchFrontier::new(5, 70);
+        let mut pairs = Vec::new();
+        let mut drained = f.clone();
+        drained.drain_pairs(&eager, &mut pairs);
+        assert_eq!(drained.any().count(), 0);
+        assert_eq!(pairs.len(), 4, "node 0 marks both of its words");
+        let mut marks = WordMerge::for_marks(5, 70);
+        marks.or_pairs(&pairs);
+        let mut nodes = WordMerge::for_nodes(5);
+        let mut split = vec![0; 70];
+        split_lanes(&marks, 70, &mut nodes, &mut split);
+        assert_eq!(split, counts);
+        let node_pairs: Vec<WordPair> = nodes.pairs().collect();
+        assert_eq!(
+            pair_ones(&node_pairs, 0, 5).collect::<Vec<_>>(),
+            vec![0, 3, 4]
+        );
     }
 }

@@ -58,9 +58,12 @@
 //! the sequential plane loop, the push-based reference, and a deterministic
 //! **sharded parallel executor** ([`sharded`]) that partitions the slot
 //! space into contiguous shards (see `lma_graph::Partition`) and runs each
-//! shard's gather → step → scatter on its own scoped thread with one barrier
-//! per round (cross-shard traffic moves through backend-specific exchange
-//! buffers: owned values inline, copied byte spans on the arena).  All
+//! shard's gather → step → scatter on its own scoped thread.  Cross-shard
+//! traffic moves through backend-specific exchange buffers (owned values
+//! inline, copied byte spans on the arena).  A round ends with one arrival
+//! per shard at a spin-then-park barrier whose last arriver merges the
+//! shard reports in shard order before it releases the others; sparse
+//! frontiers travel as their non-zero `(word index, word)` pairs only.  All
 //! engines produce bit-identical results.
 //!
 //! Every run is wired through the [`driver`] module: the zero-cost
@@ -76,6 +79,7 @@
 #![warn(missing_docs)]
 
 pub mod algorithm;
+pub(crate) mod barrier;
 pub mod batch;
 pub mod batch_plane;
 pub(crate) mod batch_sharded;

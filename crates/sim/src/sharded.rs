@@ -34,17 +34,39 @@
 //! a buffer's backing pages are faulted in by the thread that writes it
 //! every round (first-touch NUMA placement).  This is race-free: a
 //! producer only writes its own `(s, t)` buffers and every consumer first
-//! reads after the first barrier cycle, which orders all first-touches
-//! before all reads.  Workers already build their private plane pairs
-//! inside their own threads for the same reason.
+//! reads after the first barrier, which orders all first-touches before
+//! all reads.  Workers already build their private plane pairs inside
+//! their own threads for the same reason.
 //!
-//! Each round costs exactly one barrier cycle (two `Barrier::wait`s): after
-//! every worker has published its per-shard report, the barrier leader
-//! merges the reports **in shard order** — sums and maxima for
-//! [`RunStats`], the first pending error in node order, trace events in
-//! shard order — and decides whether to continue, so outputs, stats, traces
-//! and error cases are bit-identical to the sequential executor.  The
-//! `runtime_equivalence` integration suite pins this.
+//! Each round costs exactly one arrival at the crate's `RoundBarrier`:
+//! every worker publishes its per-shard report and arrives, and the
+//! **last** to arrive runs the leader's merge before it releases the
+//! others.  The merge folds the reports **in shard order** — sums and
+//! maxima for [`RunStats`], the first pending error in node order, trace
+//! events in shard order — and decides whether to continue, so outputs,
+//! stats, traces and error cases are bit-identical to the sequential
+//! executor.  The `runtime_equivalence` integration suite pins this.  An
+//! early arriver spins on the barrier's generation word for a fixed number
+//! of iterations and then parks on a condvar, so a quiet round pays one
+//! atomic arrival instead of two futex round-trips through the standard
+//! library's barrier.
+//!
+//! **Frontier hand-off** (programs that opt into
+//! [`NodeAlgorithm::MESSAGE_DRIVEN`]).  A worker's scatters mark
+//! destination nodes — remote ones too — in a full-`n` bitset that starts
+//! each round as the shard's eager nodes.  The worker publishes only its
+//! non-zero words as `(word index, word)` pairs and resets just those
+//! words; the leader clears the words it set last round, ORs the pairs in
+//! and counts active nodes from them; on a sparse round each worker copies
+//! back only the merged words over its own node range and gathers their set
+//! bits.  Apart from one local scan of the worker's own bitset, the
+//! hand-off grows with the number of marked words, not with `n / 64`.
+//!
+//! Measured on a 2-core host (`sim-sparse` benchmark, wave on ring/16384,
+//! 8192 rounds of a 2–4-node frontier, two traced runs per side): 14.6–17.8
+//! µs per round with two waits at the standard barrier and full-`n`
+//! frontier words, 3.4–3.9 µs with both changes; the sequential executor
+//! takes about 1 µs per round on the same run.
 //!
 //! A panic inside a node program is caught by the owning worker, reported
 //! through the same channel, and re-raised on the calling thread with the
@@ -53,7 +75,8 @@
 //! at the barrier.
 
 use crate::algorithm::{LocalView, MsgSink, NodeAlgorithm};
-use crate::frontier::NodeSet;
+use crate::barrier::RoundBarrier;
+use crate::frontier::{pair_ones, NodeSet, WordMerge, WordPair};
 use crate::plane::{ArenaPlane, Backing, HybridPlane, MessagePlane, PlaneStore};
 use crate::runtime::{PendingError, PendingRound, RunConfig, RunError, RunResult, Scatter};
 use crate::stats::RunStats;
@@ -61,7 +84,7 @@ use crate::trace::TraceEvent;
 use lma_graph::{Partition, Port, WeightedGraph};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Barrier, Mutex};
+use std::sync::Mutex;
 
 /// Pads (and aligns) `T` to a 64-byte cache line so adjacent entries of a
 /// `Vec<CachePadded<T>>` never false-share: each shard's exchange-buffer
@@ -70,7 +93,7 @@ use std::sync::{Barrier, Mutex};
 #[repr(align(64))]
 pub(crate) struct CachePadded<T>(pub(crate) T);
 
-/// What the barrier leader tells every worker to do next.
+/// What the leader's merge tells every worker to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Command {
     /// Execute communication round `round` (gather, step, scatter, drain).
@@ -90,11 +113,11 @@ struct ShardReport {
     events: Vec<TraceEvent>,
     done_delta: usize,
     panic: Option<Box<dyn Any + Send>>,
-    /// Frontier words this shard marked for the upcoming round (full-`n`
-    /// bitset: cross-shard `put`s mark remote nodes too), with the shard's
-    /// own eager nodes pre-ORed in.  Empty unless the program opted into
+    /// The non-zero frontier words this shard marked for the upcoming round
+    /// (cross-shard `put`s mark remote nodes too), with the shard's own
+    /// eager nodes pre-ORed in.  Empty unless the program opted into
     /// frontier execution.
-    frontier: Vec<u64>,
+    frontier: Vec<WordPair>,
 }
 
 /// Leader-owned global state, read by the caller after the scope joins.
@@ -111,16 +134,16 @@ struct Control {
     /// (`A::MESSAGE_DRIVEN`) — set once at startup, drives the leader's
     /// merge and the fields below.
     track_frontier: bool,
-    /// The merged global frontier for the round just commanded (leader
-    /// writes in `coordinate`, workers copy their node-range slice after
-    /// the second barrier).
-    frontier: NodeSet,
+    /// The merged global frontier for the round just commanded (the leader
+    /// writes it in `coordinate`; on a sparse round each worker copies the
+    /// words over its node range).
+    frontier: WordMerge,
     /// The leader's dense-vs-sparse decision for that round.
     sparse: bool,
 }
 
 struct Shared<M, S: PlaneStore<M>> {
-    barrier: Barrier,
+    barrier: RoundBarrier,
     /// `pair_bufs[parity][s * k + t]`: the exchange buffer carrying shard
     /// `s`'s boundary traffic to shard `t` for rounds of that parity, dense
     /// over `partition.boundary(s, t)` positions.  Created empty; worker
@@ -200,7 +223,7 @@ fn run_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
             .collect()
     };
     let shared: Shared<A::Msg, S> = Shared {
-        barrier: Barrier::new(k),
+        barrier: RoundBarrier::new(k),
         pair_bufs: [make_bufs(), make_bufs()],
         reports: (0..k)
             .map(|_| CachePadded(Mutex::new(ShardReport::default())))
@@ -215,9 +238,9 @@ fn run_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
             panic: None,
             track_frontier: A::MESSAGE_DRIVEN,
             frontier: if A::MESSAGE_DRIVEN {
-                NodeSet::new(n)
+                WordMerge::for_nodes(n)
             } else {
-                NodeSet::default()
+                WordMerge::default()
             },
             sparse: false,
         }),
@@ -267,7 +290,7 @@ fn run_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     })
 }
 
-/// The per-shard worker: init, then one barrier cycle per round until the
+/// The per-shard worker: init, then one barrier arrival per round until the
 /// leader commands a stop.  Returns the shard's programs so the caller can
 /// collate outputs.
 #[allow(clippy::too_many_arguments)]
@@ -298,16 +321,18 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     let mut incoming: Vec<S::Boundary> = (0..k).map(|_| S::Boundary::default()).collect();
 
     // Frontier state (opted-in programs only; empty and compiled out
-    // otherwise).  All three are full-`n` bitsets: a shard's scatter can
+    // otherwise).  Both sets are full-`n` bitsets: a shard's scatter can
     // mark *remote* destination nodes, and the leader merges every shard's
     // words into one global frontier.  `eager_front` carries only this
-    // shard's own non-message-driven nodes; it is pre-ORed into every
-    // published frontier so the leader's union is complete without knowing
-    // the programs.
+    // shard's own non-message-driven nodes; `local_front` starts every
+    // round as a copy of it, so the leader's union is complete without
+    // knowing the programs.  `outgoing` holds the words this shard
+    // publishes and `gather` the merged words over its node range.
     let n = partition.node_count();
     let mut local_front = NodeSet::default();
     let mut eager_front = NodeSet::default();
-    let mut gather_front = NodeSet::default();
+    let mut outgoing: Vec<WordPair> = Vec::new();
+    let mut gather: Vec<WordPair> = Vec::new();
     let mut use_sparse = false;
     if A::MESSAGE_DRIVEN {
         eager_front = NodeSet::new(n);
@@ -317,12 +342,11 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
             }
         }
         local_front = eager_front.clone();
-        gather_front = NodeSet::new(n);
     }
 
     // First-touch: allocate this shard's outgoing exchange buffers (both
     // parities) on this thread, before the first publish.  Consumers only
-    // read them after the first barrier cycle, so this is race-free.
+    // read them after the first barrier, so this is race-free.
     for parity in 0..2 {
         for t in 0..k {
             let boundary = partition.boundary(s, t);
@@ -361,6 +385,9 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         }
         done_delta
     }));
+    if A::MESSAGE_DRIVEN {
+        local_front.drain_pairs(&eager_front, &mut outgoing);
+    }
     publish(
         s,
         shared,
@@ -370,18 +397,13 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         1,
         &mut pending,
         caught,
-        A::MESSAGE_DRIVEN.then_some(&local_front),
+        A::MESSAGE_DRIVEN.then_some(&mut outgoing),
     );
-    if A::MESSAGE_DRIVEN {
-        local_front.copy_from(&eager_front);
-    }
 
     loop {
-        let leader = shared.barrier.wait().is_leader();
-        if leader {
-            coordinate(shared, &config, n_of(partition), budget);
-        }
-        shared.barrier.wait();
+        shared
+            .barrier
+            .wait(|| coordinate(shared, &config, n, budget));
         let round = {
             let ctl = shared.control.lock().unwrap();
             let round = match ctl.command {
@@ -389,8 +411,11 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                 Command::Work { round } => round,
             };
             if A::MESSAGE_DRIVEN {
-                gather_front.copy_from(&ctl.frontier);
                 use_sparse = ctl.sparse;
+                if use_sparse {
+                    gather.clear();
+                    gather.extend(ctl.frontier.pairs_over(nodes.start, nodes.end));
+                }
             }
             round
         };
@@ -467,7 +492,7 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                 }};
             }
             if use_sparse {
-                for v in gather_front.ones_in(nodes.start, nodes.end) {
+                for v in pair_ones(&gather, nodes.start, nodes.end) {
                     gather_step!(v - nodes.start, v);
                 }
             } else {
@@ -491,6 +516,9 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         // slots drained into the next parity's exchange buffers.
         std::mem::swap(&mut cur, &mut next);
         next.reset_round();
+        if A::MESSAGE_DRIVEN {
+            local_front.drain_pairs(&eager_front, &mut outgoing);
+        }
         publish(
             s,
             shared,
@@ -500,22 +528,16 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
             (round + 1) & 1,
             &mut pending,
             caught,
-            A::MESSAGE_DRIVEN.then_some(&local_front),
+            A::MESSAGE_DRIVEN.then_some(&mut outgoing),
         );
-        if A::MESSAGE_DRIVEN {
-            local_front.copy_from(&eager_front);
-        }
     }
     programs
 }
 
-fn n_of(partition: &Partition) -> usize {
-    partition.node_count()
-}
-
 /// Drains the boundary slots of `plane` into this shard's outgoing exchange
 /// buffers for `parity`, then publishes the shard's report for the round
-/// (including, for opted-in programs, the shard's frontier words).
+/// (including, for opted-in programs, the shard's frontier pairs: swapped
+/// in, so `frontier` comes back as the emptied vector of the last report).
 #[allow(clippy::too_many_arguments)]
 fn publish<M, S: PlaneStore<M>>(
     s: usize,
@@ -526,7 +548,7 @@ fn publish<M, S: PlaneStore<M>>(
     parity: usize,
     pending: &mut PendingRound,
     caught: Result<usize, Box<dyn Any + Send>>,
-    frontier: Option<&NodeSet>,
+    frontier: Option<&mut Vec<WordPair>>,
 ) {
     let k = partition.shard_count();
     if caught.is_ok() {
@@ -548,8 +570,8 @@ fn publish<M, S: PlaneStore<M>>(
     report.error = pending.error.take();
     report.events = std::mem::take(&mut pending.events);
     if let Some(front) = frontier {
-        report.frontier.clear();
-        report.frontier.extend_from_slice(front.words());
+        std::mem::swap(&mut report.frontier, front);
+        front.clear();
     }
     match caught {
         Ok(done_delta) => report.done_delta = done_delta,
@@ -558,9 +580,9 @@ fn publish<M, S: PlaneStore<M>>(
     pending.reset();
 }
 
-/// The barrier leader's merge step, run between the two barrier waits while
-/// every other worker is parked: fold the per-shard reports **in shard
-/// order** into the global state and decide the next command.  The ordering
+/// The leader's merge step, run by the last worker to arrive at the barrier
+/// while the others wait: fold the per-shard reports **in shard order**
+/// into the global state and decide the next command.  The ordering
 /// reproduces the sequential executor exactly: done-check, round-limit
 /// check, then the round commit (first pending error in node order wins;
 /// stats and trace only on a clean commit).
@@ -579,12 +601,12 @@ fn coordinate<M, S: PlaneStore<M>>(
     let mut panic: Option<Box<dyn Any + Send>> = None;
     let mut round_events: Vec<TraceEvent> = Vec::new();
     if ctl.track_frontier {
-        ctl.frontier.clear_all();
+        ctl.frontier.clear();
     }
     for slot in shared.reports.iter() {
         let mut report = slot.0.lock().unwrap();
         if ctl.track_frontier {
-            ctl.frontier.or_words(&report.frontier);
+            ctl.frontier.or_pairs(&report.frontier);
         }
         ctl.done_count += report.done_delta;
         report.done_delta = 0;

@@ -8,10 +8,11 @@
 //! stats, traces and error paths.  These tests pin exactly that, plus the
 //! schedule-*independent* observability contract: the recorded
 //! `per_round_active_nodes` is the same whatever the mode, engine or lane
-//! (only `per_round_sparse`, the decision itself, may differ).
+//! (only `per_round_sparse`, the decision itself, may differ between modes
+//! — within one mode it is the same on every engine).
 
 use lma_baselines::WaveFlood;
-use lma_graph::generators::{gnp_connected, grid, ring};
+use lma_graph::generators::{gnp_connected, grid, ring, torus};
 use lma_graph::weights::WeightStrategy;
 use lma_graph::{Port, WeightedGraph};
 use lma_sim::{
@@ -51,8 +52,30 @@ fn assert_identical(a: &RunResult<(u64, u64)>, b: &RunResult<(u64, u64)>, what: 
     );
 }
 
-fn graphs() -> Vec<(&'static str, WeightedGraph)> {
+/// Graphs whose frontier spans several 64-node bitset words, so the
+/// sharded engines' word-by-word frontier hand-off crosses shard
+/// boundaries mid-word: a long ring (a 2–4-node front for 150 rounds), a
+/// grid (a diagonal front) and a torus (whose front shrinks after it meets
+/// itself).
+fn multiword_graphs() -> Vec<(&'static str, WeightedGraph)> {
     vec![
+        (
+            "ring/300",
+            ring(300, WeightStrategy::DistinctRandom { seed: 74 }),
+        ),
+        (
+            "grid/20x20",
+            grid(20, 20, WeightStrategy::DistinctRandom { seed: 75 }),
+        ),
+        (
+            "torus/18x18",
+            torus(18, 18, WeightStrategy::DistinctRandom { seed: 76 }),
+        ),
+    ]
+}
+
+fn graphs() -> Vec<(&'static str, WeightedGraph)> {
+    let mut graphs = vec![
         (
             "ring",
             ring(29, WeightStrategy::DistinctRandom { seed: 71 }),
@@ -65,11 +88,15 @@ fn graphs() -> Vec<(&'static str, WeightedGraph)> {
             "gnp",
             gnp_connected(48, 0.1, 73, WeightStrategy::DistinctRandom { seed: 73 }),
         ),
-    ]
+    ];
+    graphs.extend(multiword_graphs());
+    graphs
 }
 
 /// The deterministic tentpole pin: force-sparse ≡ force-dense ≡ auto on
 /// every backing and thread count, and all of them ≡ the push reference.
+/// Within one mode, every thread count also takes the sequential run's
+/// sparse/dense decision in every round.
 #[test]
 fn forced_sparse_equals_forced_dense_across_executors_and_backings() {
     for (name, g) in graphs() {
@@ -80,16 +107,18 @@ fn forced_sparse_equals_forced_dense_across_executors_and_backings() {
                 .run(wave_fleet(&g, |_| false))
                 .unwrap();
             for mode in MODES {
-                for threads in [1usize, 3] {
+                let sequential = base.frontier(mode).run(wave_fleet(&g, |_| false)).unwrap();
+                for threads in [1usize, 2, 3] {
                     let run = base
                         .frontier(mode)
                         .threads(threads)
                         .run(wave_fleet(&g, |_| false))
                         .unwrap();
-                    assert_identical(
-                        &dense,
-                        &run,
-                        &format!("{name}/{backing:?}/{}/threads={threads}", mode.label()),
+                    let what = format!("{name}/{backing:?}/{}/threads={threads}", mode.label());
+                    assert_identical(&dense, &run, &what);
+                    assert_eq!(
+                        run.stats.per_round_sparse, sequential.stats.per_round_sparse,
+                        "{what}: per-round sparse decisions diverged from the sequential run"
                     );
                 }
             }
@@ -110,31 +139,47 @@ fn forced_sparse_equals_forced_dense_across_executors_and_backings() {
 /// Batch lanes — including a mixed fleet where only some lanes' programs
 /// are message-driven — match their solo runs lane for lane, with
 /// lane-exact frontier counts, on both the sequential and sharded tilings.
+/// The batch decides sparse vs dense once per round for all lanes, so each
+/// sharded lane must take the sequential batch's decisions.
 #[test]
 fn batched_wave_lanes_match_solo_runs_including_mixed_eager_lanes() {
-    let g = gnp_connected(40, 0.12, 77, WeightStrategy::DistinctRandom { seed: 77 });
+    let mut graphs = vec![(
+        "gnp",
+        gnp_connected(40, 0.12, 77, WeightStrategy::DistinctRandom { seed: 77 }),
+    )];
+    graphs.extend(multiword_graphs());
     // Lane 0: fully message-driven; lane 1: every instance eager (dense
     // schedule by contract); lane 2: every third node eager.
     let lane_masks: [fn(usize) -> bool; 3] = [|_| false, |_| true, |u| u % 3 == 0];
-    for backing in Backing::ALL {
-        for mode in MODES {
-            let sim = Sim::on(&g).trace(true).backing(backing).frontier(mode);
-            let solos: Vec<RunResult<(u64, u64)>> = lane_masks
-                .iter()
-                .map(|mask| sim.run(wave_fleet(&g, mask)).unwrap())
-                .collect();
-            for threads in [1usize, 3] {
-                let results = sim
-                    .threads(threads)
-                    .batch(lane_masks.len())
-                    .run(lane_masks.iter().map(|mask| wave_fleet(&g, mask)).collect())
-                    .unwrap();
-                for (l, (solo, lane)) in solos.iter().zip(results).enumerate() {
-                    assert_identical(
-                        solo,
-                        &lane.unwrap(),
-                        &format!("{backing:?}/{}/threads={threads}/lane={l}", mode.label()),
-                    );
+    let fleets = |g: &WeightedGraph| lane_masks.iter().map(|mask| wave_fleet(g, mask)).collect();
+    for (name, g) in &graphs {
+        for backing in Backing::ALL {
+            for mode in MODES {
+                let sim = Sim::on(g).trace(true).backing(backing).frontier(mode);
+                let solos: Vec<RunResult<(u64, u64)>> = lane_masks
+                    .iter()
+                    .map(|mask| sim.run(wave_fleet(g, mask)).unwrap())
+                    .collect();
+                let sequential = sim.batch(lane_masks.len()).run(fleets(g)).unwrap();
+                for threads in [1usize, 2, 3] {
+                    let results = sim
+                        .threads(threads)
+                        .batch(lane_masks.len())
+                        .run(fleets(g))
+                        .unwrap();
+                    for (l, (solo, lane)) in solos.iter().zip(results).enumerate() {
+                        let lane = lane.unwrap();
+                        let what = format!(
+                            "{name}/{backing:?}/{}/threads={threads}/lane={l}",
+                            mode.label()
+                        );
+                        assert_identical(solo, &lane, &what);
+                        assert_eq!(
+                            lane.stats.per_round_sparse,
+                            sequential[l].as_ref().unwrap().stats.per_round_sparse,
+                            "{what}: per-round sparse decisions diverged from the sequential batch"
+                        );
+                    }
                 }
             }
         }
