@@ -1,18 +1,18 @@
-// lint: allow-file(unsafe-code) — the counting GlobalAlloc this bench exists to install; audited here, forbidden everywhere else
 //! Criterion benches for the substrates: graph generation, sequential MST
 //! algorithms, the Borůvka decomposition, and — the headline of this file —
 //! the simulator's message-routing cost.
 //!
 //! The `routing` group drives the same flooding program through every
-//! executor — the sequential pull-based message plane (`Runtime::run`), the
-//! sharded parallel executor at 2 and 4 worker threads
-//! (`lma_sim::ShardedExecutor`), and the preserved push-based reference
-//! executor (`lma_sim::reference::run_push`) — on ring, 2-D grid and
-//! G(n, p) graphs at 10⁴–10⁵ nodes, under both a LOCAL and a CONGEST-audit
-//! configuration, so the executor trajectory (push → pull → sharded) stays
-//! visible in `BENCH_bench_substrate.json` per PR.  The sharded entries are
-//! only meaningful relative to `pull` on multi-core hosts — the JSON records
-//! `host_cpus` so single-core CI numbers are not misread as regressions.
+//! engine — the pull-based message plane on one thread (`Sim::run`), the
+//! same kernel shard-parallel at 2 and 4 worker threads with the partition
+//! built once and reused (`Sim::with_partition`), and the preserved
+//! push-based reference executor (`lma_sim::reference::run_push`) — on
+//! ring, 2-D grid and G(n, p) graphs at 10⁴–10⁵ nodes, under both a LOCAL
+//! and a CONGEST-audit configuration, so the executor trajectory (push →
+//! pull → sharded) stays visible in `BENCH_bench_substrate.json` per PR.
+//! The sharded entries are only meaningful relative to `pull` on multi-core
+//! hosts — the JSON records `host_cpus` so single-core CI numbers are not
+//! misread as regressions.
 //!
 //! The `gossip` group drives a variable-size-payload broadcast (a
 //! `Knowledge` message carrying an edge-fact vector, the LOCAL baselines'
@@ -38,6 +38,11 @@
 //! barrier and frontier hand-off the whole cost.  Per-run time via
 //! `Throughput::Elements(1)`.
 //!
+//! The `driver` group times a plain [`Sim`]-built run, the end-to-end
+//! entry point every caller uses.
+
+#![forbid(unsafe_code)]
+//!
 //! `-- --smoke` shrinks the scaling graphs to 10³–10⁴ nodes (gossip to
 //! 256–1024, fleets to 128, frontier waves to 256–1024) and clamps the
 //! sample counts (see the vendored criterion shim), which is what the CI
@@ -50,50 +55,11 @@ use lma_graph::generators::{
     barabasi_albert, complete, connected_random, gnp_connected, grid, ring,
 };
 use lma_graph::weights::WeightStrategy;
-use lma_graph::{Port, WeightedGraph};
+use lma_graph::{Partition, Port, WeightedGraph};
 use lma_mst::boruvka::{run_boruvka, BoruvkaConfig};
 use lma_mst::{kruskal_mst, prim_mst, UnionFind};
-use lma_sim::{
-    Backing, Engine, FrontierMode, LocalView, Model, NodeAlgorithm, Outbox, Runtime,
-    ShardedExecutor, Sim,
-};
-use std::alloc::{GlobalAlloc, Layout, System};
+use lma_sim::{Backing, Engine, FrontierMode, LocalView, Model, NodeAlgorithm, Outbox, Sim};
 use std::hint::black_box;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts every allocation served to this bench binary, so the `driver`
-/// group can pin that the `Sim` builder adds **zero** per-run allocations
-/// over a direct `Runtime::run` with a pre-built config.  The counter is a
-/// single relaxed atomic increment — noise, not signal, for the timed
-/// groups.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to `System`; the counter has no effect on the
-// returned memory.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's; forwarded to `System` verbatim.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same contract as the caller's; forwarded to `System` verbatim.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's; forwarded to `System` verbatim.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn bench_union_find(c: &mut Criterion) {
     let mut group = c.benchmark_group("union_find");
@@ -284,21 +250,17 @@ fn bench_routing_scaling(c: &mut Criterion) {
                     b.iter(|| black_box(sim.run(ping_fleet(g)).unwrap().stats.total_messages));
                 },
             );
-            // The multi-run harness path: the executor (and its partition)
-            // is built once per scenario and reused by every iteration.
+            // The multi-run harness path: the partition is built once per
+            // scenario and reused by every iteration.
             for threads in SHARD_THREADS {
-                let exec = ShardedExecutor::for_graph(g, NonZeroUsize::new(threads).unwrap());
+                let partition = Partition::new(g.csr(), threads);
+                let sharded = sim.threads(threads).with_partition(&partition);
                 group.bench_with_input(
                     BenchmarkId::new(format!("sharded{threads}/{model}"), name),
                     g,
                     |b, g| {
                         b.iter(|| {
-                            black_box(
-                                sim.run_on(&exec, ping_fleet(g))
-                                    .unwrap()
-                                    .stats
-                                    .total_messages,
-                            )
+                            black_box(sharded.run(ping_fleet(g)).unwrap().stats.total_messages)
                         });
                     },
                 );
@@ -372,9 +334,8 @@ fn bench_gossip_backings(c: &mut Criterion) {
         });
         // Small-message control: the same backing sweep with a bare `u64`
         // payload (a couple of LEB128 bytes), where the arena's codec
-        // round-trip is all overhead and the hybrid's 16-byte cells keep
-        // every message inline — the other end of the payload-size axis
-        // from the `Knowledge` flood above.
+        // round-trip is all overhead — the other end of the payload-size
+        // axis from the `Knowledge` flood above.
         let small_fleet = |g: &WeightedGraph| -> Vec<Ping> {
             (0..g.node_count())
                 .map(|_| Ping {
@@ -477,27 +438,6 @@ fn bench_fleet_batching(c: &mut Criterion) {
                     },
                 );
             }
-            // Hybrid-backed lanes: the same fleet through 16-byte tagged
-            // cells, against the inline `batch{w}/local` cell above (Ping
-            // encodes to one varint, so every message stays in-cell).
-            let hybrid_sim = Sim::on(g).backing(Backing::Hybrid);
-            group.bench_with_input(
-                BenchmarkId::new(format!("batch{w}/hybrid"), name),
-                g,
-                |b, g| {
-                    b.iter(|| {
-                        let fleets = (0..w).map(|_| ping_fleet(g)).collect();
-                        let total: u64 = hybrid_sim
-                            .batch(w)
-                            .run(fleets)
-                            .unwrap()
-                            .into_iter()
-                            .map(|lane| lane.unwrap().stats.total_messages)
-                            .sum();
-                        black_box(total)
-                    });
-                },
-            );
             // The genuinely bit-sized workload: W reachability floods as
             // packed lanes (⌈W / 64⌉ ORs per edge per round for the whole
             // fleet) against W one-lane floods over the same buffers.
@@ -596,32 +536,22 @@ fn bench_frontier_schedules(c: &mut Criterion) {
         if name.starts_with("gnp") {
             continue;
         }
-        let exec = ShardedExecutor::for_graph(g, NonZeroUsize::new(2).unwrap());
-        let sim = Sim::on(g).frontier(FrontierMode::Auto);
+        let partition = Partition::new(g.csr(), 2);
+        let sim = Sim::on(g)
+            .frontier(FrontierMode::Auto)
+            .threads(2)
+            .with_partition(&partition);
         group.bench_with_input(BenchmarkId::new("sharded2/auto", name), g, |b, g| {
-            b.iter(|| black_box(sim.run_on(&exec, fleet(g)).unwrap().stats.rounds));
+            b.iter(|| black_box(sim.run(fleet(g)).unwrap().stats.rounds));
         });
     }
     group.finish();
 }
 
-/// Rounds driven per iteration in the driver-overhead scenario.
+/// Rounds driven per iteration in the driver scenario.
 const DRIVER_ROUNDS: usize = 10;
 
-/// Allocation count of one `f()` call.
-fn allocations_of(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
-
-/// The `driver` group: the [`Sim`] builder against a direct `Runtime::run`
-/// with a pre-built `RunConfig`, on the same pool-warmed graph.  Beyond the
-/// timing comparison, the group **asserts** (via the counting global
-/// allocator) that the builder path performs exactly as many allocations
-/// per run as the direct path — i.e. the unified driver is zero-cost.  A
-/// violated assertion panics, which the bench harness reports as a failed
-/// cell and exits nonzero.
+/// The `driver` group: one pool-warmed [`Sim`]-built run on a ring.
 fn bench_driver_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("driver");
     group.throughput(Throughput::Elements(DRIVER_ROUNDS as u64));
@@ -634,38 +564,6 @@ fn bench_driver_overhead(c: &mut Criterion) {
             })
             .collect()
     };
-    let config = Sim::on(&g).config();
-
-    // Warm the per-thread plane pool, then pin allocation parity.
-    Runtime::with_config(&g, config).run(fleet(&g)).unwrap();
-    Sim::on(&g).run(fleet(&g)).unwrap();
-    let direct = allocations_of(|| {
-        black_box(Runtime::with_config(&g, config).run(fleet(&g)).unwrap());
-    });
-    let built = allocations_of(|| {
-        black_box(Sim::on(&g).run(fleet(&g)).unwrap());
-    });
-    assert_eq!(
-        built, direct,
-        "a Sim-built run must allocate exactly as much as a direct \
-         Runtime::run with a pre-built RunConfig ({built} vs {direct})"
-    );
-
-    group.bench_with_input(
-        BenchmarkId::new("runtime-prebuilt-config", n),
-        &g,
-        |b, g| {
-            b.iter(|| {
-                black_box(
-                    Runtime::with_config(g, config)
-                        .run(fleet(g))
-                        .unwrap()
-                        .stats
-                        .total_messages,
-                )
-            });
-        },
-    );
     group.bench_with_input(BenchmarkId::new("sim-builder", n), &g, |b, g| {
         b.iter(|| black_box(Sim::on(g).run(fleet(g)).unwrap().stats.total_messages));
     });

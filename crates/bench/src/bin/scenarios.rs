@@ -31,7 +31,7 @@
 //! normally runs *all* of its cells, because cross-cell digest invariance
 //! is part of what is being checked; `--executor E` / `--backing B` narrow
 //! the selection to **cells** whose engine segment (`seq`, `sharded2`,
-//! `push`, `batch8`, …) or backing segment (`inline`, `arena`, `hybrid`)
+//! `push`, `batch8`, …) or backing segment (`inline`, `arena`)
 //! contains the substring — the handle for re-checking one executor or one backing
 //! in isolation.  `--lock PATH` overrides the default lock location (the
 //! workspace root).  `update` always re-runs scenarios unfiltered and

@@ -42,7 +42,7 @@ pub struct Selection {
     /// (`seq`, `sharded2`, `push`, `batch8`, …).
     pub executor: Option<String>,
     /// Substring match against the backing segment of the cell label
-    /// (`inline`, `arena`, `hybrid`).
+    /// (`inline`, `arena`).
     pub backing: Option<String>,
 }
 

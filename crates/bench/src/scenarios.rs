@@ -232,8 +232,9 @@ pub const SHARD_COUNTS: [usize; 2] = [2, 4];
 
 /// Lane widths batch-marked scenarios are pinned on (inline backing; an
 /// extra `W = 8` cell covers the arena).  `batched(W)` must reproduce the
-/// scenario's sequential digest in every lane.
-pub const BATCH_WIDTHS: [usize; 3] = [1, 8, 64];
+/// scenario's solo digest in every lane.  `W = 1` is not listed: a solo
+/// run *is* a one-lane batch, so `batch1/*` would be the `seq/*` cell again.
+pub const BATCH_WIDTHS: [usize; 2] = [8, 64];
 
 impl Scenario {
     /// Stable scenario id, e.g. `flood/ring/n48/s11`.
@@ -256,25 +257,25 @@ impl Scenario {
         self
     }
 
-    /// Every cell of this scenario: sequential and sharded engines on every
-    /// backing ([`Backing::ALL`]), plus the push oracle (inline only — it
-    /// has no plane, so a second backing cell would be the same run twice)
-    /// when the workload supports the reference engine, plus — for
-    /// batch-marked scenarios — the lockstep batch executor at every
-    /// [`BATCH_WIDTHS`] lane count (inline) and at `W = 8` on the arena and
-    /// hybrid backings.
+    /// Every cell of this scenario: one thread and every [`SHARD_COUNTS`]
+    /// thread count on every backing ([`Backing::ALL`]), plus the push
+    /// oracle (inline only — it has no plane, so a second backing cell would
+    /// be the same run twice) when the workload supports the reference
+    /// engine, plus — for batch-marked scenarios — lockstep batches at every
+    /// [`BATCH_WIDTHS`] lane count (inline) and at `W = 8` on the arena.
     #[must_use]
     pub fn variants(&self) -> Vec<Variant> {
+        let threads = |t: usize| Engine::Threads(NonZeroUsize::new(t).expect("t >= 1"));
         let mut variants = Vec::new();
         for backing in Backing::ALL {
             variants.push(Variant {
-                engine: Engine::Sequential,
+                engine: threads(1),
                 backing,
                 lanes: None,
             });
             for t in SHARD_COUNTS {
                 variants.push(Variant {
-                    engine: Engine::Sharded(NonZeroUsize::new(t).expect("t >= 2")),
+                    engine: threads(t),
                     backing,
                     lanes: None,
                 });
@@ -290,18 +291,16 @@ impl Scenario {
         if self.batch {
             for w in BATCH_WIDTHS {
                 variants.push(Variant {
-                    engine: Engine::Sequential,
+                    engine: threads(1),
                     backing: Backing::Inline,
                     lanes: NonZeroUsize::new(w),
                 });
             }
-            for backing in [Backing::Arena, Backing::Hybrid] {
-                variants.push(Variant {
-                    engine: Engine::Sequential,
-                    backing,
-                    lanes: NonZeroUsize::new(8),
-                });
-            }
+            variants.push(Variant {
+                engine: threads(1),
+                backing: Backing::Arena,
+                lanes: NonZeroUsize::new(8),
+            });
         }
         variants
     }
@@ -795,6 +794,9 @@ mod tests {
             "the lock must cover at least 30 cells, got {}",
             cell_count(&scenarios)
         );
+        // The matrix shape: 19 scenarios × (2 backings × 3 thread counts)
+        // + 12 push cells + 3 batch-marked scenarios × 3 batch cells.
+        assert_eq!(cell_count(&scenarios), 135, "registry cell matrix changed");
         // All three engines, every backing.
         let mut engines = std::collections::BTreeSet::new();
         let mut backings = std::collections::BTreeSet::new();
@@ -810,8 +812,8 @@ mod tests {
         assert!(engines.contains("push"));
         assert_eq!(backings.len(), Backing::ALL.len());
         // Batch cells: at least one batch-marked scenario per label family,
-        // every pinned width on the inline backing plus the arena and
-        // hybrid W=8 cells.
+        // every pinned width on the inline backing plus the arena W=8 cell —
+        // and no one-lane batch cell, which would repeat `seq/inline`.
         let batch_labels: std::collections::BTreeSet<String> = scenarios
             .iter()
             .filter(|s| s.batch)
@@ -819,15 +821,12 @@ mod tests {
             .filter(|v| v.lanes.is_some())
             .map(|v| v.label())
             .collect();
-        for expected in [
-            "batch1/inline",
-            "batch8/inline",
-            "batch64/inline",
-            "batch8/arena",
-            "batch8/hybrid",
-        ] {
-            assert!(batch_labels.contains(expected), "missing {expected}");
-        }
+        assert_eq!(
+            batch_labels,
+            ["batch64/inline", "batch8/arena", "batch8/inline"]
+                .map(String::from)
+                .into(),
+        );
         // At least one advice-scheme workload and two of the new families.
         assert!(scenarios.iter().any(|s| !s.workload.supports_reference()));
         assert!(scenarios

@@ -37,19 +37,18 @@ pub fn torus(rows: usize, cols: usize, weights: WeightStrategy) -> WeightedGraph
     let m = 2 * rows * cols;
     let mut b = GraphBuilder::new(rows * cols);
     let mut w = WeightAssigner::new(weights, m);
+    // With at least 3 rows and 3 columns every wrap-around edge is distinct
+    // (a 3-cycle has three different node pairs), so no duplicate check is
+    // needed; `build` would reject one anyway.
     for r in 0..rows {
         for c in 0..cols {
             let right = node_at(cols, r, (c + 1) % cols);
             let down = node_at(cols, (r + 1) % rows, c);
             let here = node_at(cols, r, c);
-            if !b.has_edge(here, right) {
-                let e = b.add_edge(here, right, 0);
-                b.set_weight(e, w.weight_of(e));
-            }
-            if !b.has_edge(here, down) {
-                let e = b.add_edge(here, down, 0);
-                b.set_weight(e, w.weight_of(e));
-            }
+            let e = b.add_edge(here, right, 0);
+            b.set_weight(e, w.weight_of(e));
+            let e = b.add_edge(here, down, 0);
+            b.set_weight(e, w.weight_of(e));
         }
     }
     b.build().expect("torus construction is always valid")

@@ -160,6 +160,48 @@ impl Partition {
         }
     }
 
+    /// Whether this partition's routing tables are valid for `csr`: same
+    /// node and slot counts, shard slot ranges matching `csr`'s offsets,
+    /// and every slot classified intra- or cross-shard by where its edge
+    /// actually leads, at the boundary position its cross-reference names.
+    /// A partition of a different graph with equal node and slot counts is
+    /// rejected.  One pass over the slots, no allocation.
+    #[must_use]
+    pub fn fits(&self, csr: &CsrAdjacency) -> bool {
+        if self.node_count() != csr.node_count() || self.slot_count() != csr.slot_count() {
+            return false;
+        }
+        let offsets = csr.offsets();
+        if self
+            .node_starts
+            .iter()
+            .zip(&self.slot_starts)
+            .any(|(&u, &slot)| offsets[u] != slot)
+        {
+            return false;
+        }
+        let incident = csr.incident_flat();
+        let mut cross = 0usize;
+        for s in 0..self.shard_count() {
+            let nodes = self.node_range(s);
+            for slot in self.slot_range(s) {
+                let neighbor = incident[slot].neighbor;
+                let routed = match self.cross_ref(slot) {
+                    None => nodes.contains(&neighbor),
+                    Some((owner, pos)) => {
+                        cross += 1;
+                        let t = self.shard_of_node(neighbor);
+                        owner == s && t != s && self.boundary(s, t).get(pos) == Some(&slot)
+                    }
+                };
+                if !routed {
+                    return false;
+                }
+            }
+        }
+        cross == self.cross_slot_count()
+    }
+
     /// Total number of cross-shard slots (each cross-shard edge contributes
     /// two: one at each endpoint).
     #[must_use]
@@ -268,6 +310,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_partition_fits_only_graphs_with_its_routing() {
+        let a = ring(24, WeightStrategy::Unit);
+        let b = connected_random(24, 24, 7, WeightStrategy::Unit);
+        assert_eq!(a.csr().slot_count(), b.csr().slot_count());
+        for k in [1usize, 2, 3, 5] {
+            let p = Partition::new(a.csr(), k);
+            assert!(p.fits(a.csr()), "k={k}");
+            // An equal-content rebuild of the same graph fits too.
+            assert!(p.fits(ring(24, WeightStrategy::Unit).csr()), "k={k}");
+            if k > 1 {
+                assert!(!p.fits(b.csr()), "k={k}: foreign graph of equal size");
+            }
+        }
+        assert!(!Partition::new(a.csr(), 2).fits(ring(25, WeightStrategy::Unit).csr()));
     }
 
     #[test]

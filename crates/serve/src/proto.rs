@@ -136,9 +136,10 @@ pub struct RunSpec {
     pub n: usize,
     /// Generator/weight seed.
     pub seed: u64,
-    /// Plane backing label (`inline`, `arena`, `hybrid`).
+    /// Plane backing label (`inline`, `arena`).
     pub backing: String,
-    /// Worker threads for the run: `0`/`1` sequential, `t ≥ 2` sharded.
+    /// Worker threads for the run: `0`/`1` on one thread, `t ≥ 2`
+    /// shard-parallel.
     pub threads: usize,
     /// Optional hard round limit for the run.
     pub round_limit: Option<u64>,

@@ -654,6 +654,10 @@ fn execute_group(shared: &Shared, jobs: &[Job]) {
         Ok(Ok(summaries)) => {
             for ((job, writer), summary) in live.iter().zip(writers).zip(summaries) {
                 let queue_ns = duration_ns(run_started.saturating_duration_since(job.enqueued));
+                // Count the run before replying, so a client that asks for
+                // `Stats` right after its reply always sees it.
+                shared.metrics.record_served(queue_ns, queue_ns + run_ns);
+                shared.completed.fetch_add(1, Ordering::Relaxed);
                 job.reply.send(Response {
                     id: job.id,
                     body: ResponseBody::Done(RunReport {
@@ -666,8 +670,6 @@ fn execute_group(shared: &Shared, jobs: &[Job]) {
                         lanes: u32::try_from(width).unwrap_or(u32::MAX),
                     }),
                 });
-                shared.metrics.record_served(queue_ns, queue_ns + run_ns);
-                shared.completed.fetch_add(1, Ordering::Relaxed);
             }
         }
         Ok(Err(error)) => {

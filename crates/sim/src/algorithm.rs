@@ -6,7 +6,7 @@
 
 use crate::message::BitSized;
 use crate::wire::Wire;
-use lma_graph::{Port, Weight};
+use lma_graph::{Port, Weight, WeightedGraph};
 
 /// What a node is allowed to know about the network a priori (the paper's
 /// model, §1): its identifier, the total number of nodes `n` (standard common
@@ -52,6 +52,25 @@ impl LocalView {
         ports.sort_by_key(|&p| (self.incident[p].1, p));
         ports
     }
+}
+
+/// Builds the [`LocalView`] each node program of `graph` is allowed to see,
+/// indexed by node.
+#[must_use]
+pub fn local_views(graph: &WeightedGraph) -> Vec<LocalView> {
+    graph
+        .nodes()
+        .map(|u| LocalView {
+            node: u,
+            id: graph.id(u),
+            n: graph.node_count(),
+            incident: graph
+                .incident(u)
+                .iter()
+                .map(|ie| (ie.port, ie.weight))
+                .collect(),
+        })
+        .collect()
 }
 
 /// Messages put on the wire by one node in one round: `(port, message)`

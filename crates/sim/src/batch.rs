@@ -1,19 +1,28 @@
-//! The batch executor: `W` independent simulations run in lockstep over
-//! **one** graph traversal.
+//! The lockstep batch engine: `W` independent simulations run in lockstep
+//! over **one** graph traversal — and, at `W = 1`, every ordinary run.
 //!
 //! The paper's evaluation shape is many same-program runs on a shared
 //! topology — different seeds, advice strings and root choices.  Running
 //! them one at a time re-walks the same CSR adjacency `W` times.  A
 //! [`BatchSim`] (built with [`Sim::batch`]) instead runs a *fleet of
 //! fleets*: `fleets[l][u]` is the program node `u` runs in lane `l`, and
-//! every round the executor walks the CSR **once**, stepping each node's
-//! `W` lane programs back to back while their messages live side by side in
+//! every round the engine walks the CSR **once**, stepping each node's `W`
+//! lane programs back to back while their messages live side by side in
 //! one lane-striped [`BatchPlaneStore`].  Graph traversal, plane
-//! management, the plane pool checkout and (under the sharded engine) the
+//! management, the plane pool checkout and (with two or more threads) the
 //! `Partition` and its boundary exchange are all amortized across the whole
 //! batch — the FRAIG-style word-parallel simulation idea applied at the
-//! executor level, with [`crate::lanes`] providing the genuinely word-packed
+//! engine level, with [`crate::lanes`] providing the genuinely word-packed
 //! variant for bit-sized payloads.
+//!
+//! There is one round kernel, parameterised by its width: [`Sim::run`] is
+//! lane 0 of `Sim::batch(1)`, on this loop for one thread and on the
+//! shard-parallel `batch_sharded` loop for two or more.  Everything whose
+//! per-round cost could grow with `n · W` is laid out so that it does not:
+//! the sparse frontier (`BatchFrontier`) is word-major with a two-level
+//! any-lane mask, so at `W = 1` it costs what a single-run node bitset
+//! would, and a lane that finishes last skips draining its stripe (the pool
+//! checkout clears the planes anyway).
 //!
 //! **Per-lane semantics are exactly the single-run semantics.**  Each lane
 //! carries its own `PendingRound` accounting, its own [`RunStats`], trace
@@ -21,22 +30,22 @@
 //! through the per-lane done-bitmask ([`LaneWords`]) without stalling the
 //! others, draining its message stripe so the shared plane's round-reset
 //! invariants hold.  `batched(W)` is therefore bit-for-bit equal to `W`
-//! sequential runs — outputs, stats, traces, errors, and golden digests —
-//! which the `runtime_equivalence` suite and the scenario registry's batch
-//! cells pin at `W ∈ {1, 2, 8, 64}`.
+//! solo runs — outputs, stats, traces, errors, and golden digests — which
+//! the `runtime_equivalence` suite (against the push reference) and the
+//! scenario registry's batch cells pin at `W ∈ {1, 2, 8, 64}`.
 
-use crate::algorithm::{MsgSink, NodeAlgorithm, SendSlot};
+use crate::algorithm::{local_views, MsgSink, NodeAlgorithm, SendSlot};
 use crate::batch_plane::BatchPlaneStore;
 use crate::driver::{Engine, Sim};
 use crate::frontier::BatchFrontier;
 use crate::lanes::LaneWords;
 use crate::message::BitSized;
-use crate::plane::{ArenaPlane, Backing, HybridPlane, MessagePlane, PlaneStore};
+use crate::plane::{ArenaPlane, Backing, MessagePlane, PlaneStore, SlotOccupied};
 use crate::pool;
-use crate::runtime::{PendingError, PendingRound, RunConfig, RunError, RunResult, Runtime};
+use crate::runtime::{PendingError, PendingRound, RunConfig, RunError, RunResult};
 use crate::stats::RunStats;
 use crate::trace::TraceEvent;
-use lma_graph::{IncidentEdge, Partition, Port};
+use lma_graph::{IncidentEdge, Partition, Port, WeightedGraph};
 
 /// The per-lane outcomes of a batch run: one entry per lane, index for
 /// index with the `fleets` handed to [`BatchSim::run`], each exactly what
@@ -74,10 +83,10 @@ impl<'g> BatchSim<'g> {
     /// returned for that fleet alone (a failing lane reports its own error;
     /// the other lanes complete).
     ///
-    /// Dispatches like [`Sim::run`]: the sharded engine tiles shard × lane
-    /// (one barrier cycle per round for the whole batch), the reference
-    /// engine falls back to per-lane oracle runs, everything else runs the
-    /// sequential lockstep loop on the configured plane backing.
+    /// Dispatches on the resolved thread count: two or more threads tile
+    /// shard × lane (one barrier cycle per round for the whole batch), one
+    /// thread runs the lockstep loop below, and [`Engine::Reference`] runs
+    /// each lane through the push oracle.
     pub fn run<A: NodeAlgorithm>(
         &self,
         fleets: Vec<Vec<A>>,
@@ -96,27 +105,30 @@ impl<'g> BatchSim<'g> {
         if self.sim.engine() == Engine::Reference {
             // The push-based oracle has no plane to stripe; run the lanes
             // through it one by one (differential-testing path only).
-            return Ok(fleets.into_iter().map(|f| self.sim.run(f)).collect());
+            return Ok(fleets
+                .into_iter()
+                .map(|f| crate::reference::run_push(graph, config, f))
+                .collect());
         }
-        if let Some(threads) = config.threads {
-            if threads.get() > 1 && graph.node_count() > 1 {
-                let views = Runtime::with_config(graph, config).local_views();
+        match config.threads {
+            Some(threads) if graph.node_count() > 1 => {
+                let views = local_views(graph);
                 // A precomputed partition supplied via `Sim::with_partition`
-                // is amortized across the batch exactly as in `Sim::run`.
-                return Ok(match self.sim.usable_partition(threads.get()) {
-                    Some(partition) => crate::batch_sharded::run_batch_sharded(
-                        graph, config, partition, &views, fleets,
-                    ),
+                // is reused when it was built for this graph and width.
+                let fresh;
+                let partition = match self.sim.usable_partition(threads.get()) {
+                    Some(partition) => partition,
                     None => {
-                        let partition = Partition::new(graph.csr(), threads.get());
-                        crate::batch_sharded::run_batch_sharded(
-                            graph, config, &partition, &views, fleets,
-                        )
+                        fresh = Partition::new(graph.csr(), threads.get());
+                        &fresh
                     }
-                });
+                };
+                Ok(crate::batch_sharded::run_batch_sharded(
+                    graph, config, partition, &views, fleets,
+                ))
             }
+            _ => Ok(run_batch_sequential(graph, config, fleets)),
         }
-        Ok(run_batch_sequential(graph, config, fleets))
     }
 }
 
@@ -152,12 +164,22 @@ impl<'g> Sim<'g> {
     }
 }
 
-/// The lane-aware scatter sink: the batch executors' counterpart of the
-/// single-run `Scatter`, storing into `(slot, lane)` of a lane-striped
-/// plane while accumulating that lane's own [`PendingRound`].  Validation,
-/// accounting and error latching are copied line for line so the per-lane
-/// error semantics (first fatal event wins, surfaced at delivery) match the
-/// single-run executor exactly.
+/// The live scatter path behind every [`MsgSink`](crate::MsgSink) the plane
+/// engines hand to node programs: validates each sent message, stores it
+/// into `(slot, lane)` of the lane-striped plane, and accumulates that
+/// lane's accounting for the round the messages will be delivered in
+/// (`delivery_round`).  Constructed fresh per node per lane per round (it
+/// is only borrows).
+///
+/// `plane` may cover only a window of the global slot space (a shard's
+/// contiguous slot range): `plane_offset` is the global index of the
+/// plane's slot 0, so the one-thread loop passes 0 and a shard worker
+/// passes its shard's first slot.
+///
+/// Error semantics match the historical outbox validation exactly: the
+/// first fatal event wins (in send order within a node, in node order
+/// across nodes), later sends are ignored, and the error surfaces when the
+/// offending message would have been *delivered* (see [`PendingError`]).
 pub(crate) struct BatchScatter<'a, M, S: PlaneStore<M>> {
     pub node: usize,
     /// First slot of `node` in the global slot space (`offsets[node]`).
@@ -165,8 +187,6 @@ pub(crate) struct BatchScatter<'a, M, S: PlaneStore<M>> {
     pub degree: usize,
     pub delivery_round: usize,
     pub plane: &'a mut BatchPlaneStore<M, S>,
-    /// Global index of the plane's graph slot 0 (0 sequential, the shard's
-    /// first slot under the sharded engine).
     pub plane_offset: usize,
     pub lane: usize,
     pub spare: &'a mut Vec<M>,
@@ -175,14 +195,17 @@ pub(crate) struct BatchScatter<'a, M, S: PlaneStore<M>> {
     pub budget: Option<usize>,
     pub enforce_congest: bool,
     pub trace: bool,
-    /// When the program opts into sparse frontier execution
-    /// ([`NodeAlgorithm::MESSAGE_DRIVEN`]), every successfully stored
-    /// message marks `(destination, lane)` here; `None` compiles the
-    /// marking away.
+    /// Frontier marking target: `Some` only for programs that opted into
+    /// sparse frontier execution ([`crate::NodeAlgorithm::MESSAGE_DRIVEN`]),
+    /// in which case every successfully stored message marks its
+    /// destination node (the `IncidentEdge` target of the slot) in `lane`
+    /// for the round the message will be delivered in.
     pub frontier: Option<&'a mut BatchFrontier>,
 }
 
 impl<M: BitSized, S: PlaneStore<M>> BatchScatter<'_, M, S> {
+    /// Pre-store validation; returns the message's global slot when the
+    /// send should proceed.
     fn accept(&mut self, port: Port) -> Option<usize> {
         if self.pending.error.is_some() {
             return None;
@@ -197,15 +220,16 @@ impl<M: BitSized, S: PlaneStore<M>> BatchScatter<'_, M, S> {
         Some(self.base + port)
     }
 
-    fn reject(&mut self, occupied: crate::plane::SlotOccupied) {
-        // `occupied.slot` is already back in graph-slot space (the batch
-        // plane un-stripes it), so the mapping matches the single-run path.
+    /// Maps a store rejection (already in graph-slot space: the batch plane
+    /// un-stripes it) back to the duplicated port — never a silent drop.
+    fn reject(&mut self, occupied: SlotOccupied) {
         self.pending.error = Some(PendingError::Malformed {
             node: self.node,
             port: occupied.slot + self.plane_offset - self.base,
         });
     }
 
+    /// Post-store accounting: frontier mark, stats, CONGEST audit, trace.
     fn account(&mut self, slot: usize, size: usize) {
         if let Some(front) = self.frontier.as_deref_mut() {
             front.mark(self.incident[slot].neighbor, self.lane);
@@ -263,9 +287,9 @@ impl<M: BitSized, S: PlaneStore<M>> SendSlot<M> for BatchScatter<'_, M, S> {
     }
 }
 
-/// The sequential lockstep loop, dispatched on the configured backing.
+/// The one-thread lockstep loop, dispatched on the configured backing.
 pub(crate) fn run_batch_sequential<A: NodeAlgorithm>(
-    graph: &lma_graph::WeightedGraph,
+    graph: &WeightedGraph,
     config: RunConfig,
     fleets: Vec<Vec<A>>,
 ) -> LaneResults<A::Output> {
@@ -274,41 +298,77 @@ pub(crate) fn run_batch_sequential<A: NodeAlgorithm>(
             run_batch_sequential_on::<MessagePlane<A::Msg>, A>(graph, config, fleets)
         }
         Backing::Arena => run_batch_sequential_on::<ArenaPlane<A::Msg>, A>(graph, config, fleets),
-        Backing::Hybrid => run_batch_sequential_on::<HybridPlane<A::Msg>, A>(graph, config, fleets),
     }
 }
 
 fn run_batch_sequential_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
-    graph: &lma_graph::WeightedGraph,
+    graph: &WeightedGraph,
     config: RunConfig,
     fleets: Vec<Vec<A>>,
 ) -> LaneResults<A::Output> {
     let lanes = fleets.len();
+    // All steady-state storage comes from the per-thread pool: allocated
+    // at most once, then reused by every later run on this thread.
     let mut set = pool::checkout_batch::<A::Msg, S>(graph.csr().slot_count(), lanes);
     let results = batch_loop(graph, config, &mut set, fleets);
     pool::give_back_batch(set);
     results
 }
 
-/// The core lockstep loop.  Structured exactly like the single-run
-/// `sequential_loop`, with every piece of per-run state turned into a
-/// per-lane vector and the done-check, round-limit check and pending-error
-/// commit applied lane by lane in the same order the single-run loop
-/// applies them — that ordering is what makes `batched(W)` bit-identical
-/// to `W` sequential runs.
+/// The finished result of a lane: its outputs, stats and sorted trace.
+fn finish_lane<A: NodeAlgorithm>(
+    fleet: &[A],
+    stats: &mut RunStats,
+    events: &mut Vec<TraceEvent>,
+    trace: bool,
+) -> Result<RunResult<A::Output>, RunError> {
+    let mut events = std::mem::take(events);
+    Ok(RunResult {
+        outputs: fleet.iter().map(NodeAlgorithm::output).collect(),
+        stats: std::mem::take(stats),
+        trace: trace.then(|| {
+            events.sort_by_key(|e| (e.round, e.from, e.to));
+            events
+        }),
+    })
+}
+
+/// The core lockstep loop.  Every piece of run state is a per-lane vector,
+/// and the done-check, round-limit check and pending-error commit are
+/// applied lane by lane in the order a solo run applies them — that
+/// ordering is what makes `batched(W)` bit-identical to `W` solo runs.
+///
+/// Per round: commit each lane's scattered traffic (errors first, then
+/// stats and trace), pick dense or sparse on the any-lane frontier, then
+/// deliver and step.  Each receiver gathers its traffic by pulling from
+/// the mirror slot of each of its ports — delivery order is port-ascending
+/// by construction — and each message is *moved* (inline) or decoded into a
+/// recycled value (arena) out of the sender's slot.  Gathering is
+/// unconditional, so done nodes still drain their slots and the plane is
+/// empty when the buffers swap.
 #[allow(clippy::too_many_lines)]
 fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
-    graph: &lma_graph::WeightedGraph,
+    graph: &WeightedGraph,
     config: RunConfig,
     set: &mut pool::BatchSet<A::Msg, S>,
-    mut fleets: Vec<Vec<A>>,
+    fleets: Vec<Vec<A>>,
 ) -> LaneResults<A::Output> {
     let lanes = fleets.len();
     let n = graph.node_count();
     for fleet in &fleets {
         assert_eq!(fleet.len(), n, "one program per node per lane is required");
     }
-    let views = Runtime::with_config(graph, config).local_views();
+    // The lanes' programs back to back, lane-major: `(node v, lane l)` is
+    // `programs[l * n + v]`.  One flat buffer keeps the hot step to a
+    // single index, and lane 0 keeps its allocation (a solo run moves
+    // nothing).
+    let mut fleets = fleets.into_iter();
+    let mut programs = fleets.next().expect("at least one lane");
+    programs.reserve(n * (lanes - 1));
+    for fleet in fleets {
+        programs.extend(fleet);
+    }
+    let views = local_views(graph);
     let budget = config.model.budget();
     let csr = graph.csr();
     let offsets = csr.offsets();
@@ -331,26 +391,25 @@ fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     // out without stalling the batch.
     let mut active = LaneWords::new(lanes);
     active.fill();
-    // Reused lane-index scratch: the finalization / round-limit / commit
-    // passes mutate `active` while iterating, so they snapshot the live
-    // lanes here instead of collecting a fresh Vec every round.
-    let mut lane_scratch: Vec<usize> = Vec::with_capacity(lanes);
+    // Lanes that stopped this round (reused scratch): their stripes are
+    // drained only when some other lane keeps the planes cycling.
+    let mut stopped: Vec<usize> = Vec::with_capacity(lanes);
 
-    // Sparse frontier state (see `crate::frontier`): lane-striped cur/next
-    // mark sets plus the eager template that re-seeds `next` each round —
-    // the batch analogue of the single-run executor's `NodeSet` pair.
-    // Compiled away unless the program opts in via `MESSAGE_DRIVEN`.
+    // Sparse frontier state (see `crate::frontier`): `cur_front` holds the
+    // (node, lane) pairs active in the round being gathered, `next_front`
+    // collects scatter marks for the round after, and `eager_front` is the
+    // constant template of instances that are not message-driven, which
+    // re-seeds `next_front` each round.  Compiled away unless the program
+    // opts in via `MESSAGE_DRIVEN` (an associated const).
     let mut cur_front = BatchFrontier::default();
     let mut next_front = BatchFrontier::default();
     let mut eager_front = BatchFrontier::default();
     let mut lane_active: Vec<u64> = Vec::new();
     if A::MESSAGE_DRIVEN {
         eager_front = BatchFrontier::new(n, lanes);
-        for (l, fleet) in fleets.iter().enumerate() {
-            for (u, program) in fleet.iter().enumerate() {
-                if !program.message_driven() {
-                    eager_front.mark(u, l);
-                }
+        for (i, program) in programs.iter().enumerate() {
+            if !program.message_driven() {
+                eager_front.mark(i % n, i / n);
             }
         }
         cur_front = eager_front.clone();
@@ -358,10 +417,12 @@ fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         lane_active = vec![0; lanes];
     }
 
-    // Initialization: every lane's round-0 local computation, node-major so
-    // the views are walked once.
+    // Initialization: every lane's round-0 local computation producing
+    // round-1 traffic, node-major so the views are walked once, emitted
+    // straight into the plane (marking the round-1 frontier as it goes).
     for u in 0..n {
         for l in 0..lanes {
+            let program = &mut programs[l * n + u];
             let mut scatter = BatchScatter {
                 node: u,
                 base: offsets[u],
@@ -378,8 +439,8 @@ fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                 trace: config.trace,
                 frontier: A::MESSAGE_DRIVEN.then_some(&mut cur_front),
             };
-            fleets[l][u].init_into(&views[u], &mut MsgSink::new(&mut scatter));
-            if fleets[l][u].is_done() {
+            program.init_into(&views[u], &mut MsgSink::new(&mut scatter));
+            if program.is_done() {
                 done_counts[l] += 1;
             }
         }
@@ -387,43 +448,39 @@ fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
 
     let mut round = 0usize;
     loop {
-        // Lane finalization first — the batch analogue of the single-run
-        // `while done_count < n` condition: a fully done lane completes
-        // *before* the round-limit check, and its final-step traffic is
-        // dropped, never counted (drained out of the shared plane so the
-        // round-reset invariants hold for the lanes that keep going).
-        lane_scratch.clear();
-        lane_scratch.extend(active.ones());
-        for &l in &lane_scratch {
+        // Lane finalization first — the done-check of each lane's own loop:
+        // a fully done lane completes *before* the round-limit check, and
+        // its final-step traffic is dropped, never counted.
+        stopped.clear();
+        active.for_each(|l| {
             if done_counts[l] >= n {
-                cur.drain_lane(l, spare);
-                pending[l].reset();
-                let outputs = fleets[l].iter().map(NodeAlgorithm::output).collect();
-                let mut lane_events = std::mem::take(&mut events[l]);
-                results[l] = Some(Ok(RunResult {
-                    outputs,
-                    stats: std::mem::take(&mut stats[l]),
-                    trace: config.trace.then(|| {
-                        lane_events.sort_by_key(|e| (e.round, e.from, e.to));
-                        lane_events
-                    }),
-                }));
-                active.clear(l);
+                stopped.push(l);
             }
+        });
+        for &l in &stopped {
+            pending[l].reset();
+            results[l] = Some(finish_lane(
+                &programs[l * n..(l + 1) * n],
+                &mut stats[l],
+                &mut events[l],
+                config.trace,
+            ));
+            active.clear(l);
         }
         if !active.any() {
             break;
         }
+        for &l in &stopped {
+            cur.drain_lane(l, spare);
+        }
         if round >= config.max_rounds {
-            lane_scratch.clear();
-            lane_scratch.extend(active.ones());
-            for &l in &lane_scratch {
+            for l in active.ones() {
+                // Pending errors are shadowed by the round limit, exactly
+                // as in a solo run.  The planes are left as-is; the pool's
+                // checkout `prepare` clears them for the next run.
                 results[l] = Some(Err(RunError::RoundLimitExceeded {
                     limit: config.max_rounds,
                 }));
-                // Pending errors are shadowed by the round limit, exactly as
-                // in the single-run loop.  The planes are left as-is; the
-                // pool's checkout `prepare` clears them for the next run.
             }
             break;
         }
@@ -431,9 +488,8 @@ fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
 
         // Commit each active lane's scattered traffic: errors first (in
         // scatter order within the lane), then stats and trace.
-        lane_scratch.clear();
-        lane_scratch.extend(active.ones());
-        for &l in &lane_scratch {
+        stopped.clear();
+        active.for_each(|l| {
             let p = &mut pending[l];
             let failure = match p.error {
                 Some(PendingError::Malformed { node, port }) => {
@@ -448,33 +504,36 @@ fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
             };
             if let Some(error) = failure {
                 results[l] = Some(Err(error));
-                p.reset();
-                cur.drain_lane(l, spare);
-                active.clear(l);
-                continue;
-            }
-            stats[l].record_round(p.messages, p.bits, p.max_bits, p.violations);
-            if config.trace {
-                events[l].append(&mut p.events);
+                stopped.push(l);
+            } else {
+                stats[l].record_round(p.messages, p.bits, p.max_bits, p.violations);
+                if config.trace {
+                    events[l].append(&mut p.events);
+                }
             }
             p.reset();
+        });
+        for &l in &stopped {
+            active.clear(l);
         }
         if !active.any() {
             break;
+        }
+        for &l in &stopped {
+            cur.drain_lane(l, spare);
         }
 
         // The frontier decision is global for the batch (on the any-lane
         // mask, so one traversal serves everyone) but the recorded per-lane
         // active counts are lane-exact — identical to what each lane's solo
         // run records.  `next` is re-seeded from the eager template so
-        // eager-instance lanes never leave the frontier.
+        // eager instances never leave the frontier.
         let use_sparse = if A::MESSAGE_DRIVEN {
-            let use_sparse = config.frontier.use_sparse(cur_front.any().count(), n);
-            cur_front.lane_counts(&mut lane_active);
-            for l in active.ones() {
-                stats[l].record_frontier(lane_active[l], use_sparse);
-            }
-            next_front.copy_from(&eager_front);
+            let use_sparse = config
+                .frontier
+                .use_sparse(cur_front.counts(&mut lane_active), n);
+            active.for_each(|l| stats[l].record_frontier(lane_active[l], use_sparse));
+            next_front.reset_to(&eager_front);
             use_sparse
         } else {
             false
@@ -489,10 +548,10 @@ fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         // lane, so skipping its gather is a pure no-op.
         macro_rules! gather_step {
             ($v:expr) => {{
-                let v = $v;
+                let v: usize = $v;
                 let base = offsets[v];
                 let degree = offsets[v + 1] - base;
-                for l in active.ones() {
+                active.for_each(|l| {
                     if S::RECYCLES {
                         spare.extend(inbox.drain(..).map(|(_, m)| m));
                     } else {
@@ -503,8 +562,9 @@ fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                             inbox.push((p, msg));
                         }
                     }
-                    if fleets[l][v].is_done() {
-                        continue;
+                    let program = &mut programs[l * n + v];
+                    if program.is_done() {
+                        return;
                     }
                     let mut scatter = BatchScatter {
                         node: v,
@@ -522,28 +582,24 @@ fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                         trace: config.trace,
                         frontier: A::MESSAGE_DRIVEN.then_some(&mut next_front),
                     };
-                    fleets[l][v].round_into(
-                        &views[v],
-                        round,
-                        inbox,
-                        &mut MsgSink::new(&mut scatter),
-                    );
-                    if fleets[l][v].is_done() {
+                    program.round_into(&views[v], round, inbox, &mut MsgSink::new(&mut scatter));
+                    if program.is_done() {
                         done_counts[l] += 1;
                     }
-                }
+                });
             }};
         }
         if use_sparse {
-            for v in cur_front.any().ones() {
-                gather_step!(v);
-            }
+            cur_front.any().for_each_one(|v| gather_step!(v));
         } else {
             for v in 0..n {
                 gather_step!(v);
             }
         }
 
+        // The current plane was fully drained by the gather pass; it
+        // becomes the (empty) scatter target of the next round.  The
+        // frontiers swap in lockstep with the planes.
         std::mem::swap(cur, next);
         next.reset_round();
         if A::MESSAGE_DRIVEN {
@@ -563,7 +619,6 @@ mod tests {
     use crate::algorithm::{LocalView, Outbox};
     use lma_graph::generators::{gnp_connected, ring};
     use lma_graph::weights::WeightStrategy;
-    use lma_graph::WeightedGraph;
 
     /// Flood the maximum identifier, finishing after `n` quiet rounds.
     struct MaxIdFlood {
@@ -624,11 +679,14 @@ mod tests {
             .run((0..lanes).map(|_| flood_fleet(n)).collect())
             .unwrap();
         let solo = sim.run(flood_fleet(n)).unwrap();
+        let oracle = sim.executor(Engine::Reference).run(flood_fleet(n)).unwrap();
         for (l, lane) in batched.iter().enumerate() {
             let lane = lane.as_ref().expect("flood lanes succeed");
-            assert_eq!(lane.outputs, solo.outputs, "lane {l} outputs");
-            assert_eq!(lane.stats, solo.stats, "lane {l} stats");
-            assert_eq!(lane.trace, solo.trace, "lane {l} trace");
+            for (what, expected) in [("solo", &solo), ("push", &oracle)] {
+                assert_eq!(lane.outputs, expected.outputs, "lane {l} outputs vs {what}");
+                assert_eq!(lane.stats, expected.stats, "lane {l} stats vs {what}");
+                assert_eq!(lane.trace, expected.trace, "lane {l} trace vs {what}");
+            }
         }
     }
 

@@ -5,18 +5,18 @@
 //! underlying backend sized to `slots × lanes` inner slots, addressed in
 //! **lane-striped (SoA) order**: graph slot `s`, lane `l` lives at inner
 //! slot `s * lanes + l`.  All `W` copies of one graph slot are therefore
-//! contiguous — one lane-group per slot — which is what lets the sharded
-//! batch executor ship a whole lane-group per boundary slot in one
+//! contiguous — one lane-group per slot — which is what lets the shard-parallel
+//! engine ship a whole lane-group per boundary slot in one
 //! [`PlaneStore::export_boundary`] pass, and what keeps the per-round
 //! traversal walking the CSR once for the whole fleet.
 //!
-//! Nothing about the backends changes: [`BatchInlinePlane`],
-//! [`BatchArenaPlane`] and [`BatchHybridPlane`] reuse [`MessagePlane`],
-//! [`ArenaPlane`] and [`HybridPlane`] verbatim (occupancy, tagged cells,
-//! arena bump buffer, spare recycling, boundary export), so the per-slot
-//! semantics pinned by the single-run suites — first write wins, duplicate
-//! port surfaces [`SlotOccupied`], a span is delivered once — hold per
-//! `(slot, lane)` automatically.
+//! Nothing about the backends changes: [`BatchInlinePlane`] and
+//! [`BatchArenaPlane`] reuse [`MessagePlane`] and [`ArenaPlane`] verbatim
+//! (occupancy, arena bump buffer, spare recycling, boundary export), so the
+//! per-slot semantics pinned by the plane suites — first write wins, a
+//! duplicate port surfaces [`SlotOccupied`], a span is delivered once — hold
+//! per `(slot, lane)` automatically.  At one lane the striped index is the
+//! graph slot itself: [`crate::Sim::run`] runs on exactly this plane.
 //!
 //! One batch-specific operation exists: [`BatchPlaneStore::drain_lane`].
 //! When a lane finishes (or fails) mid-batch, its undelivered final-round
@@ -26,7 +26,7 @@
 //! fully drained.  Draining just the finished lane's stripe keeps that
 //! invariant (and the recycling pool) intact without stalling the batch.
 
-use crate::plane::{ArenaPlane, HybridPlane, MessagePlane, PlaneStore, SlotOccupied};
+use crate::plane::{ArenaPlane, MessagePlane, PlaneStore, SlotOccupied};
 use std::marker::PhantomData;
 
 /// Inline-backed batch plane: `Option<M>` lane-striped slots.
@@ -35,10 +35,6 @@ pub type BatchInlinePlane<M> = BatchPlaneStore<M, MessagePlane<M>>;
 /// Arena-backed batch plane: lane-striped byte spans in one bump arena
 /// shared by every lane's traffic for the round.
 pub type BatchArenaPlane<M> = BatchPlaneStore<M, ArenaPlane<M>>;
-
-/// Hybrid-backed batch plane: lane-striped 16-byte tagged cells, with
-/// oversize messages spilling to the shared bump arena.
-pub type BatchHybridPlane<M> = BatchPlaneStore<M, HybridPlane<M>>;
 
 /// Expands per-graph-slot indices into lane-striped inner indices: each
 /// global slot `s` becomes the `lanes` consecutive entries
@@ -220,7 +216,6 @@ mod tests {
     fn lanes_are_isolated_on_all_backends() {
         lane_isolated::<MessagePlane<u64>>();
         lane_isolated::<ArenaPlane<u64>>();
-        lane_isolated::<HybridPlane<u64>>();
     }
 
     #[test]
@@ -254,7 +249,6 @@ mod tests {
     fn drain_lane_empties_only_that_lane() {
         drained_lane_leaves_others::<MessagePlane<u64>>();
         drained_lane_leaves_others::<ArenaPlane<u64>>();
-        drained_lane_leaves_others::<HybridPlane<u64>>();
     }
 
     #[test]
@@ -299,6 +293,5 @@ mod tests {
     fn boundary_exchange_carries_whole_lane_groups() {
         boundary_ships_lane_groups::<MessagePlane<u64>>();
         boundary_ships_lane_groups::<ArenaPlane<u64>>();
-        boundary_ships_lane_groups::<HybridPlane<u64>>();
     }
 }

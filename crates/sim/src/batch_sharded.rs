@@ -1,36 +1,84 @@
-//! The sharded batch executor: shard × lane tiling over lane-striped
-//! planes.
+//! The shard-parallel lockstep engine: shard × lane tiling over
+//! lane-striped planes.  Every run with two or more threads lands here —
+//! [`crate::Sim::run`] as a one-lane batch, [`crate::Sim::batch`] with all
+//! of its lanes.
 //!
-//! Structure and protocol are exactly [`crate::sharded`]'s — contiguous
-//! shards, private double-buffered planes per worker, parity-alternating
-//! exchange buffers (cache-line padded, created empty and first-touched by
-//! their producing worker; see the cache-hygiene notes there), one
-//! [`RoundBarrier`] arrival per round whose last arriver merges the
-//! per-shard reports in shard order, and the same frontier hand-off of
-//! non-zero `(word index, word)` pairs — with one extra dimension: every
-//! worker's planes are [`BatchPlaneStore`]s carrying all `W` lanes of the
-//! shard's slots, every report and every piece of leader state is
-//! per-lane, and the boundary exchange ships **whole lane-groups per
-//! boundary slot** (the lane-striped layout keeps a slot's `W` copies
-//! contiguous, so one [`export_boundary`](BatchPlaneStore::export_boundary)
-//! pass moves the entire batch's cross-shard traffic for a shard pair).
+//! **Shards.**  The graph's nodes are split into contiguous, slot-balanced
+//! shards by [`lma_graph::Partition`].  Each shard is driven by one scoped
+//! worker thread that owns the shard's programs (all lanes) and a
+//! **private** pair of double-buffered [`BatchPlaneStore`]s covering only
+//! the shard's contiguous slot range, so the scatter and gather of
+//! different shards touch disjoint memory by construction — there is no
+//! shared mutable plane and no unsafe code.
 //!
-//! Lane lifecycles are coordinated by the leader: when a lane's global
-//! done-count reaches `n` (or the lane commits a fatal error), the leader
-//! marks it finished in the shared done-bitmask and the workers drain that
-//! lane's stripe from their private planes at the start of the next round —
-//! the remaining lanes never stall.  Per-lane round accounting, error
-//! commit order and the round-limit check replicate the single-run
-//! coordinate step lane by lane, so each lane's outputs, stats, trace and
-//! error are bit-identical to its own sequential (and single-run sharded)
-//! execution.
+//! **Boundary exchange.**  Cross-shard traffic travels through dense,
+//! preallocated exchange buffers: one per ordered shard pair `(s, t)` and
+//! round parity, sized by the partition's boundary-slot list times the lane
+//! count.  The buffer type comes from the backend
+//! ([`PlaneStore::Boundary`]): owned values for the inline backing, copied
+//! encoded byte spans for the arena (the consumer decodes them into its own
+//! recycled messages, so no shard reads another shard's arena).  The
+//! lane-striped layout keeps a slot's `W` copies contiguous, so one
+//! [`export_boundary`](BatchPlaneStore::export_boundary) pass at the end of
+//! a worker's round moves the whole batch's traffic for a shard pair; at
+//! the start of the next round the receiving worker takes the buffer whole
+//! and gathers from it by the partition's precomputed cross-reference
+//! positions.  Parity alternation makes each buffer a single-producer /
+//! single-consumer hand-off separated by a barrier, so its `Mutex` is never
+//! contended.
 //!
-//! The frontier pairs are [`BatchFrontier`] *mark* words (lane `l` of node
-//! `v` at word `v · wpn + l / 64`): a worker finds its marked nodes through
-//! its any-lane mask and publishes only their non-zero mark words.  The
-//! leader merges them into one [`WordMerge`] and splits that into the
-//! node-level any-lane mask (the dense↔sparse decision and the workers'
-//! gather set) and the lane-exact active counts each lane records.
+//! **Cache hygiene.**  Exchange buffers and per-shard report slots are
+//! wrapped in `CachePadded` (64-byte aligned), so adjacent shards' hot
+//! `Mutex` words never share a cache line.  The buffers are created
+//! *empty* on the caller thread; each worker allocates and first-touches
+//! its own outgoing buffers (both parities) before its first publish, so a
+//! buffer's pages are faulted in by the thread that writes it every round.
+//! This is race-free: a producer only writes its own `(s, t)` buffers and
+//! every consumer first reads after the first barrier.  Workers build their
+//! private planes inside their own threads for the same reason.
+//!
+//! **One barrier arrival per round.**  Every worker publishes its per-lane
+//! report and arrives at the crate's `RoundBarrier`; the **last** to arrive
+//! runs the leader's merge (`coordinate`) before it releases the others.
+//! The merge folds the reports **in shard order** — sums and maxima for
+//! [`RunStats`], the first pending error in node order, trace events in
+//! shard order — and decides the next command, lane by lane in the order a
+//! solo run applies its done-check, round-limit check and commit, so each
+//! lane's outputs, stats, traces and errors are bit-identical to the
+//! one-thread engine.  An early arriver spins on the barrier's generation
+//! word for a bounded number of iterations and then parks, so a quiet round
+//! pays one atomic arrival instead of two futex round-trips.  Steady-state
+//! rounds allocate nothing: reports, the leader's per-lane aggregate and
+//! each worker's done-deltas and retired-lane scratch are reused.
+//!
+//! **Lane lifecycles.**  When a lane's global done-count reaches `n` (or it
+//! commits a fatal error), the leader marks it finished in the shared
+//! done-bitmask; workers drain that lane's stripe from their private planes
+//! at the start of the next round, and the remaining lanes never stall.
+//!
+//! **Frontier hand-off** (programs that opt into
+//! [`NodeAlgorithm::MESSAGE_DRIVEN`]).  A worker's scatters mark
+//! `(destination, lane)` — remote destinations too — in a full-size
+//! [`BatchFrontier`] that starts each round as the shard's eager instances.
+//! The worker publishes only its non-zero mark words as `(word index,
+//! word)` pairs and resets just those words; the leader ORs them into one
+//! [`WordMerge`] and splits that into the node-level any-lane mask (the
+//! dense↔sparse decision and the workers' gather set) and the lane-exact
+//! active counts each lane records.  On a sparse round each worker copies
+//! back only the merged words over its own node range, so the hand-off
+//! grows with the number of marked words, not with `n · W / 64`.
+//!
+//! Measured on a 2-core host (`sim-sparse` benchmark, wave on ring/16384,
+//! 8192 rounds of a 2–4-node frontier, two traced runs per side): 14.6–17.8
+//! µs per round with two waits at the standard barrier and full-`n`
+//! frontier words, 3.4–3.9 µs with the single arrival and the pair
+//! hand-off; one thread takes about 0.4 µs per round on the same run.
+//!
+//! A panic inside a node program is caught by the owning worker, reported
+//! through its report slot, and re-raised on the calling thread with the
+//! original payload — exactly the observable behavior of the one-thread
+//! engine — and the other workers shut down cleanly instead of deadlocking
+//! at the barrier.
 
 use crate::algorithm::{LocalView, MsgSink, NodeAlgorithm};
 use crate::barrier::RoundBarrier;
@@ -38,15 +86,24 @@ use crate::batch::{run_batch_sequential, BatchScatter};
 use crate::batch_plane::{expand_lanes, BatchPlaneStore};
 use crate::frontier::{pair_ones, split_lanes, BatchFrontier, WordMerge, WordPair};
 use crate::lanes::LaneWords;
-use crate::plane::{ArenaPlane, Backing, HybridPlane, MessagePlane, PlaneStore};
+use crate::plane::{ArenaPlane, Backing, MessagePlane, PlaneStore};
 use crate::runtime::{PendingError, PendingRound, RunConfig, RunError, RunResult};
-use crate::sharded::CachePadded;
 use crate::stats::RunStats;
 use crate::trace::TraceEvent;
 use lma_graph::{Partition, Port, WeightedGraph};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
+
+/// Pads (and aligns) `T` to a 64-byte cache line so adjacent entries of a
+/// `Vec<CachePadded<T>>` never false-share: each shard's exchange-buffer
+/// mutexes and report slot live on their own lines.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct CachePadded<T>(T);
+
+/// A program panic caught by a worker, carried to the calling thread.
+type Panic = Box<dyn Any + Send>;
 
 /// What the leader's merge tells every worker to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +114,8 @@ enum Command {
     Stop,
 }
 
-/// One shard's per-lane contribution to the round about to be committed.
+/// One lane's traffic for the round about to be committed: a shard's
+/// contribution in its report, or the leader's shard-order merge of them.
 #[derive(Default)]
 struct LaneReport {
     messages: u64,
@@ -71,7 +129,7 @@ struct LaneReport {
 
 /// One shard's full report: one entry per lane, plus the shard-level panic
 /// slot (a program panic aborts the whole batch, exactly as it would have
-/// unwound out of the sequential lockstep loop).
+/// unwound out of the one-thread loop).
 struct ShardReport {
     lanes: Vec<LaneReport>,
     /// The shard's non-zero per-(node, lane) frontier mark words for the
@@ -79,7 +137,7 @@ struct ShardReport {
     /// own eager instances pre-ORed.  Empty unless the program opts into
     /// `MESSAGE_DRIVEN`.
     frontier: Vec<WordPair>,
-    panic: Option<Box<dyn Any + Send>>,
+    panic: Option<Panic>,
 }
 
 /// Leader-owned per-lane state, read by the caller after the scope joins.
@@ -94,8 +152,10 @@ struct Control {
     /// Committed rounds so far (global: every active lane is in lockstep).
     round: usize,
     lanes: Vec<LaneControl>,
-    /// Lanes that stopped (success or failure).  Workers diff this against
-    /// a local copy to find freshly finished stripes to drain.
+    /// The per-lane merge of the shard reports (reused every round).
+    merged: Vec<LaneReport>,
+    /// Lanes that stopped (success or failure).  Workers compare it with
+    /// their own copy to find freshly finished stripes to drain.
     finished: LaneWords,
     command: Command,
     /// Whether the program opted into sparse frontier execution
@@ -111,7 +171,7 @@ struct Control {
     /// The leader's dense↔sparse decision for the commanded round; workers
     /// read it together with the command.
     sparse: bool,
-    panic: Option<Box<dyn Any + Send>>,
+    panic: Option<Panic>,
 }
 
 struct Shared<M, S: PlaneStore<M>> {
@@ -129,9 +189,10 @@ struct Shared<M, S: PlaneStore<M>> {
     control: Mutex<Control>,
 }
 
-/// Runs `fleets` (lane-major: `fleets[l][u]`) with one worker per shard,
-/// dispatching the plane backend on [`RunConfig::backing`].  Per-lane
-/// semantics match [`crate::Runtime::run`] exactly.
+/// Runs `fleets` (lane-major: `fleets[l][u]`) with one worker per shard of
+/// `partition`, dispatching the plane backend on [`RunConfig::backing`].
+/// Per-lane semantics match the one-thread engine exactly.  The caller
+/// provides the per-node `views`.
 pub(crate) fn run_batch_sharded<A: NodeAlgorithm>(
     graph: &WeightedGraph,
     config: RunConfig,
@@ -145,9 +206,6 @@ pub(crate) fn run_batch_sharded<A: NodeAlgorithm>(
         }
         Backing::Arena => {
             run_batch_sharded_on::<ArenaPlane<A::Msg>, A>(graph, config, partition, views, fleets)
-        }
-        Backing::Hybrid => {
-            run_batch_sharded_on::<HybridPlane<A::Msg>, A>(graph, config, partition, views, fleets)
         }
     }
 }
@@ -180,23 +238,21 @@ fn run_batch_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     }
     let budget = config.model.budget();
 
-    // Tile the fleets shard × lane: per_shard[s][l] holds lane l's programs
-    // for shard s's contiguous node range, in node order.
-    let mut per_shard: Vec<Vec<Vec<A>>> = (0..k).map(|_| Vec::with_capacity(lanes)).collect();
+    // Tile the fleets shard × lane: per_shard[s] holds shard s's programs
+    // lane-major, `(node range index i, lane l)` at `l * len + i` for the
+    // shard's `len` nodes — the one-thread loop's flat layout, per shard.
+    let mut per_shard: Vec<Vec<A>> = (0..k)
+        .map(|s| Vec::with_capacity(partition.node_range(s).len() * lanes))
+        .collect();
     for fleet in fleets {
         let mut drain = fleet.into_iter();
         for (s, shard) in per_shard.iter_mut().enumerate() {
-            shard.push(
-                drain
-                    .by_ref()
-                    .take(partition.node_range(s).len())
-                    .collect::<Vec<A>>(),
-            );
+            shard.extend(drain.by_ref().take(partition.node_range(s).len()));
         }
     }
 
     // Buffers start empty on the caller thread; each worker sizes and
-    // first-touches its own outgoing buffers (see `crate::sharded`).
+    // first-touches its own outgoing buffers (see the module docs).
     let make_bufs = || {
         (0..k * k)
             .map(|_| CachePadded(Mutex::new(S::Boundary::default())))
@@ -231,6 +287,7 @@ fn run_batch_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                     failure: None,
                 })
                 .collect(),
+            merged: (0..lanes).map(|_| LaneReport::default()).collect(),
             finished: LaneWords::new(lanes),
             command: Command::Stop,
             track_frontier: A::MESSAGE_DRIVEN,
@@ -250,7 +307,7 @@ fn run_batch_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         }),
     };
 
-    let mut shard_programs: Vec<Vec<Vec<A>>> = Vec::with_capacity(k);
+    let mut shard_programs: Vec<Vec<A>> = Vec::with_capacity(k);
     std::thread::scope(|scope| {
         let handles: Vec<_> = per_shard
             .into_iter()
@@ -286,7 +343,12 @@ fn run_batch_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
             }
             let outputs = shard_programs
                 .iter()
-                .flat_map(|shard| shard[l].iter().map(NodeAlgorithm::output))
+                .flat_map(|shard| {
+                    let len = shard.len() / lanes;
+                    shard[l * len..(l + 1) * len]
+                        .iter()
+                        .map(NodeAlgorithm::output)
+                })
                 .collect();
             let mut events = lane.events;
             Ok(RunResult {
@@ -302,20 +364,20 @@ fn run_batch_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
 }
 
 /// The per-shard worker: init every lane, then one barrier arrival per round
-/// until the leader commands a stop.  Returns the shard's lane programs
-/// (`[l][i]`) so the caller can collate outputs.
+/// until the leader commands a stop.  Returns the shard's programs (lane
+/// `l` of node-range index `i` at `l * len + i`) so the caller can collate
+/// outputs.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     s: usize,
-    mut programs: Vec<Vec<A>>,
+    mut programs: Vec<A>,
     graph: &WeightedGraph,
     config: RunConfig,
     partition: &Partition,
     views: &[LocalView],
     shared: &Shared<A::Msg, S>,
     budget: Option<usize>,
-) -> Vec<Vec<A>> {
-    let lanes = programs.len();
+) -> Vec<A> {
     let k = partition.shard_count();
     let csr = graph.csr();
     let offsets = csr.offsets();
@@ -324,6 +386,8 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     let nodes = partition.node_range(s);
     let slots = partition.slot_range(s);
     let slot_base = slots.start;
+    let len = nodes.len();
+    let lanes = programs.len() / len;
 
     let mut cur: BatchPlaneStore<A::Msg, S> = BatchPlaneStore::new(slots.len(), lanes);
     let mut next: BatchPlaneStore<A::Msg, S> = BatchPlaneStore::new(slots.len(), lanes);
@@ -331,8 +395,12 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     let mut spare: Vec<A::Msg> = Vec::new();
     let mut pending: Vec<PendingRound> = (0..lanes).map(|_| PendingRound::default()).collect();
     let mut incoming: Vec<S::Boundary> = (0..k).map(|_| S::Boundary::default()).collect();
-    // Lanes this worker knows to be finished (drained on first sight).
+    // Per-lane count of programs that finished during the last step.
+    let mut done_delta = vec![0usize; lanes];
+    // Lanes this worker knows to be finished (drained on first sight), and
+    // the scratch list of lanes the leader retired since the last round.
     let mut finished_seen = LaneWords::new(lanes);
+    let mut retired: Vec<usize> = Vec::with_capacity(lanes);
 
     // Sparse frontier state (see `crate::frontier`): `local_front` collects
     // this shard's scatter marks (full `n × lanes` shape — remote
@@ -348,11 +416,9 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     let mut use_sparse = false;
     if A::MESSAGE_DRIVEN {
         eager_front = BatchFrontier::new(n, lanes);
-        for (i, u) in nodes.clone().enumerate() {
-            for (l, lane_programs) in programs.iter().enumerate() {
-                if !lane_programs[i].message_driven() {
-                    eager_front.mark(u, l);
-                }
+        for (j, program) in programs.iter().enumerate() {
+            if !program.message_driven() {
+                eager_front.mark(nodes.start + j % len, j / len);
             }
         }
         local_front = eager_front.clone();
@@ -376,9 +442,9 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     // round-1 traffic, scattered into `cur` and drained into the parity-1
     // exchange buffers.
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        let mut done_delta = vec![0usize; lanes];
         for (i, u) in nodes.clone().enumerate() {
-            for (l, lane_programs) in programs.iter_mut().enumerate() {
+            for l in 0..lanes {
+                let program = &mut programs[l * len + i];
                 let mut scatter = BatchScatter {
                     node: u,
                     base: offsets[u],
@@ -395,13 +461,12 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                     trace: config.trace,
                     frontier: A::MESSAGE_DRIVEN.then_some(&mut local_front),
                 };
-                lane_programs[i].init_into(&views[u], &mut MsgSink::new(&mut scatter));
-                if lane_programs[i].is_done() {
+                program.init_into(&views[u], &mut MsgSink::new(&mut scatter));
+                if program.is_done() {
                     done_delta[l] += 1;
                 }
             }
         }
-        done_delta
     }));
     if A::MESSAGE_DRIVEN {
         local_front.drain_pairs(&eager_front, &mut outgoing);
@@ -415,14 +480,15 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         1,
         &mut pending,
         A::MESSAGE_DRIVEN.then_some(&mut outgoing),
-        caught,
+        &mut done_delta,
+        caught.err(),
     );
 
     loop {
         shared
             .barrier
             .wait(|| coordinate(shared, &config, n, budget));
-        let (round, finished) = {
+        let round = {
             let ctl = shared.control.lock().unwrap();
             let round = match ctl.command {
                 Command::Stop => break,
@@ -435,17 +501,17 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                     gather.extend(ctl.frontier.pairs_over(nodes.start, nodes.end));
                 }
             }
-            (round, ctl.finished.clone())
+            retired.clear();
+            retired.extend(ctl.finished.ones().filter(|&l| !finished_seen.get(l)));
+            round
         };
         // Drain the stripes of lanes the leader just retired: their final
         // (never-delivered) traffic is still in `cur`, and the arena's
         // round-reset asserts a fully drained plane.
-        for l in finished.ones() {
-            if !finished_seen.get(l) {
-                cur.drain_lane(l, &mut spare);
-            }
+        for &l in &retired {
+            cur.drain_lane(l, &mut spare);
+            finished_seen.set(l);
         }
-        finished_seen = finished;
         let read_parity = round & 1;
 
         // Take this round's incoming exchange buffers whole; they are put
@@ -459,7 +525,6 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         }
 
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut done_delta = vec![0usize; lanes];
             // The per-node gather → step body, expanded under both round
             // schedules.  The sparse branch walks only this shard's slice
             // of the merged any-lane mask: by the marking invariant a
@@ -470,7 +535,7 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                     let i = $i;
                     let v = $v;
                     let base = offsets[v];
-                    for (l, lane_programs) in programs.iter_mut().enumerate() {
+                    for l in 0..lanes {
                         if finished_seen.get(l) {
                             continue;
                         }
@@ -503,7 +568,8 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                                 inbox.push((p, msg));
                             }
                         }
-                        if lane_programs[i].is_done() {
+                        let program = &mut programs[l * len + i];
+                        if program.is_done() {
                             continue;
                         }
                         let mut scatter = BatchScatter {
@@ -522,13 +588,13 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                             trace: config.trace,
                             frontier: A::MESSAGE_DRIVEN.then_some(&mut local_front),
                         };
-                        lane_programs[i].round_into(
+                        program.round_into(
                             &views[v],
                             round,
                             &inbox,
                             &mut MsgSink::new(&mut scatter),
                         );
-                        if lane_programs[i].is_done() {
+                        if program.is_done() {
                             done_delta[l] += 1;
                         }
                     }
@@ -543,7 +609,6 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                     gather_step!(i, v);
                 }
             }
-            done_delta
         }));
 
         // Return the incoming buffers for their producers to refill two
@@ -555,6 +620,9 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
             }
         }
 
+        // The private plane pair swaps exactly like the one-thread engine's;
+        // the freshly scattered plane then has its boundary slots drained
+        // into the next parity's exchange buffers.
         std::mem::swap(&mut cur, &mut next);
         next.reset_round();
         if A::MESSAGE_DRIVEN {
@@ -569,17 +637,19 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
             (round + 1) & 1,
             &mut pending,
             A::MESSAGE_DRIVEN.then_some(&mut outgoing),
-            caught,
+            &mut done_delta,
+            caught.err(),
         );
     }
     programs
 }
 
 /// Drains the boundary lane-groups of `plane` into this shard's outgoing
-/// exchange buffers for `parity`, then publishes the shard's per-lane
-/// report for the round (including its frontier pairs when tracking:
-/// swapped in, so `frontier` comes back as the emptied vector of the last
-/// report).
+/// exchange buffers for `parity` (skipped after a panic), then publishes
+/// the shard's per-lane report for the round: the pending traffic and the
+/// done-deltas (both reset for the next round), the frontier pairs when
+/// tracking (swapped in, so `frontier` comes back as the emptied vector of
+/// the last report), and any caught panic.
 #[allow(clippy::too_many_arguments)]
 fn publish<M, S: PlaneStore<M>>(
     s: usize,
@@ -590,11 +660,12 @@ fn publish<M, S: PlaneStore<M>>(
     parity: usize,
     pending: &mut [PendingRound],
     frontier: Option<&mut Vec<WordPair>>,
-    caught: Result<Vec<usize>, Box<dyn Any + Send>>,
+    done_delta: &mut [usize],
+    panic: Option<Panic>,
 ) {
     let k = partition.shard_count();
     let lanes = plane.lanes();
-    if caught.is_ok() {
+    if panic.is_none() {
         for t in 0..k {
             let striped = &shared.boundary_lanes[s * k + t];
             if striped.is_empty() {
@@ -610,79 +681,66 @@ fn publish<M, S: PlaneStore<M>>(
         std::mem::swap(&mut report.frontier, front);
         front.clear();
     }
-    for (l, p) in pending.iter_mut().enumerate() {
-        let lane = &mut report.lanes[l];
+    for ((lane, p), delta) in report.lanes.iter_mut().zip(pending).zip(done_delta) {
         lane.messages = p.messages;
         lane.bits = p.bits;
         lane.max_bits = p.max_bits;
         lane.violations = p.violations;
         lane.error = p.error.take();
-        lane.events = std::mem::take(&mut p.events);
+        std::mem::swap(&mut lane.events, &mut p.events);
+        lane.done_delta = std::mem::take(delta);
         p.reset();
     }
-    match caught {
-        Ok(done_delta) => {
-            for (l, delta) in done_delta.into_iter().enumerate() {
-                report.lanes[l].done_delta = delta;
-            }
-        }
-        Err(payload) => report.panic = Some(payload),
-    }
-}
-
-/// Accumulated per-lane round traffic, merged from the shard reports.
-#[derive(Default)]
-struct LaneAgg {
-    messages: u64,
-    bits: u64,
-    max_bits: usize,
-    violations: u64,
-    error: Option<PendingError>,
-    events: Vec<TraceEvent>,
+    report.panic = panic;
 }
 
 /// The leader's merge step, run by the last worker to arrive at the
 /// barrier: fold the per-shard reports **in shard order** into each lane's
 /// global state and decide the next command.
-/// Per lane, the ordering reproduces the single-run coordinate exactly —
-/// done-check, round-limit check, then the round commit (first pending
-/// error in node order wins; stats and trace only on a clean commit) —
-/// with finished lanes skipped so they drop out without stalling the rest.
+/// Per lane, the ordering reproduces a solo run exactly — done-check,
+/// round-limit check, then the round commit (first pending error in node
+/// order wins; stats and trace only on a clean commit) — with finished
+/// lanes skipped so they drop out without stalling the rest.
 fn coordinate<M, S: PlaneStore<M>>(
     shared: &Shared<M, S>,
     config: &RunConfig,
     n: usize,
     budget: Option<usize>,
 ) {
-    let mut ctl = shared.control.lock().unwrap();
+    let mut guard = shared.control.lock().unwrap();
+    let ctl = &mut *guard;
     let lanes = ctl.lanes.len();
-    let mut agg: Vec<LaneAgg> = (0..lanes).map(|_| LaneAgg::default()).collect();
-    let mut panic: Option<Box<dyn Any + Send>> = None;
+    for a in &mut ctl.merged {
+        a.messages = 0;
+        a.bits = 0;
+        a.max_bits = 0;
+        a.violations = 0;
+        a.error = None;
+        a.events.clear();
+    }
+    let mut panic: Option<Panic> = None;
     if ctl.track_frontier {
         ctl.marks.clear();
         ctl.frontier.clear();
     }
-    for slot in shared.reports.iter() {
+    for slot in &shared.reports {
         let mut report = slot.0.lock().unwrap();
         if ctl.track_frontier {
             ctl.marks.or_pairs(&report.frontier);
         }
-        for (l, lane) in report.lanes.iter_mut().enumerate() {
-            ctl.lanes[l].done_count += lane.done_delta;
-            lane.done_delta = 0;
-            let a = &mut agg[l];
+        for ((lane, a), control) in report
+            .lanes
+            .iter_mut()
+            .zip(&mut ctl.merged)
+            .zip(&mut ctl.lanes)
+        {
+            control.done_count += lane.done_delta;
             a.messages += lane.messages;
             a.bits += lane.bits;
             a.max_bits = a.max_bits.max(lane.max_bits);
             a.violations += lane.violations;
-            lane.messages = 0;
-            lane.bits = 0;
-            lane.max_bits = 0;
-            lane.violations = 0;
             if a.error.is_none() {
                 a.error = lane.error.take();
-            } else {
-                lane.error = None;
             }
             if config.trace {
                 a.events.append(&mut lane.events);
@@ -692,13 +750,11 @@ fn coordinate<M, S: PlaneStore<M>>(
         }
         if panic.is_none() {
             panic = report.panic.take();
-        } else {
-            report.panic = None;
         }
     }
 
     // A program panic preempts everything, exactly as it would have unwound
-    // out of the sequential lockstep loop.
+    // out of the one-thread loop.
     if let Some(payload) = panic {
         ctl.panic = Some(payload);
         ctl.command = Command::Stop;
@@ -707,8 +763,8 @@ fn coordinate<M, S: PlaneStore<M>>(
     // Lane finalization first (the done-check of each lane's own loop): a
     // fully done lane completes before the round-limit check, and its
     // final-step traffic is dropped, never counted.
-    for l in 0..lanes {
-        if !ctl.finished.get(l) && ctl.lanes[l].done_count >= n {
+    for (l, lane) in ctl.lanes.iter().enumerate() {
+        if lane.done_count >= n {
             ctl.finished.set(l);
         }
     }
@@ -717,9 +773,9 @@ fn coordinate<M, S: PlaneStore<M>>(
         return;
     }
     if ctl.round >= config.max_rounds {
-        for l in 0..lanes {
+        for (l, lane) in ctl.lanes.iter_mut().enumerate() {
             if !ctl.finished.get(l) {
-                ctl.lanes[l].failure = Some(RunError::RoundLimitExceeded {
+                lane.failure = Some(RunError::RoundLimitExceeded {
                     limit: config.max_rounds,
                 });
                 ctl.finished.set(l);
@@ -733,7 +789,6 @@ fn coordinate<M, S: PlaneStore<M>>(
     // The global dense↔sparse decision for the round being commanded, plus
     // the lane-exact active counts each surviving lane records (identical
     // to its solo run's).
-    let ctl = &mut *ctl;
     let sparse = if ctl.track_frontier {
         split_lanes(&ctl.marks, lanes, &mut ctl.frontier, &mut ctl.lane_active);
         ctl.sparse = config.frontier.use_sparse(ctl.frontier.count(), n);
@@ -741,17 +796,17 @@ fn coordinate<M, S: PlaneStore<M>>(
     } else {
         false
     };
-    for (l, a) in agg.iter_mut().enumerate() {
+    for (l, (a, lane)) in ctl.merged.iter_mut().zip(&mut ctl.lanes).enumerate() {
         if ctl.finished.get(l) {
             continue;
         }
         match a.error.take() {
             Some(PendingError::Malformed { node, port }) => {
-                ctl.lanes[l].failure = Some(RunError::MalformedOutbox { node, port });
+                lane.failure = Some(RunError::MalformedOutbox { node, port });
                 ctl.finished.set(l);
             }
             Some(PendingError::Congest { bits }) => {
-                ctl.lanes[l].failure = Some(RunError::CongestViolation {
+                lane.failure = Some(RunError::CongestViolation {
                     round,
                     bits,
                     budget: budget.expect("congest error implies a budget"),
@@ -759,24 +814,20 @@ fn coordinate<M, S: PlaneStore<M>>(
                 ctl.finished.set(l);
             }
             None => {
-                ctl.lanes[l]
-                    .stats
+                lane.stats
                     .record_round(a.messages, a.bits, a.max_bits, a.violations);
                 if ctl.track_frontier {
-                    ctl.lanes[l]
-                        .stats
-                        .record_frontier(ctl.lane_active[l], sparse);
+                    lane.stats.record_frontier(ctl.lane_active[l], sparse);
                 }
                 if config.trace {
-                    let mut events = std::mem::take(&mut a.events);
-                    ctl.lanes[l].events.append(&mut events);
+                    lane.events.append(&mut a.events);
                 }
             }
         }
     }
-    if ctl.finished.count() == lanes {
-        ctl.command = Command::Stop;
+    ctl.command = if ctl.finished.count() == lanes {
+        Command::Stop
     } else {
-        ctl.command = Command::Work { round };
-    }
+        Command::Work { round }
+    };
 }

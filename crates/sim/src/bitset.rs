@@ -76,6 +76,17 @@ impl FixedBitSet {
         present
     }
 
+    /// Calls `f` on every key in the set, in ascending order.
+    pub fn for_each(&self, mut f: impl FnMut(usize)) {
+        for (i, &word) in self.words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                f(i * 64 + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+            }
+        }
+    }
+
     /// Removes every key (word-parallel; no allocation).
     pub fn clear(&mut self) {
         self.words.fill(0);

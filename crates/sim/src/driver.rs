@@ -1,16 +1,16 @@
 //! The unified run pipeline: the [`Sim`] builder and the [`Workload`] trait.
 //!
 //! Historically every caller wired a run by hand: construct a [`RunConfig`]
-//! literal, pick [`Runtime::run`] or an explicit executor, remember which
-//! knob selects the plane backing, and fold the outputs into whatever shape
-//! the harness wanted.  This module replaces all of that with **one typed
+//! literal, pick a round loop or an explicit executor, remember which knob
+//! selects the plane backing, and fold the outputs into whatever shape the
+//! harness wanted.  This module replaces all of that with **one typed
 //! entry point**:
 //!
 //! * [`Sim`] — a zero-cost builder pinning a graph plus every run knob
 //!   (model, round limit, trace, thread count, plane backing, execution
 //!   engine).  It resolves to a [`RunConfig`] internally; `RunConfig`
-//!   literals and direct `Runtime`/executor calls are implementation
-//!   details of this crate.
+//!   literals and the round loops are implementation details of this
+//!   crate.
 //!
 //!   ```
 //!   use lma_sim::{Backing, Model, Sim};
@@ -42,40 +42,39 @@
 //!   [`collate`](FleetWorkload::collate) step.
 //!
 //! The builder adds **zero per-run overhead**: `Sim` is a `Copy` value
-//! holding a graph reference and the resolved `RunConfig`, and
-//! [`Sim::run`] dispatches to exactly the same executor paths (and the same
-//! per-thread plane pool) a hand-built `Runtime` uses.  The `driver` group
-//! of `bench_substrate` pins this with a counting allocator.
+//! holding a graph reference and the resolved `RunConfig`, and [`Sim::run`]
+//! is lane 0 of a one-lane [`Sim::batch`] — the same two plane engines (and
+//! the same per-thread plane pool) every batch runs on.
 
 use crate::algorithm::NodeAlgorithm;
 use crate::batch::BatchSim;
 use crate::digest::{fold_error, DigestWriter, RunSummary};
-use crate::executor::{Executor, ReferenceExecutor, SequentialExecutor};
 use crate::frontier::FrontierMode;
 use crate::model::Model;
 use crate::plane::Backing;
-use crate::runtime::{RunConfig, RunError, RunResult, Runtime};
+use crate::runtime::{RunConfig, RunError, RunResult};
 use lma_graph::{Partition, WeightedGraph};
 use std::any::Any;
 use std::num::NonZeroUsize;
 
 /// The execution engine a [`Sim`] dispatches a run to.
 ///
-/// All engines produce bit-identical outputs, stats, traces and errors for
-/// the same `(graph, config, programs)` — pinned by the
-/// `runtime_equivalence` suite — so the choice is purely about performance
-/// (and, for [`Engine::Reference`], differential testing).
+/// Every plane run — solo or batched, one thread or many — goes through
+/// the lockstep batch kernel ([`crate::batch`]); the engine only fixes its
+/// thread count, or swaps in the push-based oracle.  All engines produce
+/// bit-identical outputs, stats, traces and errors for the same
+/// `(graph, config, programs)` — pinned by the `runtime_equivalence` suite
+/// — so the choice is purely about performance (and, for
+/// [`Engine::Reference`], differential testing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Dispatch on the configured thread count ([`Sim::threads`]): the
-    /// sequential plane executor by default, the sharded executor when two
-    /// or more threads are requested.  The right choice for all ordinary
-    /// callers.
+    /// calling thread by default, shard-parallel when two or more threads
+    /// are requested.  The right choice for all ordinary callers.
     Auto,
-    /// Always the sequential plane executor, ignoring the thread knob.
-    Sequential,
-    /// The deterministic sharded executor on the given worker count.
-    Sharded(NonZeroUsize),
+    /// The plane kernel on exactly this many threads, ignoring the thread
+    /// knob: `1` runs on the calling thread, `t >= 2` shard-parallel.
+    Threads(NonZeroUsize),
     /// The preserved push-based oracle (plane-free, allocating) — for
     /// differential testing and benchmark baselines only.
     Reference,
@@ -83,13 +82,13 @@ pub enum Engine {
 
 impl Engine {
     /// Stable short label used in scenario cell ids and lock files
-    /// (`"auto"`, `"seq"`, `"sharded<t>"`, `"push"`).
+    /// (`"auto"`, `"seq"` for one thread, `"sharded<t>"`, `"push"`).
     #[must_use]
     pub fn label(self) -> String {
         match self {
             Engine::Auto => "auto".to_string(),
-            Engine::Sequential => "seq".to_string(),
-            Engine::Sharded(t) => format!("sharded{t}"),
+            Engine::Threads(t) if t.get() == 1 => "seq".to_string(),
+            Engine::Threads(t) => format!("sharded{t}"),
             Engine::Reference => "push".to_string(),
         }
     }
@@ -112,8 +111,7 @@ pub struct Sim<'g> {
 
 impl<'g> Sim<'g> {
     /// A simulation on `graph` with the default configuration: LOCAL model,
-    /// generous round limit, no trace, sequential auto-dispatch, inline
-    /// plane backing.
+    /// generous round limit, no trace, one thread, inline plane backing.
     #[must_use]
     pub fn on(graph: &'g WeightedGraph) -> Self {
         Self {
@@ -156,8 +154,8 @@ impl<'g> Sim<'g> {
     }
 
     /// Sets the worker-thread count for [`Engine::Auto`] dispatch: `0` and
-    /// `1` run the sequential executor, `t >= 2` the sharded executor on
-    /// `t` scoped threads.  Results are bit-identical either way.
+    /// `1` run on the calling thread, `t >= 2` shard-parallel on `t` scoped
+    /// threads.  Results are bit-identical either way.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = NonZeroUsize::new(threads).filter(|t| t.get() > 1);
@@ -187,20 +185,15 @@ impl<'g> Sim<'g> {
     /// partition a graph once and hand the result to every subsequent `Sim`
     /// on it, instead of re-partitioning per run.
     ///
-    /// The partition is consulted by every sharded dispatch reachable from
-    /// this value — [`Sim::run`], nested pipeline runs through
-    /// [`Workload::execute`], and the lockstep batch executor
-    /// ([`Sim::batch`]) — whenever the run actually shards **and** the
-    /// partition's shard count matches the resolved worker count; in every
-    /// other case it is ignored and the run partitions on the fly, so a
-    /// mismatched handoff can never change behavior, only cost.
-    ///
-    /// Correctness note: `partition` must have been built from **this**
-    /// graph's CSR (`Partition::new(graph.csr(), t)`).  Boundary routing
-    /// tables depend on the edges, so handing a partition of a different
-    /// graph is a logic error — the same contract as
-    /// [`ShardedExecutor::for_graph`](crate::executor::ShardedExecutor::for_graph),
-    /// which enforces it by construction.
+    /// The partition is consulted by every shard-parallel dispatch
+    /// reachable from this value — [`Sim::run`], nested pipeline runs
+    /// through [`Workload::execute`], and lockstep batches ([`Sim::batch`])
+    /// — whenever the run actually shards, the partition's shard count
+    /// matches the resolved worker count **and** the partition fits this
+    /// graph ([`Partition::fits`]: same slot layout and boundary routing).
+    /// In every other case it is ignored and the run partitions on the fly,
+    /// so a mismatched or foreign handoff can never change behavior, only
+    /// cost.
     #[must_use]
     pub fn with_partition(mut self, partition: &'g Partition) -> Self {
         self.partition = Some(partition);
@@ -234,19 +227,19 @@ impl<'g> Sim<'g> {
     /// stay on the builder.
     ///
     /// The thread knob is resolved against the pinned [`Engine`] —
-    /// [`Engine::Sharded`] reports its worker count,
-    /// [`Engine::Sequential`] / [`Engine::Reference`] report none,
-    /// [`Engine::Auto`] reports whatever [`Sim::threads`] set — so
-    /// config-driven re-entry (e.g. a harness precomputing a sharded
-    /// executor from this value) always dispatches onto the same engine as
-    /// [`Sim::run`], regardless of builder-call order.
+    /// [`Engine::Threads`] reports its worker count (none for one thread),
+    /// [`Engine::Reference`] reports none, [`Engine::Auto`] reports
+    /// whatever [`Sim::threads`] set — so config-driven re-entry (e.g. a
+    /// harness precomputing a partition from this value) always dispatches
+    /// onto the same engine as [`Sim::run`], regardless of builder-call
+    /// order.
     #[must_use]
     pub fn config(&self) -> RunConfig {
         let mut config = self.config;
         config.threads = match self.engine {
             Engine::Auto => config.threads,
-            Engine::Sharded(t) => Some(t),
-            Engine::Sequential | Engine::Reference => None,
+            Engine::Threads(t) => Some(t).filter(|t| t.get() > 1),
+            Engine::Reference => None,
         };
         config
     }
@@ -258,58 +251,31 @@ impl<'g> Sim<'g> {
     }
 
     /// Runs one node program per node until every node is done, dispatching
-    /// on the pinned [`Engine`].
+    /// on the pinned [`Engine`]: lane 0 of a one-lane [`Sim::batch`].
     ///
     /// # Errors
-    /// Exactly the error cases of [`Runtime::run`].
+    /// [`RunError::RoundLimitExceeded`] when some node is still running
+    /// after the round limit, [`RunError::MalformedOutbox`] when a program
+    /// sends twice through one port (or through a port it does not have),
+    /// and [`RunError::CongestViolation`] when an over-budget message is
+    /// sent under [`Sim::enforce_congest`].
     pub fn run<A: NodeAlgorithm>(
         &self,
         programs: Vec<A>,
     ) -> Result<RunResult<A::Output>, RunError> {
-        let config = self.config();
-        match self.engine {
-            Engine::Auto | Engine::Sharded(_) => match config.threads {
-                Some(t) if t.get() > 1 && self.graph.node_count() > 1 => {
-                    let runtime = Runtime::with_config(self.graph, config);
-                    let views = runtime.local_views();
-                    match self.usable_partition(t.get()) {
-                        Some(partition) => crate::sharded::run_sharded(
-                            self.graph, config, partition, &views, programs,
-                        ),
-                        None => {
-                            let partition = Partition::new(self.graph.csr(), t.get());
-                            crate::sharded::run_sharded(
-                                self.graph, config, &partition, &views, programs,
-                            )
-                        }
-                    }
-                }
-                _ => SequentialExecutor.run(self.graph, config, programs),
-            },
-            Engine::Sequential => SequentialExecutor.run(self.graph, config, programs),
-            Engine::Reference => ReferenceExecutor.run(self.graph, config, programs),
-        }
+        let mut lanes = self
+            .batch(1)
+            .run(vec![programs])
+            .expect("one fleet for a one-lane batch");
+        lanes.pop().expect("one result per lane")
     }
 
     /// The supplied partition, when it matches the resolved worker count
-    /// (any mismatch falls back to partitioning on the fly — see
-    /// [`Sim::with_partition`]).
+    /// and fits this graph (anything else falls back to partitioning on the
+    /// fly — see [`Sim::with_partition`]).
     pub(crate) fn usable_partition(&self, threads: usize) -> Option<&'g Partition> {
-        self.partition.filter(|p| p.shard_count() == threads)
-    }
-
-    /// Runs on an explicit [`Executor`] value, bypassing the pinned engine —
-    /// the hook for harnesses that precompute per-graph executor state
-    /// (e.g. a partition-caching [`crate::ShardedExecutor`]).
-    ///
-    /// # Errors
-    /// Exactly the error cases of [`Runtime::run`].
-    pub fn run_on<E: Executor, A: NodeAlgorithm>(
-        &self,
-        executor: &E,
-        programs: Vec<A>,
-    ) -> Result<RunResult<A::Output>, RunError> {
-        executor.run(self.graph, self.config(), programs)
+        self.partition
+            .filter(|p| p.shard_count() == threads && p.fits(self.graph.csr()))
     }
 }
 
@@ -901,22 +867,33 @@ mod tests {
         assert_eq!(sim.engine(), Engine::Auto);
     }
 
+    fn threads(t: usize) -> Engine {
+        Engine::Threads(NonZeroUsize::new(t).unwrap())
+    }
+
     #[test]
     fn one_thread_resolves_to_sequential_dispatch() {
         let g = ring(6, WeightStrategy::Unit);
         assert_eq!(Sim::on(&g).threads(1).config().threads, None);
         assert_eq!(Sim::on(&g).threads(0).config().threads, None);
+        let pinned = Sim::on(&g).threads(4).executor(threads(1));
+        assert_eq!(pinned.config().threads, None);
+        // A one-thread pin runs exactly what the default does.
+        let expected = Sim::on(&g).run(fleet(6)).unwrap();
+        let got = pinned.run(fleet(6)).unwrap();
+        assert_eq!(expected.outputs, got.outputs);
+        assert_eq!(expected.stats, got.stats);
     }
 
     #[test]
     fn resolved_config_threads_always_match_the_pinned_engine() {
         let g = ring(6, WeightStrategy::Unit);
-        let sim = Sim::on(&g).executor(Engine::Sharded(NonZeroUsize::new(4).unwrap()));
+        let sim = Sim::on(&g).executor(threads(4));
         assert_eq!(sim.config().threads, NonZeroUsize::new(4));
-        // A non-sharded engine overrides the thread knob in the resolved
-        // view — in either builder-call order — so config-driven re-entry
-        // cannot contradict the pinned engine.
-        for engine in [Engine::Sequential, Engine::Reference] {
+        // A one-thread or push engine overrides the thread knob in the
+        // resolved view — in either builder-call order — so config-driven
+        // re-entry cannot contradict the pinned engine.
+        for engine in [threads(1), Engine::Reference] {
             let before = Sim::on(&g).threads(4).executor(engine);
             let after = Sim::on(&g).executor(engine).threads(4);
             assert_eq!(before.config().threads, None, "{engine:?}");
@@ -932,11 +909,7 @@ mod tests {
         let g = ring(12, WeightStrategy::DistinctRandom { seed: 3 });
         let base = Sim::on(&g).trace(true);
         let auto = base.run(fleet(12)).unwrap();
-        for engine in [
-            Engine::Sequential,
-            Engine::Sharded(NonZeroUsize::new(3).unwrap()),
-            Engine::Reference,
-        ] {
+        for engine in [threads(1), threads(2), threads(3), Engine::Reference] {
             let got = base.executor(engine).run(fleet(12)).unwrap();
             assert_eq!(auto.outputs, got.outputs, "{engine:?}");
             assert_eq!(auto.stats, got.stats, "{engine:?}");
@@ -947,11 +920,9 @@ mod tests {
     #[test]
     fn engine_labels_are_stable() {
         assert_eq!(Engine::Auto.label(), "auto");
-        assert_eq!(Engine::Sequential.label(), "seq");
-        assert_eq!(
-            Engine::Sharded(NonZeroUsize::new(2).unwrap()).label(),
-            "sharded2"
-        );
+        assert_eq!(threads(1).label(), "seq");
+        assert_eq!(threads(2).label(), "sharded2");
+        assert_eq!(threads(4).label(), "sharded4");
         assert_eq!(Engine::Reference.label(), "push");
     }
 
@@ -1139,7 +1110,7 @@ mod tests {
         assert_eq!(fresh.outputs, fallback.outputs);
         assert_eq!(fresh.stats, fallback.stats);
 
-        // And the partition threads through the lockstep batch executor.
+        // And the partition threads through lockstep batches.
         let lanes = 2;
         let fleets: Vec<Vec<Echo>> = (0..lanes).map(|_| fleet(12)).collect();
         let batched = base.with_partition(&partition).batch(lanes);
@@ -1147,6 +1118,40 @@ mod tests {
             let lane = lane.unwrap();
             assert_eq!(fresh.outputs, lane.outputs);
             assert_eq!(fresh.stats, lane.stats);
+        }
+    }
+
+    #[test]
+    fn cached_partition_is_not_reused_for_a_different_graph_of_equal_size() {
+        // Two graphs with identical node/slot counts but different edges:
+        // a partition of one must not route the other, or the cross-shard
+        // tables of the first would misroute (or panic on) the second.
+        let a = ring(24, WeightStrategy::DistinctRandom { seed: 1 });
+        let b = lma_graph::generators::connected_random(
+            24,
+            24,
+            7,
+            WeightStrategy::DistinctRandom { seed: 7 },
+        );
+        assert_eq!(a.node_count(), b.node_count());
+        assert_eq!(a.csr().slot_count(), b.csr().slot_count());
+        let partition = Partition::new(a.csr(), 3);
+        assert!(partition.fits(a.csr()));
+        assert!(!partition.fits(b.csr()));
+        for g in [&a, &b] {
+            let base = Sim::on(g).trace(true);
+            let solo = base.run(fleet(24)).unwrap();
+            let cached = base.threads(3).with_partition(&partition);
+            let got = cached.run(fleet(24)).unwrap();
+            assert_eq!(solo.outputs, got.outputs);
+            assert_eq!(solo.stats, got.stats);
+            assert_eq!(solo.trace, got.trace);
+            for lane in cached.batch(2).run(vec![fleet(24), fleet(24)]).unwrap() {
+                let lane = lane.unwrap();
+                assert_eq!(solo.outputs, lane.outputs);
+                assert_eq!(solo.stats, lane.stats);
+                assert_eq!(solo.trace, lane.trace);
+            }
         }
     }
 

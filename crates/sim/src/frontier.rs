@@ -4,12 +4,13 @@
 //! component growth touch a moving subset of nodes per round, yet a dense
 //! round loop scans all `n` nodes every round, so a flood on `ring/4096`
 //! pays ~4096 gathers per round for a ~2-node frontier.  This module holds
-//! the shared machinery that lets every executor gather **only** the nodes
-//! that can possibly act:
+//! the machinery that lets both plane engines (one thread and
+//! shard-parallel) gather **only** the nodes that can possibly act:
 //!
 //! * While a sender scatters, each successfully stored message marks its
-//!   destination node (known at `put` time from the CSR `IncidentEdge`
-//!   target) in a `next_frontier` bitset.
+//!   `(destination, lane)` pair (the destination is known at `put` time
+//!   from the CSR `IncidentEdge` target) in the next round's
+//!   `BatchFrontier`.
 //! * The next round gathers only frontier nodes when the frontier is small
 //!   (`|frontier| · θ < n`, θ = `THETA`), and falls back to the existing
 //!   dense scan otherwise — dense workloads keep their current code path
@@ -20,8 +21,13 @@
 //! [`crate::NodeAlgorithm::MESSAGE_DRIVEN`]; programs whose instances
 //! answer [`crate::NodeAlgorithm::message_driven`]` == false` are *eager*
 //! and stay on the frontier every round.  For programs that do not opt in,
-//! every executor compiles the frontier plumbing away (`MESSAGE_DRIVEN` is
-//! an associated const) and behaves byte-for-byte as before.
+//! the engines compile the frontier plumbing away (`MESSAGE_DRIVEN` is an
+//! associated const) and behave byte-for-byte as before.
+//!
+//! The frontier is laid out so its per-round cost does not grow with
+//! `n · W` (see `BatchFrontier`): a one-lane run — every [`crate::Sim::run`]
+//! — pays what a plain node bitset would, and a wide batch pays for the
+//! node-words it actually marked.
 
 /// How an opted-in run picks between the dense scan and the sparse
 /// frontier gather each round.
@@ -89,39 +95,25 @@ pub(crate) const THETA: usize = 8;
 
 const WORD_BITS: usize = 64;
 
-/// A fixed-capacity bitset over node indices — the frontier itself.
-///
-/// Deliberately minimal (insert, bulk copy/OR, popcount, set-bit
-/// iteration): every executor keeps two of these (`cur`, `next`) plus an
-/// `eager` template, swapped in lockstep with the message planes.
+/// A fixed-capacity bitset over word indices — the occupancy level of a
+/// [`WordMerge`], one bit per 64-bit word of the accumulator.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NodeSet {
     words: Vec<u64>,
 }
 
 impl NodeSet {
-    /// An empty set with capacity for nodes `0..n`.
+    /// An empty set with capacity for bits `0..n`.
     pub(crate) fn new(n: usize) -> Self {
         Self {
             words: vec![0; n.div_ceil(WORD_BITS)],
         }
     }
 
-    /// Adds `node` to the set.
+    /// Adds `bit` to the set.
     #[inline]
-    pub(crate) fn insert(&mut self, node: usize) {
-        self.words[node / WORD_BITS] |= 1 << (node % WORD_BITS);
-    }
-
-    /// Membership test (test-only helper).
-    #[cfg(test)]
-    pub(crate) fn contains(&self, node: usize) -> bool {
-        self.words[node / WORD_BITS] & (1 << (node % WORD_BITS)) != 0
-    }
-
-    /// Number of set bits.
-    pub(crate) fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    pub(crate) fn insert(&mut self, bit: usize) {
+        self.words[bit / WORD_BITS] |= 1 << (bit % WORD_BITS);
     }
 
     /// Overwrites this set with `other` (equal capacity).
@@ -139,6 +131,19 @@ impl NodeSet {
         ones_of(&self.words, 0)
     }
 
+    /// Calls `f` on every set bit in ascending order — [`NodeSet::ones`] as
+    /// plain loops, which the per-round passes inline whole.
+    #[inline]
+    pub(crate) fn for_each(&self, mut f: impl FnMut(usize)) {
+        for (i, &word) in self.words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                f(i * WORD_BITS + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+            }
+        }
+    }
+
     /// Iterates set bits within `start..end` in ascending order.
     pub(crate) fn ones_in(&self, start: usize, end: usize) -> impl Iterator<Item = usize> + '_ {
         let first_word = start / WORD_BITS;
@@ -147,34 +152,27 @@ impl NodeSet {
             .skip_while(move |&v| v < start)
             .take_while(move |&v| v < end)
     }
+}
 
-    /// Moves every non-zero word into `out` as ascending `(index, word)`
-    /// pairs and resets it to `template`'s word — the sharded worker's
-    /// publish step.  This set must hold `template` plus marks (as a worker's
-    /// scatter set does), so it equals `template` afterwards.
-    pub(crate) fn drain_pairs(&mut self, template: &Self, out: &mut Vec<WordPair>) {
-        for (i, (word, &keep)) in self.words.iter_mut().zip(&template.words).enumerate() {
-            if *word != 0 {
-                out.push((i, *word));
-                *word = keep;
-            }
-        }
-    }
+/// The set bits of one word, offset by `base`, in ascending order.
+fn word_ones(word: u64, base: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors((word != 0).then_some(word), |w| {
+        let rest = w & (w - 1);
+        (rest != 0).then_some(rest)
+    })
+    .map(move |w| base + w.trailing_zeros() as usize)
 }
 
 /// Trailing-zeros iteration over raw bitset words, offset by `base`.
 fn ones_of(words: &[u64], base: usize) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(move |(i, &word)| {
-        std::iter::successors((word != 0).then_some(word), |w| {
-            let rest = w & (w - 1);
-            (rest != 0).then_some(rest)
-        })
-        .map(move |w| base + i * WORD_BITS + w.trailing_zeros() as usize)
-    })
+    words
+        .iter()
+        .enumerate()
+        .flat_map(move |(i, &word)| word_ones(word, base + i * WORD_BITS))
 }
 
 /// One non-zero bitset word and its index: the unit of the sharded
-/// engines' frontier hand-off.  Shards publish their marks as ascending
+/// engine's frontier hand-off.  Shards publish their marks as ascending
 /// pairs, the leader merges them into a [`WordMerge`], and each worker
 /// copies back the merged pairs over its own node range.
 pub(crate) type WordPair = (usize, u64);
@@ -188,17 +186,18 @@ pub(crate) fn pair_ones(
 ) -> impl Iterator<Item = usize> + '_ {
     pairs
         .iter()
-        .flat_map(|(i, word)| ones_of(std::slice::from_ref(word), i * WORD_BITS))
+        .flat_map(|&(i, word)| word_ones(word, i * WORD_BITS))
         .filter(move |v| (start..end).contains(v))
 }
 
-/// The sharded leader's merged frontier: an OR-accumulator over a dense
-/// word array plus a one-bit-per-word occupancy set, so merging the shards'
-/// [`WordPair`]s, counting, listing and clearing all cost the number of
-/// non-zero words (plus a scan of `len / 64` occupancy words), not the
-/// array's length.  The single-run engine merges [`NodeSet`] words into
-/// one; the batch engine merges [`BatchFrontier`] mark words into one and
-/// derives its node-level mask into a second.
+/// A two-level bitset: a dense word array plus a one-bit-per-word
+/// occupancy set, so merging [`WordPair`]s, counting, listing and clearing
+/// all cost the number of non-zero words plus a scan of `len / 64`
+/// occupancy words, never the array's length.
+///
+/// It serves three roles: the any-lane node mask of every
+/// [`BatchFrontier`], the sharded leader's merge of the workers' mark
+/// words, and the leader's node-level mask split out of that merge.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WordMerge {
     words: Vec<u64>,
@@ -222,20 +221,21 @@ impl WordMerge {
     /// An empty accumulator over the mark words of a [`BatchFrontier`] for
     /// `n` nodes × `lanes` lanes.
     pub(crate) fn for_marks(n: usize, lanes: usize) -> Self {
-        Self::new(n * lanes.div_ceil(WORD_BITS))
+        Self::new(n.div_ceil(WORD_BITS) * lanes)
+    }
+
+    /// ORs `word` into word `i`.
+    #[inline]
+    fn or_word(&mut self, i: usize, word: u64) {
+        self.words[i] |= word;
+        self.occupied.insert(i);
     }
 
     /// ORs `pairs` in.
     pub(crate) fn or_pairs(&mut self, pairs: &[WordPair]) {
         for &(i, word) in pairs {
-            self.words[i] |= word;
-            self.occupied.insert(i);
+            self.or_word(i, word);
         }
-    }
-
-    /// Sets bit `bit`.
-    pub(crate) fn insert(&mut self, bit: usize) {
-        self.or_pairs(&[(bit / WORD_BITS, 1 << (bit % WORD_BITS))]);
     }
 
     /// The non-zero words as ascending pairs.
@@ -255,127 +255,168 @@ impl WordMerge {
             .map(|i| (i, self.words[i]))
     }
 
+    /// The set bits in ascending order (test-only helper; the engines use
+    /// [`WordMerge::for_each_one`]).
+    #[cfg(test)]
+    pub(crate) fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pairs()
+            .flat_map(|(i, word)| word_ones(word, i * WORD_BITS))
+    }
+
+    /// Calls `f` on every set bit in ascending order — [`WordMerge::ones`]
+    /// as plain loops, so the sparse gather pass inlines it whole.
+    #[inline]
+    pub(crate) fn for_each_one(&self, mut f: impl FnMut(usize)) {
+        self.occupied.for_each(|i| {
+            let mut rest = self.words[i];
+            while rest != 0 {
+                f(i * WORD_BITS + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+            }
+        });
+    }
+
     /// Number of set bits.
     pub(crate) fn count(&self) -> usize {
-        self.pairs().map(|(_, w)| w.count_ones() as usize).sum()
+        let mut count = 0;
+        self.occupied
+            .for_each(|i| count += self.words[i].count_ones() as usize);
+        count
     }
 
     /// Clears every bit, touching only the non-zero words.
     pub(crate) fn clear(&mut self) {
-        for i in self.occupied.ones() {
-            self.words[i] = 0;
-        }
+        let words = &mut self.words;
+        self.occupied.for_each(|i| words[i] = 0);
         self.occupied.clear_all();
     }
 }
 
-/// The lane-striped frontier used by the batch executors: per-(node, lane)
-/// marks plus a node-level "any lane active" mask so one gather pass can
-/// serve the whole batch.
+/// The frontier of a lockstep batch (one lane for [`crate::Sim::run`]):
+/// per-(node, lane) marks plus the two-level any-lane node mask that one
+/// gather pass over the whole batch iterates.
 ///
-/// Layout is node-major like `BitFleet`: lane `l` of node `v` lives at bit
-/// `l % 64` of word `v * wpn + l / 64`, where `wpn = lanes.div_ceil(64)`.
+/// The marks are laid out **word-major**: lane `l` of nodes
+/// `64 i .. 64 i + 63` lives in word `i · lanes + l`.  At one lane the
+/// marks are a plain node bitset; at any width, the `lanes` words of one
+/// node-word sit side by side, so the per-round passes — the reset to the
+/// eager template, sparse iteration and the sharded drain — visit only the
+/// node-words the any-lane mask has occupied, plus its `n / 4096`
+/// occupancy words.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BatchFrontier {
     marks: Vec<u64>,
-    any: NodeSet,
+    any: WordMerge,
     lanes: usize,
-    wpn: usize,
 }
 
 impl BatchFrontier {
     /// An empty frontier for `n` nodes × `lanes` lanes.
     pub(crate) fn new(n: usize, lanes: usize) -> Self {
-        let wpn = lanes.div_ceil(WORD_BITS);
         Self {
-            marks: vec![0; n * wpn],
-            any: NodeSet::new(n),
+            marks: vec![0; n.div_ceil(WORD_BITS) * lanes],
+            any: WordMerge::for_nodes(n),
             lanes,
-            wpn,
         }
     }
 
     /// Marks `(node, lane)` active and `node` any-lane-active.
     #[inline]
     pub(crate) fn mark(&mut self, node: usize, lane: usize) {
-        self.marks[node * self.wpn + lane / WORD_BITS] |= 1 << (lane % WORD_BITS);
-        self.any.insert(node);
+        let i = node / WORD_BITS;
+        let bit = 1 << (node % WORD_BITS);
+        self.marks[i * self.lanes + lane] |= bit;
+        self.any.or_word(i, bit);
     }
 
     /// The node-level any-lane-active mask.
-    pub(crate) fn any(&self) -> &NodeSet {
+    pub(crate) fn any(&self) -> &WordMerge {
         &self.any
     }
 
-    /// Overwrites this frontier with `other` (equal shape).
-    pub(crate) fn copy_from(&mut self, other: &Self) {
-        self.marks.copy_from_slice(&other.marks);
-        self.any.copy_from(&other.any);
+    /// The mark words of node-word `i`, one per lane.
+    fn lane_words(&self, i: usize) -> &[u64] {
+        &self.marks[i * self.lanes..(i + 1) * self.lanes]
+    }
+
+    /// Resets this frontier to `template` (equal shape), touching only the
+    /// occupied node-words of both.
+    pub(crate) fn reset_to(&mut self, template: &Self) {
+        let Self { marks, any, lanes } = self;
+        let lanes = *lanes;
+        let WordMerge { words, occupied } = any;
+        occupied.for_each(|i| {
+            marks[i * lanes..(i + 1) * lanes].fill(0);
+            words[i] = 0;
+        });
+        template.any.occupied.for_each(|i| {
+            marks[i * lanes..(i + 1) * lanes].copy_from_slice(template.lane_words(i));
+            words[i] = template.any.words[i];
+        });
+        occupied.copy_from(&template.any.occupied);
     }
 
     /// Moves every non-zero mark word into `out` as ascending
     /// `(index, word)` pairs and resets this frontier to `template` — the
-    /// batch analogue of [`NodeSet::drain_pairs`].  The any mask finds the
-    /// marked nodes, so the scan covers `n / 64` words, not `n · wpn`.
+    /// sharded worker's publish step.  This frontier must hold `template`
+    /// plus marks (as a worker's scatter set does), so every occupied word
+    /// of the template is occupied here too.
     pub(crate) fn drain_pairs(&mut self, template: &Self, out: &mut Vec<WordPair>) {
-        let wpn = self.wpn;
-        let any = self.any.words.iter_mut().zip(&template.any.words);
-        for (i, (word, &keep)) in any.enumerate() {
-            let nodes = *word;
-            for v in ones_of(std::slice::from_ref(&nodes), i * WORD_BITS) {
-                for j in v * wpn..(v + 1) * wpn {
-                    if self.marks[j] != 0 {
-                        out.push((j, self.marks[j]));
-                        self.marks[j] = template.marks[j];
-                    }
+        let Self { marks, any, lanes } = self;
+        let lanes = *lanes;
+        let WordMerge { words, occupied } = any;
+        occupied.for_each(|i| {
+            let range = i * lanes..(i + 1) * lanes;
+            let kept = &template.marks[range.clone()];
+            for ((j, mark), &keep) in range.clone().zip(&mut marks[range]).zip(kept) {
+                if *mark != 0 {
+                    out.push((j, *mark));
+                    *mark = keep;
                 }
             }
-            *word = keep;
-        }
+            words[i] = template.any.words[i];
+        });
+        occupied.copy_from(&template.any.occupied);
     }
 
-    /// Per-lane active-node counts (`counts[l] = |{v : (v, l) marked}|`),
-    /// accumulated by iterating the any mask — O(active · wpn).
-    pub(crate) fn lane_counts(&self, counts: &mut [u64]) {
-        debug_assert_eq!(counts.len(), self.lanes);
-        counts.fill(0);
-        for v in self.any.ones() {
-            let node_words = &self.marks[v * self.wpn..(v + 1) * self.wpn];
-            for (i, &word) in node_words.iter().enumerate() {
-                let mut rest = word;
-                while rest != 0 {
-                    let lane = i * WORD_BITS + rest.trailing_zeros() as usize;
-                    counts[lane] += 1;
-                    rest &= rest - 1;
-                }
+    /// The number of any-lane-active nodes, with the per-lane active-node
+    /// counts (`lane_counts[l] = |{v : (v, l) marked}|`) written alongside:
+    /// one pass over the occupied node-words, one popcount per mark word.
+    pub(crate) fn counts(&self, lane_counts: &mut [u64]) -> usize {
+        debug_assert_eq!(lane_counts.len(), self.lanes);
+        lane_counts.fill(0);
+        let mut any = 0;
+        self.any.occupied.for_each(|i| {
+            any += self.any.words[i].count_ones() as usize;
+            for (count, word) in lane_counts.iter_mut().zip(self.lane_words(i)) {
+                *count += u64::from(word.count_ones());
             }
-        }
+        });
+        any
     }
 }
 
 /// Splits merged batch mark words (in [`BatchFrontier`]'s layout for
 /// `lanes` lanes) into the node-level any-lane mask, ORed into `nodes`, and
-/// per-lane active-node counts — the sharded batch leader's analogue of
-/// [`BatchFrontier::any`] and [`BatchFrontier::lane_counts`].
+/// per-lane active-node counts — the sharded leader's analogue of
+/// [`BatchFrontier::any`] and [`BatchFrontier::counts`].
 pub(crate) fn split_lanes(
     marks: &WordMerge,
     lanes: usize,
     nodes: &mut WordMerge,
     counts: &mut [u64],
 ) {
-    let wpn = lanes.div_ceil(WORD_BITS);
     counts.fill(0);
-    for (i, word) in marks.pairs() {
-        nodes.insert(i / wpn);
-        for lane in ones_of(std::slice::from_ref(&word), (i % wpn) * WORD_BITS) {
-            counts[lane] += 1;
-        }
+    for (j, word) in marks.pairs() {
+        nodes.or_word(j / lanes, word);
+        counts[j % lanes] += u64::from(word.count_ones());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lma_graph::SplitMix64;
 
     #[test]
     fn mode_defaults_and_labels_round_trip() {
@@ -405,9 +446,6 @@ mod tests {
         for v in [0, 1, 63, 64, 65, 127, 128, 129] {
             set.insert(v);
         }
-        assert_eq!(set.count(), 8);
-        assert!(set.contains(64));
-        assert!(!set.contains(2));
         let got: Vec<usize> = set.ones().collect();
         assert_eq!(got, vec![0, 1, 63, 64, 65, 127, 128, 129]);
         let ranged: Vec<usize> = set.ones_in(63, 128).collect();
@@ -416,39 +454,36 @@ mod tests {
         let mut other = NodeSet::new(130);
         other.insert(5);
         other.copy_from(&set);
-        assert!(!other.contains(5));
-        assert_eq!(other.count(), 8);
+        assert_eq!(other.ones().collect::<Vec<_>>(), got);
         other.clear_all();
-        assert_eq!(other.count(), 0);
+        assert_eq!(other.ones().count(), 0);
     }
 
     #[test]
     fn drained_pairs_merge_back_to_the_union() {
-        // Two "shards" over 200 nodes, each with an eager template.
-        let mut eager = [NodeSet::new(200), NodeSet::new(200)];
-        eager[0].insert(3);
-        eager[1].insert(150);
+        // Two one-lane "shards" over 200 nodes, each with an eager template.
+        let mut eager = [BatchFrontier::new(200, 1), BatchFrontier::new(200, 1)];
+        eager[0].mark(3, 0);
+        eager[1].mark(150, 0);
         let mut local = eager.clone();
         let mut merge = WordMerge::for_nodes(200);
         for _round in 0..2 {
             // Scatter marks, remote ones included, then the hand-off.
             for v in [3, 64, 65, 199] {
-                local[0].insert(v);
+                local[0].mark(v, 0);
             }
-            local[1].insert(65);
+            local[1].mark(65, 0);
             merge.clear();
-            let mut union = NodeSet::new(200);
+            let mut union = WordMerge::for_nodes(200);
             for (s, set) in local.iter_mut().enumerate() {
-                for v in set.ones() {
-                    union.insert(v);
-                }
+                union.or_pairs(&set.any().pairs().collect::<Vec<_>>());
                 let mut pairs = Vec::new();
                 set.drain_pairs(&eager[s], &mut pairs);
                 assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
                 assert!(pairs.iter().all(|&(_, w)| w != 0));
                 assert_eq!(
-                    set.ones().collect::<Vec<_>>(),
-                    eager[s].ones().collect::<Vec<_>>()
+                    set.any().ones().collect::<Vec<_>>(),
+                    eager[s].any().ones().collect::<Vec<_>>()
                 );
                 merge.or_pairs(&pairs);
             }
@@ -463,7 +498,10 @@ mod tests {
             assert_eq!(slice.iter().map(|p| p.0).collect::<Vec<_>>(), vec![0, 1, 2]);
             assert_eq!(
                 pair_ones(&slice, 60, 151).collect::<Vec<_>>(),
-                union.ones_in(60, 151).collect::<Vec<_>>()
+                union
+                    .ones()
+                    .filter(|v| (60..151).contains(v))
+                    .collect::<Vec<_>>()
             );
         }
         merge.clear();
@@ -471,38 +509,87 @@ mod tests {
         assert_eq!(merge.pairs().count(), 0);
     }
 
-    #[test]
-    fn batch_frontier_marks_lanes_and_counts() {
-        let mut f = BatchFrontier::new(5, 70);
-        f.mark(0, 0);
-        f.mark(0, 69);
-        f.mark(3, 69);
-        f.mark(4, 1);
-        assert_eq!(f.any().ones().collect::<Vec<_>>(), vec![0, 3, 4]);
-        let mut counts = vec![0; 70];
-        f.lane_counts(&mut counts);
-        assert_eq!(counts[0], 1);
-        assert_eq!(counts[1], 1);
-        assert_eq!(counts[69], 2);
-        assert_eq!(counts.iter().sum::<u64>(), 4);
+    /// The reference model of a batch frontier: `model[v][l]`.
+    type Model = Vec<Vec<bool>>;
 
-        // The sharded hand-off: drain to pairs, merge, split back per lane.
-        let eager = BatchFrontier::new(5, 70);
-        let mut pairs = Vec::new();
-        let mut drained = f.clone();
-        drained.drain_pairs(&eager, &mut pairs);
-        assert_eq!(drained.any().count(), 0);
-        assert_eq!(pairs.len(), 4, "node 0 marks both of its words");
-        let mut marks = WordMerge::for_marks(5, 70);
-        marks.or_pairs(&pairs);
-        let mut nodes = WordMerge::for_nodes(5);
-        let mut split = vec![0; 70];
-        split_lanes(&marks, 70, &mut nodes, &mut split);
-        assert_eq!(split, counts);
-        let node_pairs: Vec<WordPair> = nodes.pairs().collect();
+    fn model_nodes(model: &Model) -> Vec<usize> {
+        (0..model.len())
+            .filter(|&v| model[v].contains(&true))
+            .collect()
+    }
+
+    fn model_counts(model: &Model, lanes: usize) -> Vec<u64> {
+        (0..lanes)
+            .map(|l| model.iter().filter(|lanes| lanes[l]).count() as u64)
+            .collect()
+    }
+
+    /// Marks a random sprinkle of `(node, lane)` pairs into both.
+    fn sprinkle(rng: &mut SplitMix64, f: &mut BatchFrontier, model: &mut Model, marks: usize) {
+        let (n, lanes) = (model.len(), model[0].len());
+        for _ in 0..marks {
+            let (v, l) = (rng.next_index(n), rng.next_index(lanes));
+            f.mark(v, l);
+            model[v][l] = true;
+        }
+    }
+
+    fn assert_matches(f: &BatchFrontier, model: &Model, what: &str) {
+        let lanes = model[0].len();
+        let nodes = model_nodes(model);
         assert_eq!(
-            pair_ones(&node_pairs, 0, 5).collect::<Vec<_>>(),
-            vec![0, 3, 4]
+            f.any().ones().collect::<Vec<_>>(),
+            nodes,
+            "{what}: iteration"
         );
+        let mut counts = vec![0; lanes];
+        assert_eq!(f.counts(&mut counts), nodes.len(), "{what}: active count");
+        assert_eq!(f.any().count(), nodes.len(), "{what}: any-mask count");
+        assert_eq!(counts, model_counts(model, lanes), "{what}: lane counts");
+        let mut visited = Vec::new();
+        f.any().for_each_one(|v| visited.push(v));
+        assert_eq!(visited, nodes, "{what}: gather order");
+    }
+
+    #[test]
+    fn batch_frontier_matches_a_bool_model() {
+        let mut rng = SplitMix64::new(0x5EED_F00D);
+        for lanes in [1usize, 2, 63, 64, 65, 130] {
+            for n in [1usize, 64, 200, 4100] {
+                let what = format!("n={n} W={lanes}");
+                // A sparse eager template and a frontier seeded from it.
+                let mut eager_model: Model = vec![vec![false; lanes]; n];
+                let mut eager = BatchFrontier::new(n, lanes);
+                sprinkle(&mut rng, &mut eager, &mut eager_model, 3);
+                assert_matches(&eager, &eager_model, &what);
+
+                let mut f = BatchFrontier::new(n, lanes);
+                let mut model: Model = vec![vec![false; lanes]; n];
+                for round in 0..3 {
+                    // Reset to the template, then a round of scatter marks.
+                    f.reset_to(&eager);
+                    model.clone_from(&eager_model);
+                    assert_matches(&f, &model, &format!("{what} reset {round}"));
+                    let marks = 1 + rng.next_index(2 * n);
+                    sprinkle(&mut rng, &mut f, &mut model, marks);
+                    assert_matches(&f, &model, &format!("{what} round {round}"));
+
+                    // The sharded hand-off: drain to pairs, merge, split.
+                    let mut drained = f.clone();
+                    let mut pairs = Vec::new();
+                    drained.drain_pairs(&eager, &mut pairs);
+                    assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
+                    assert!(pairs.iter().all(|&(_, w)| w != 0));
+                    assert_matches(&drained, &eager_model, &format!("{what} drained"));
+                    let mut merged = WordMerge::for_marks(n, lanes);
+                    merged.or_pairs(&pairs);
+                    let mut nodes = WordMerge::for_nodes(n);
+                    let mut counts = vec![0; lanes];
+                    split_lanes(&merged, lanes, &mut nodes, &mut counts);
+                    assert_eq!(nodes.ones().collect::<Vec<_>>(), model_nodes(&model));
+                    assert_eq!(counts, model_counts(&model, lanes), "{what} split");
+                }
+            }
+        }
     }
 }

@@ -143,6 +143,19 @@ impl LaneWords {
         })
     }
 
+    /// Calls `f` on every set lane in ascending order — [`LaneWords::ones`]
+    /// as plain loops, which the engines' per-node lane loop inlines whole.
+    #[inline]
+    pub fn for_each(&self, mut f: impl FnMut(usize)) {
+        for (wi, &word) in self.words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                f(wi * WORD_BITS + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+            }
+        }
+    }
+
     /// `self |= other`: one OR per word for all lanes at once.  Both sets
     /// must have the same lane count.
     pub fn or_assign(&mut self, other: &LaneWords) {

@@ -21,13 +21,26 @@
 //! enforced by construction, not by convention.
 //!
 //! Message routing runs on a **pull-based, double-buffered flat message
-//! plane** over the graph's CSR slot space (see [`plane`] and [`runtime`]):
-//! all buffers are preallocated, delivery moves messages instead of cloning
-//! them, and the steady-state round loop allocates nothing.  The plane pair
-//! is checked out of a per-thread [`pool`], so repeated runs on the same
-//! graph reuse one allocation.  The original push-based executor survives in
+//! plane** over the graph's CSR slot space (see [`plane`]): all buffers are
+//! preallocated, delivery moves messages instead of cloning them, and the
+//! steady-state round loop allocates nothing.  The plane pair is checked
+//! out of a per-thread [`pool`], so repeated runs on the same graph reuse
+//! one allocation.  The original push-based executor survives in
 //! [`crate::reference`] as a differential-testing oracle and benchmark
 //! baseline.
+//!
+//! **One round kernel.**  Every plane run is a lockstep batch
+//! ([`batch`]): `W` program fleets step through one CSR walk per round
+//! with their messages side by side in a lane-striped plane, and
+//! [`Sim::run`] is simply lane 0 of a one-lane batch.  The kernel runs on
+//! the calling thread, or — with [`Sim::threads`] `>= 2` — shard-parallel:
+//! the slot space is split into contiguous shards (see
+//! `lma_graph::Partition`), each shard's gather → step → scatter runs on
+//! its own scoped thread, cross-shard traffic moves through
+//! backend-specific exchange buffers, and a round ends with one arrival per
+//! shard at a spin-then-park barrier whose last arriver merges the shard
+//! reports in shard order.  [`Engine`] picks between these and the push
+//! oracle; all of them produce bit-identical results.
 //!
 //! The plane is generic over its **slot-storage backend**
 //! ([`plane::PlaneStore`], selected by [`plane::Backing`] on [`RunConfig`]):
@@ -45,26 +58,8 @@
 //!   broadcast fast path by overriding
 //!   [`NodeAlgorithm::init_into`] / [`NodeAlgorithm::round_into`] and
 //!   sending with [`algorithm::MsgSink::send_ref`].
-//! * **hybrid** (`Backing::Hybrid`) — fixed 16-byte tagged cells: a
-//!   `Wire`-encoded message of at most 15 bytes lives inline in the cell
-//!   (no arena touch), anything larger spills to the per-round bump
-//!   arena.  Pick it when small and large messages mix — the paper's
-//!   `O(log n)`-bit CONGEST traffic stays in the cells while `Vec`-carrying
-//!   floods keep the arena's zero-allocation steady state.
 //!
-//! All backings produce bit-identical outputs, stats, traces and errors.
-//!
-//! Execution engines are pluggable behind the [`executor::Executor`] trait:
-//! the sequential plane loop, the push-based reference, and a deterministic
-//! **sharded parallel executor** ([`sharded`]) that partitions the slot
-//! space into contiguous shards (see `lma_graph::Partition`) and runs each
-//! shard's gather → step → scatter on its own scoped thread.  Cross-shard
-//! traffic moves through backend-specific exchange buffers (owned values
-//! inline, copied byte spans on the arena).  A round ends with one arrival
-//! per shard at a spin-then-park barrier whose last arriver merges the
-//! shard reports in shard order before it releases the others; sparse
-//! frontiers travel as their non-zero `(word index, word)` pairs only.  All
-//! engines produce bit-identical results.
+//! Both backings produce bit-identical outputs, stats, traces and errors.
 //!
 //! Every run is wired through the [`driver`] module: the zero-cost
 //! [`Sim`] builder (graph + model + round limit + trace +
@@ -86,7 +81,6 @@ pub(crate) mod batch_sharded;
 pub mod bitset;
 pub mod digest;
 pub mod driver;
-pub mod executor;
 pub mod frontier;
 pub mod lanes;
 pub mod message;
@@ -95,28 +89,24 @@ pub mod plane;
 pub mod pool;
 pub mod reference;
 pub mod runtime;
-pub mod sharded;
 pub mod stats;
 pub mod trace;
 pub mod wire;
 
-pub use algorithm::{collect_outbox, LocalView, MsgSink, NodeAlgorithm, Outbox};
+pub use algorithm::{collect_outbox, local_views, LocalView, MsgSink, NodeAlgorithm, Outbox};
 pub use batch::{BatchShapeError, BatchSim, LaneResults};
-pub use batch_plane::{BatchArenaPlane, BatchHybridPlane, BatchInlinePlane, BatchPlaneStore};
+pub use batch_plane::{BatchArenaPlane, BatchInlinePlane, BatchPlaneStore};
 pub use bitset::FixedBitSet;
 pub use digest::{Digest, DigestWriter, FrontierProfile, RunSummary};
 pub use driver::{
     run_workload, run_workload_batch, run_workload_batch_prepared, run_workload_prepared,
     DynWorkload, Engine, FleetWorkload, PreparedOracle, Sim, Workload, WorkloadError,
 };
-pub use executor::{Executor, ReferenceExecutor, SequentialExecutor, ShardedExecutor};
 pub use frontier::FrontierMode;
 pub use lanes::{BitFleet, LaneWords};
 pub use message::BitSized;
 pub use model::Model;
-pub use plane::{
-    ArenaPlane, Backing, HybridPlane, MessagePlane, PlaneStore, SlotOccupied, UnknownBacking,
-};
-pub use runtime::{RunConfig, RunError, RunResult, Runtime};
+pub use plane::{ArenaPlane, Backing, MessagePlane, PlaneStore, SlotOccupied, UnknownBacking};
+pub use runtime::{RunConfig, RunError, RunResult};
 pub use stats::RunStats;
 pub use wire::{Wire, WireReader};

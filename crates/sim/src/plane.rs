@@ -9,8 +9,8 @@
 //! allocation, and the occupancy [`FixedBitSet`] replaces the seed's
 //! per-node `HashSet` port-dedup.
 //!
-//! Three interchangeable backends implement [`PlaneStore`] (selected by
-//! [`Backing`] on `RunConfig`; every executor works with any of them):
+//! Two interchangeable backends implement [`PlaneStore`] (selected by
+//! [`Backing`] on `RunConfig`; both plane engines work with either):
 //!
 //! * [`MessagePlane`] — **inline** `Option<M>` slots.  Delivery moves the
 //!   message value; nothing is encoded.  The right default for fixed-size
@@ -21,33 +21,28 @@
 //!   message values, so variable-size payloads (`Vec`-carrying gossip
 //!   messages) stop heap-allocating per message: the arena is *reset* (not
 //!   freed) every round and grows to the high-water mark once.
-//! * [`HybridPlane`] — **tagged 16-byte cells**, the sled-`IVec` idea
-//!   adapted to the plane's bump-arena discipline.  Every slot is a fixed
-//!   16-byte cell whose first byte is a tag: an encoded message of **at
-//!   most 15 bytes** is stored *inline in the cell* (tag = length, payload
-//!   in the remaining 15 bytes — no arena touch, no pointer chase on
-//!   gather), while a larger one spills to an `(offset, len)` span into the
-//!   same per-round bump arena the [`ArenaPlane`] uses.  The 15-byte
-//!   threshold is what a 16-byte cell affords after its one tag byte, and
-//!   it is exactly the regime the paper lives in: constant-size advice and
-//!   `O(log n)`-bit CONGEST messages (GHS fragments, flood ids, advice
-//!   bits) encode to a handful of LEB128 bytes, so the hot path never
-//!   leaves the cell array, while unbounded LOCAL payloads (`Knowledge`
-//!   fact vectors) keep the arena's zero-allocation steady state.
 //!
-//! Planes are also reused *across* runs: the sequential executor checks its
-//! plane pair out of a per-thread pool (see [`crate::pool`]), and the sharded
-//! executor sizes one plane per shard over the shard's contiguous slot range
-//! and ships cross-shard traffic through the backend's [`PlaneStore::Boundary`]
-//! exchange buffers (owned values for the inline backend, copied byte spans
-//! for the arena backend, whole 16-byte cells — plus any spilled bytes — for
-//! the hybrid backend, so small cross-shard messages move as one memcpy).
+//! The engines address a backend through the lane-striped
+//! [`crate::BatchPlaneStore`] (one lane for an ordinary run).  Planes are
+//! also reused *across* runs: the one-thread engine checks its plane pair
+//! out of a per-thread pool (see [`crate::pool`]), and the shard-parallel
+//! engine sizes one plane per shard over the shard's contiguous slot range
+//! and ships cross-shard traffic through the backend's
+//! [`PlaneStore::Boundary`] exchange buffers (owned values for the inline
+//! backend, copied byte spans for the arena backend).
+//!
+//! A third backing, 16-byte tagged cells that spilled to the arena above
+//! 15 encoded bytes, was retired because it won no measured cell: inline
+//! beat it on every committed `bench_substrate` cell (gossip ring/4096:
+//! 34.0 vs 51.6 ms; fleet batch8 ring/512: 1.25 vs 2.42 ms, 1-core host),
+//! and on a 2-core host arena beat it on sharded gossip (gnp/2048, two
+//! threads: 37.3 vs 40.9 ms).
 
 use crate::bitset::FixedBitSet;
 use crate::wire::{Wire, WireReader};
 use std::marker::PhantomData;
 
-/// Which slot-storage backend the executors route messages through.
+/// Which slot-storage backend the plane engines route messages through.
 ///
 /// All backings produce **bit-identical** outputs, stats, traces and errors
 /// for the same `(graph, config, programs)` — pinned by the
@@ -60,10 +55,6 @@ use std::marker::PhantomData;
 /// * [`Backing::Arena`]: slots are byte spans in a per-round bump arena via
 ///   the [`Wire`] codec.  Best when `M` owns heap memory (`Vec`-carrying
 ///   gossip messages): per-message allocations disappear in steady state.
-/// * [`Backing::Hybrid`]: fixed 16-byte tagged cells — encodings of at most
-///   15 bytes live inline in the cell, larger ones spill to the bump arena.
-///   Best when small and large messages mix, or when a codec-routed backend
-///   is wanted without paying arena span chasing for small payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backing {
     /// Inline `Option<M>` slot storage ([`MessagePlane`]).
@@ -71,9 +62,6 @@ pub enum Backing {
     Inline,
     /// Byte-arena slot storage ([`ArenaPlane`]).
     Arena,
-    /// Tagged 16-byte cells, inline up to 15 encoded bytes, arena spill
-    /// beyond ([`HybridPlane`]).
-    Hybrid,
 }
 
 impl Backing {
@@ -81,16 +69,15 @@ impl Backing {
     /// enumerates backends (scenario matrices, test sweeps, bench groups,
     /// CLI filters) must iterate this constant instead of a hand-written
     /// list, so a new backend can never be silently omitted.
-    pub const ALL: [Backing; 3] = [Backing::Inline, Backing::Arena, Backing::Hybrid];
+    pub const ALL: [Backing; 2] = [Backing::Inline, Backing::Arena];
 
-    /// The stable lower-case label (`"inline"`, `"arena"`, `"hybrid"`) used
-    /// in scenario cell ids, CLI filters and bench ids.
+    /// The stable lower-case label (`"inline"`, `"arena"`) used in scenario
+    /// cell ids, CLI filters and bench ids.
     #[must_use]
     pub const fn as_str(self) -> &'static str {
         match self {
             Backing::Inline => "inline",
             Backing::Arena => "arena",
-            Backing::Hybrid => "hybrid",
         }
     }
 }
@@ -156,7 +143,7 @@ impl std::fmt::Display for SlotOccupied {
 impl std::error::Error for SlotOccupied {}
 
 /// A slot-storage backend for the message plane: the storage contract every
-/// executor (sequential, sharded) is generic over.
+/// plane engine (one-thread, shard-parallel) is generic over.
 ///
 /// The `spare` parameter threaded through [`PlaneStore::store`] and
 /// [`PlaneStore::fetch`] is the executor's recycling pool of message
@@ -165,7 +152,7 @@ impl std::error::Error for SlotOccupied {}
 /// steady-state rounds allocate nothing; the inline backend ignores it
 /// (messages move through the slots themselves).
 pub trait PlaneStore<M>: Send + Sized + 'static {
-    /// Dense per-shard-pair exchange buffer used by the sharded executor to
+    /// Dense per-shard-pair exchange buffer used by the shard-parallel engine to
     /// carry this backend's boundary traffic (owned values inline, copied
     /// byte spans for the arena).
     type Boundary: Send + Default;
@@ -220,7 +207,7 @@ pub trait PlaneStore<M>: Send + Sized + 'static {
 
     /// Drains this plane's boundary slots (`slots`, global indices; the
     /// plane's slot 0 is global `slot_base`) into `out`, position by
-    /// position — the producer half of the sharded executor's cross-shard
+    /// position — the producer half of the shard-parallel engine's cross-shard
     /// hand-off.  Every position is overwritten (empty slots clear it).
     fn export_boundary(&mut self, slots: &[usize], slot_base: usize, out: &mut Self::Boundary);
 
@@ -295,11 +282,12 @@ impl<M> MessagePlane<M> {
 
     /// Empties every slot and the occupancy set without resizing — the
     /// explicit "drop whatever is in flight" operation (aborted runs, reuse
-    /// on the same graph).
+    /// on the same graph).  Only slots written since the last
+    /// [`MessagePlane::clear_occupancy`] can hold a message (that reset's
+    /// precondition is a drained plane), so only those are visited.
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
-        }
+        let slots = &mut self.slots;
+        self.occupied.for_each(|slot| slots[slot] = None);
         self.occupied.clear();
     }
 
@@ -577,247 +565,6 @@ pub struct ArenaBoundary {
     bytes: Vec<u8>,
 }
 
-/// One hybrid slot: 16 bytes, byte 0 is the tag.
-///
-/// * tag `0..=15` — the encoded message is stored inline: `tag` payload
-///   bytes at `cell[1..=tag]`.
-/// * tag [`SPILL`] — the message spilled to the bump arena: `cell[1..5]` is
-///   the little-endian `u32` offset, `cell[5..9]` the little-endian `u32`
-///   length.
-type HybridCell = [u8; 16];
-
-/// Maximum encoded length stored inline in a [`HybridCell`]: the 16-byte
-/// cell minus its one tag byte.
-const INLINE_CAP: usize = 15;
-
-/// The tag marking a spilled cell (any value above [`INLINE_CAP`] works;
-/// `0xff` makes spilled cells obvious in a debugger).
-const SPILL: u8 = 0xff;
-
-fn write_spill(cell: &mut HybridCell, start: usize, end: usize) {
-    let (offset, len) = make_span(start, end);
-    cell[0] = SPILL;
-    cell[1..5].copy_from_slice(&offset.to_le_bytes());
-    cell[5..9].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Decodes the message held by `cell` (inline payload or a span into
-/// `bytes`), reviving a spare value where possible.
-fn decode_cell<M: Wire>(cell: &HybridCell, bytes: &[u8], spare: &mut Vec<M>) -> M {
-    let tag = cell[0];
-    let span = if tag == SPILL {
-        let offset = u32::from_le_bytes(cell[1..5].try_into().expect("4 bytes")) as usize;
-        let len = u32::from_le_bytes(cell[5..9].try_into().expect("4 bytes")) as usize;
-        &bytes[offset..offset + len]
-    } else {
-        &cell[1..1 + tag as usize]
-    };
-    decode_span(span, spare)
-}
-
-/// The hybrid slot backend: every slot is a fixed 16-byte tagged cell
-/// (`HybridCell`).  Messages whose [`Wire`] encoding fits in 15 bytes are
-/// stored inline in the cell — no arena touch on store, no pointer chase on
-/// fetch, and boundary export is one 16-byte copy.  Larger encodings spill
-/// to the same per-round bump arena discipline as [`ArenaPlane`] (reset,
-/// never freed).
-///
-/// The threshold is not tunable by design: 15 bytes is what a 16-byte cell
-/// affords after its tag byte, two cells fill one 32-byte half cache line,
-/// and every `O(log n)`-bit CONGEST message in this workspace (GHS
-/// fragments, flood ids, advice bits — the paper's entire regime) encodes
-/// to well under 15 LEB128 bytes, while `Vec`-carrying LOCAL payloads
-/// spill and keep the arena's zero-allocation steady state.
-#[derive(Debug)]
-pub struct HybridPlane<M> {
-    cells: Vec<HybridCell>,
-    /// Duplicate-port detection since the last round reset.
-    occupied: FixedBitSet,
-    /// Slots currently holding an undelivered message.
-    filled: FixedBitSet,
-    /// The spill arena: encodings longer than 15 bytes, bump-allocated and
-    /// reset (not freed) each round.
-    bytes: Vec<u8>,
-    _msg: PhantomData<fn(M) -> M>,
-}
-
-impl<M> HybridPlane<M> {
-    /// A plane with `len` empty cells over an empty spill arena.
-    #[must_use]
-    pub fn new(len: usize) -> Self {
-        Self {
-            cells: vec![[0; 16]; len],
-            occupied: FixedBitSet::new(len),
-            filled: FixedBitSet::new(len),
-            bytes: Vec::new(),
-            _msg: PhantomData,
-        }
-    }
-
-    /// Number of slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when the plane has no slots at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Bytes currently sitting in the spill arena (encoded, undelivered
-    /// *spilled* traffic of the round being scattered; inline messages
-    /// never appear here) — exposed for benches and tests.
-    #[must_use]
-    pub fn spill_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Empties every slot, the occupancy tracking and the spill arena
-    /// without freeing any buffer.
-    pub fn clear(&mut self) {
-        self.occupied.clear();
-        self.filled.clear();
-        self.bytes.clear();
-    }
-}
-
-impl<M: Wire + Send + 'static> PlaneStore<M> for HybridPlane<M> {
-    type Boundary = HybridBoundary;
-
-    const RECYCLES: bool = true;
-
-    fn with_len(len: usize) -> Self {
-        Self::new(len)
-    }
-
-    fn slot_count(&self) -> usize {
-        self.len()
-    }
-
-    fn store(&mut self, slot: usize, msg: M, spare: &mut Vec<M>) -> Result<(), SlotOccupied> {
-        let stored = self.store_ref(slot, &msg);
-        // Whether stored or rejected as a duplicate, the value itself is
-        // spent: recycle its allocations for a future decode.  Capped at
-        // one plane's worth, like the arena backend, so by-value senders
-        // cannot grow the pool without bound.
-        if spare.len() < self.cells.len() {
-            spare.push(msg);
-        }
-        stored
-    }
-
-    fn store_ref(&mut self, slot: usize, msg: &M) -> Result<(), SlotOccupied> {
-        if !self.occupied.insert(slot) {
-            return Err(SlotOccupied {
-                slot,
-                len: self.cells.len(),
-            });
-        }
-        // Encode onto the arena tail unconditionally — the length is only
-        // known afterwards — then claw the bytes back into the cell when
-        // they fit: the truncate un-bumps the arena, so inline traffic
-        // leaves it untouched.
-        let start = self.bytes.len();
-        msg.encode(&mut self.bytes);
-        let n = self.bytes.len() - start;
-        let cell = &mut self.cells[slot];
-        if n <= INLINE_CAP {
-            cell[0] = n as u8;
-            cell[1..1 + n].copy_from_slice(&self.bytes[start..]);
-            self.bytes.truncate(start);
-        } else {
-            write_spill(cell, start, self.bytes.len());
-        }
-        self.filled.insert(slot);
-        Ok(())
-    }
-
-    fn fetch(&mut self, slot: usize, spare: &mut Vec<M>) -> Option<M> {
-        if !self.filled.remove(slot) {
-            return None;
-        }
-        Some(decode_cell(&self.cells[slot], &self.bytes, spare))
-    }
-
-    fn reset_round(&mut self) {
-        debug_assert_eq!(
-            self.filled.count(),
-            0,
-            "hybrid reset with undelivered messages"
-        );
-        self.occupied.clear();
-        self.bytes.clear();
-    }
-
-    fn prepare(&mut self, len: usize) {
-        if self.cells.len() != len {
-            self.cells.clear();
-            self.cells.resize(len, [0; 16]);
-            self.occupied = FixedBitSet::new(len);
-            self.filled = FixedBitSet::new(len);
-            self.bytes.clear();
-        } else {
-            self.clear();
-        }
-    }
-
-    fn new_boundary(len: usize) -> Self::Boundary {
-        HybridBoundary {
-            cells: vec![[0; 16]; len],
-            filled: FixedBitSet::new(len),
-            bytes: Vec::new(),
-        }
-    }
-
-    fn export_boundary(&mut self, slots: &[usize], slot_base: usize, out: &mut Self::Boundary) {
-        // Same parity contract as the other backends: `out` is always the
-        // properly sized buffer built by `new_boundary`.
-        debug_assert_eq!(out.cells.len(), slots.len());
-        out.bytes.clear();
-        for (pos, &slot) in slots.iter().enumerate() {
-            let local = slot - slot_base;
-            if self.filled.remove(local) {
-                // Inline cells cross the boundary as one 16-byte copy;
-                // spilled cells additionally carry their bytes, re-based
-                // onto the buffer's own arena.
-                let mut cell = self.cells[local];
-                if cell[0] == SPILL {
-                    let offset = u32::from_le_bytes(cell[1..5].try_into().expect("4 bytes"));
-                    let len = u32::from_le_bytes(cell[5..9].try_into().expect("4 bytes"));
-                    let start = out.bytes.len();
-                    out.bytes
-                        .extend_from_slice(&self.bytes[offset as usize..(offset + len) as usize]);
-                    write_spill(&mut cell, start, out.bytes.len());
-                }
-                out.cells[pos] = cell;
-                out.filled.insert(pos);
-            } else {
-                out.filled.remove(pos);
-            }
-        }
-    }
-
-    fn fetch_boundary(buf: &mut Self::Boundary, pos: usize, spare: &mut Vec<M>) -> Option<M> {
-        if !buf.filled.remove(pos) {
-            return None;
-        }
-        Some(decode_cell(&buf.cells[pos], &buf.bytes, spare))
-    }
-}
-
-/// The hybrid backend's cross-shard exchange buffer: the boundary slots'
-/// 16-byte cells copied verbatim, plus the spilled bytes of any
-/// over-threshold messages (re-based onto this buffer's own byte arena).
-/// Like the plane's own arena, its byte buffer is reset, never freed.
-#[derive(Debug, Default)]
-pub struct HybridBoundary {
-    cells: Vec<HybridCell>,
-    filled: FixedBitSet,
-    bytes: Vec<u8>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -998,98 +745,6 @@ mod tests {
         );
     }
 
-    /// A `Vec<u8>` of `n` items encodes to `1 + n` bytes (one length varint
-    /// below 128 plus the raw bytes), so payload sizes pick the encoded
-    /// length exactly — the handle the threshold tests steer with.
-    fn bytes_msg(encoded_len: usize) -> Vec<u8> {
-        vec![0xAB; encoded_len - 1]
-    }
-
-    #[test]
-    fn hybrid_inline_and_spill_round_trip_across_the_threshold() {
-        let mut p: HybridPlane<Vec<u8>> = HybridPlane::new(8);
-        assert_eq!(p.len(), 8);
-        assert!(!p.is_empty());
-        let mut spare: Vec<Vec<u8>> = Vec::new();
-        // 15 encoded bytes: the last inline size.  16: the first spill.
-        let inline_msg = bytes_msg(15);
-        let spill_msg = bytes_msg(16);
-        assert!(p.store_ref(0, &inline_msg).is_ok());
-        assert_eq!(p.spill_bytes(), 0, "inline stores must not touch the arena");
-        assert!(p.store(1, spill_msg.clone(), &mut spare).is_ok());
-        assert_eq!(p.spill_bytes(), 16, "over-threshold stores must spill");
-        assert_eq!(
-            PlaneStore::store(&mut p, 1, bytes_msg(3), &mut spare),
-            Err(SlotOccupied { slot: 1, len: 8 }),
-            "duplicate slot must be rejected"
-        );
-        assert_eq!(p.fetch(0, &mut spare), Some(inline_msg));
-        assert_eq!(p.fetch(0, &mut spare), None, "delivered once");
-        assert_eq!(p.fetch(1, &mut spare), Some(spill_msg), "first write wins");
-        p.reset_round();
-        assert_eq!(p.spill_bytes(), 0, "reset_round must empty the arena");
-    }
-
-    #[test]
-    fn hybrid_prepare_drops_stale_state_and_resizes() {
-        let mut p: HybridPlane<u64> = HybridPlane::new(3);
-        let mut spare = Vec::new();
-        assert!(p.store(1, 7, &mut spare).is_ok());
-        PlaneStore::<u64>::prepare(&mut p, 3);
-        assert_eq!(p.fetch(1, &mut spare), None, "prepare must drop messages");
-        assert!(p.store(1, 8, &mut spare).is_ok(), "occupancy must reset");
-        PlaneStore::<u64>::prepare(&mut p, 6);
-        assert_eq!(p.len(), 6);
-        assert!(p.store(5, 1, &mut spare).is_ok());
-        PlaneStore::<u64>::prepare(&mut p, 2);
-        assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn hybrid_boundary_ships_cells_and_rebases_spills() {
-        let mut p: HybridPlane<Vec<u8>> = HybridPlane::new(6);
-        let mut spare: Vec<Vec<u8>> = Vec::new();
-        // Shard view: plane covers global slots 10..16.  One inline, one
-        // spilled message among the boundary slots.
-        let inline_msg = bytes_msg(4);
-        let spill_msg = bytes_msg(30);
-        assert!(p.store_ref(2, &inline_msg).is_ok());
-        assert!(p.store_ref(4, &spill_msg).is_ok());
-        let boundary_slots = [12usize, 13, 14];
-        let mut buf = <HybridPlane<Vec<u8>> as PlaneStore<Vec<u8>>>::new_boundary(3);
-        p.export_boundary(&boundary_slots, 10, &mut buf);
-        assert_eq!(p.fetch(2, &mut spare), None, "exported slots are drained");
-        assert_eq!(
-            HybridPlane::<Vec<u8>>::fetch_boundary(&mut buf, 0, &mut spare),
-            Some(inline_msg)
-        );
-        assert_eq!(
-            HybridPlane::<Vec<u8>>::fetch_boundary(&mut buf, 0, &mut spare),
-            None,
-            "a position is consumed only once"
-        );
-        assert_eq!(
-            HybridPlane::<Vec<u8>>::fetch_boundary(&mut buf, 1, &mut spare),
-            None
-        );
-        assert_eq!(
-            HybridPlane::<Vec<u8>>::fetch_boundary(&mut buf, 2, &mut spare),
-            Some(spill_msg)
-        );
-        // A re-export overwrites every position.
-        p.reset_round();
-        assert!(p.store_ref(3, &bytes_msg(8)).is_ok());
-        p.export_boundary(&boundary_slots, 10, &mut buf);
-        assert_eq!(
-            HybridPlane::<Vec<u8>>::fetch_boundary(&mut buf, 0, &mut spare),
-            None
-        );
-        assert_eq!(
-            HybridPlane::<Vec<u8>>::fetch_boundary(&mut buf, 1, &mut spare),
-            Some(bytes_msg(8))
-        );
-    }
-
     #[test]
     fn backing_labels_round_trip_and_cover_all() {
         for backing in Backing::ALL {
@@ -1098,6 +753,8 @@ mod tests {
         }
         let err = "mmap".parse::<Backing>().unwrap_err();
         assert!(err.to_string().contains("mmap"));
-        assert!(err.to_string().contains("hybrid"));
+        assert!(err.to_string().contains("arena"));
+        // The retired tagged-cell backing is refused like any other name.
+        assert!("hybrid".parse::<Backing>().is_err());
     }
 }

@@ -1,17 +1,18 @@
 //! Per-thread reuse of run buffers across runs.
 //!
 //! Experiment sweeps execute many runs on the same graph (seed sweeps, fault
-//! trials, scheme comparisons).  Each run needs two message planes of `2m`
-//! slots plus a gather buffer — and, on the arena backing, the byte arenas
-//! and the spare-message recycling pool, both of which take a few rounds to
-//! grow to their high-water mark.  Allocating and freeing all of that per
-//! run is pure overhead.  This module keeps one `PlaneSet` per
-//! `(message type, plane backing)` pair in a thread-local pool:
-//! [`Runtime::run`](crate::Runtime::run) checks the set out at the start of
-//! a sequential run (resizing and clearing it — an aborted run may have left
-//! messages behind) and returns it at the end, so back-to-back runs on the
-//! same graph perform **zero** plane (and, for the arena, zero codec-side)
-//! allocations after the first.
+//! trials, scheme comparisons).  Each run needs two lane-striped message
+//! planes of `2m × W` slots plus a gather buffer — and, on the arena
+//! backing, the byte arenas and the spare-message recycling pool, both of
+//! which take a few rounds to grow to their high-water mark.  Allocating and
+//! freeing all of that per run is pure overhead.  This module keeps one
+//! `BatchSet` per `(message type, plane backing)` pair in a thread-local
+//! pool: the one-thread engine (every [`Sim::run`](crate::Sim::run) and
+//! [`BatchSim::run`](crate::BatchSim::run) that does not shard) checks the
+//! set out at the start of a run (reshaping and clearing it — an aborted run
+//! may have left messages behind) and returns it at the end, so
+//! back-to-back runs on the same graph perform **zero** plane (and, for the
+//! arena, zero codec-side) allocations after the first.
 //!
 //! The pool is deliberately invisible in the API: it changes no observable
 //! semantics, only the allocation profile.  [`stats`] exposes hit/miss
@@ -23,44 +24,6 @@ use lma_graph::Port;
 use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap; // lint: allow(hash-iteration) — TypeId-keyed checkout map, never iterated
-
-/// The reusable per-run buffers of the sequential executor: the two
-/// double-buffered planes, the flat gather buffer, and the spare-message
-/// pool serializing backends recycle through.
-pub(crate) struct PlaneSet<M, S> {
-    /// Gather source (delivery) plane.
-    pub cur: S,
-    /// Scatter target plane for the next round.
-    pub next: S,
-    /// The per-node gather buffer handed to `NodeAlgorithm::round`.
-    pub inbox: Vec<(Port, M)>,
-    /// Spent message values awaiting revival by `Wire::decode_into` (unused
-    /// — always empty — on non-recycling backends).
-    pub spare: Vec<M>,
-}
-
-impl<M, S: PlaneStore<M>> PlaneSet<M, S> {
-    fn new(len: usize) -> Self {
-        Self {
-            cur: S::with_len(len),
-            next: S::with_len(len),
-            inbox: Vec::new(),
-            spare: Vec::new(),
-        }
-    }
-
-    fn prepare(&mut self, len: usize) {
-        self.cur.prepare(len);
-        self.next.prepare(len);
-        if S::RECYCLES {
-            // Stale gathered messages are still good capacity donors.
-            self.spare.extend(self.inbox.drain(..).map(|(_, m)| m));
-        } else {
-            self.inbox.clear();
-            self.spare.clear();
-        }
-    }
-}
 
 /// Cumulative pool counters for the current thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -77,45 +40,16 @@ thread_local! {
     static STATS: Cell<PoolStats> = const { Cell::new(PoolStats { hits: 0, misses: 0 }) };
 }
 
-/// Checks a plane set for message type `M` on backend `S` out of this
-/// thread's pool, resized and cleared for `len` slots.
-pub(crate) fn checkout<M: 'static, S: PlaneStore<M>>(len: usize) -> PlaneSet<M, S> {
-    let reused = POOL.with(|pool| pool.borrow_mut().remove(&TypeId::of::<PlaneSet<M, S>>()));
-    let mut stats = STATS.get();
-    match reused.and_then(|boxed| boxed.downcast::<PlaneSet<M, S>>().ok()) {
-        Some(mut set) => {
-            stats.hits += 1;
-            STATS.set(stats);
-            set.prepare(len);
-            *set
-        }
-        None => {
-            stats.misses += 1;
-            STATS.set(stats);
-            PlaneSet::new(len)
-        }
-    }
-}
-
-/// Returns a plane set to this thread's pool for the next run to reuse.
-pub(crate) fn give_back<M: 'static, S: PlaneStore<M>>(set: PlaneSet<M, S>) {
-    POOL.with(|pool| {
-        pool.borrow_mut()
-            .insert(TypeId::of::<PlaneSet<M, S>>(), Box::new(set))
-    });
-}
-
 /// This thread's cumulative pool counters.
 #[must_use]
 pub fn stats() -> PoolStats {
     STATS.get()
 }
 
-/// The batch executor's reusable buffers: the lane-striped plane pair plus
-/// the shared gather buffer and spare pool — one entry per `(message type,
-/// backing)` pair, pooled independently of the single-run sets (the inner
-/// planes are `W×` larger, so swapping them into single-run service would
-/// just thrash the resize path).
+/// The one-thread engine's reusable buffers: the lane-striped plane pair
+/// plus the shared gather buffer and spare pool — one entry per `(message
+/// type, backing)` pair, reshaped to the run's `(slots, lanes)` geometry on
+/// checkout.
 pub(crate) struct BatchSet<M, S: PlaneStore<M>> {
     /// Gather source (delivery) plane.
     pub cur: BatchPlaneStore<M, S>,
@@ -189,11 +123,11 @@ mod tests {
     #[test]
     fn checkout_reuses_previously_returned_sets() {
         let before = stats();
-        let set: PlaneSet<u128, MessagePlane<u128>> = checkout(8);
-        give_back(set);
-        let set: PlaneSet<u128, MessagePlane<u128>> = checkout(16);
-        assert_eq!(set.cur.len(), 16, "checkout must resize the reused set");
-        give_back(set);
+        let set: BatchSet<u128, MessagePlane<u128>> = checkout_batch(8, 1);
+        give_back_batch(set);
+        let set: BatchSet<u128, MessagePlane<u128>> = checkout_batch(16, 1);
+        assert_eq!(set.cur.slots(), 16, "checkout must resize the reused set");
+        give_back_batch(set);
         let after = stats();
         assert!(after.hits > before.hits, "second checkout must be a hit");
         assert!(after.misses > before.misses, "first checkout must miss");
@@ -201,34 +135,34 @@ mod tests {
 
     #[test]
     fn pool_is_keyed_by_message_type() {
-        let a: PlaneSet<u16, MessagePlane<u16>> = checkout(4);
-        give_back(a);
-        let b: PlaneSet<i16, MessagePlane<i16>> = checkout(4);
-        let a2: PlaneSet<u16, MessagePlane<u16>> = checkout(4);
-        assert_eq!(a2.cur.len(), 4);
-        give_back(b);
-        give_back(a2);
+        let a: BatchSet<u16, MessagePlane<u16>> = checkout_batch(4, 1);
+        give_back_batch(a);
+        let b: BatchSet<i16, MessagePlane<i16>> = checkout_batch(4, 1);
+        let a2: BatchSet<u16, MessagePlane<u16>> = checkout_batch(4, 1);
+        assert_eq!(a2.cur.slots(), 4);
+        give_back_batch(b);
+        give_back_batch(a2);
     }
 
     #[test]
     fn pool_is_keyed_by_backing_and_arena_sets_keep_their_spares() {
-        let mut inline: PlaneSet<u64, MessagePlane<u64>> = checkout(4);
+        let mut inline: BatchSet<u64, MessagePlane<u64>> = checkout_batch(4, 1);
         inbox_fill(&mut inline.inbox);
-        give_back(inline);
-        let mut arena: PlaneSet<u64, ArenaPlane<u64>> = checkout(4);
+        give_back_batch(inline);
+        let mut arena: BatchSet<u64, ArenaPlane<u64>> = checkout_batch(4, 1);
         inbox_fill(&mut arena.inbox);
         arena.spare.push(7);
-        give_back(arena);
+        give_back_batch(arena);
 
         // Re-checkout: the inline set drops stale state, the arena set
         // converts stale inbox entries into spares.
-        let inline: PlaneSet<u64, MessagePlane<u64>> = checkout(4);
+        let inline: BatchSet<u64, MessagePlane<u64>> = checkout_batch(4, 1);
         assert!(inline.inbox.is_empty() && inline.spare.is_empty());
-        let arena: PlaneSet<u64, ArenaPlane<u64>> = checkout(4);
+        let arena: BatchSet<u64, ArenaPlane<u64>> = checkout_batch(4, 1);
         assert!(arena.inbox.is_empty());
         assert_eq!(arena.spare.len(), 3, "spare + 2 recycled inbox messages");
-        give_back(inline);
-        give_back(arena);
+        give_back_batch(inline);
+        give_back_batch(arena);
     }
 
     fn inbox_fill(inbox: &mut Vec<(Port, u64)>) {
@@ -238,20 +172,18 @@ mod tests {
 
     #[test]
     fn batch_sets_pool_independently_and_reshape_on_checkout() {
-        let single: PlaneSet<u8, MessagePlane<u8>> = checkout(4);
-        give_back(single);
         let batch: BatchSet<u8, MessagePlane<u8>> = checkout_batch(4, 3);
         assert_eq!(batch.cur.slots(), 4);
         assert_eq!(batch.cur.lanes(), 3);
         give_back_batch(batch);
-        // Reuse must reshape to the new (slots, lanes) geometry.
+        // Reuse must reshape to the new (slots, lanes) geometry, down to
+        // the one-lane shape of an ordinary run.
         let batch: BatchSet<u8, MessagePlane<u8>> = checkout_batch(2, 8);
         assert_eq!(batch.next.slots(), 2);
         assert_eq!(batch.next.lanes(), 8);
         give_back_batch(batch);
-        // The single-run set is still poolable under its own key.
-        let single: PlaneSet<u8, MessagePlane<u8>> = checkout(4);
-        assert_eq!(single.cur.len(), 4);
-        give_back(single);
+        let single: BatchSet<u8, MessagePlane<u8>> = checkout_batch(4, 1);
+        assert_eq!((single.cur.slots(), single.cur.lanes()), (4, 1));
+        give_back_batch(single);
     }
 }

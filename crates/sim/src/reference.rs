@@ -7,8 +7,8 @@
 //! every round.  It exists for two reasons:
 //!
 //! 1. the `runtime_equivalence` integration suite runs it side by side with
-//!    [`crate::Runtime`] and asserts identical outputs, [`crate::RunStats`] and
-//!    traces, and
+//!    the plane engines ([`crate::Sim::run`]) and asserts identical outputs,
+//!    [`crate::RunStats`] and traces, and
 //! 2. `bench_substrate` measures the pull-based message plane against it,
 //!    so the routing speedup stays visible in the bench trajectory.
 //!
@@ -31,8 +31,8 @@ use lma_graph::{Port, WeightedGraph};
 
 /// Runs `programs` with the seed's push-based routing loop.
 ///
-/// Semantics match [`crate::Runtime::run`] exactly; only the mechanics (and
-/// the allocation profile) differ.
+/// Semantics match [`crate::Sim::run`] exactly; only the mechanics (and the
+/// allocation profile) differ.
 ///
 /// # Panics
 /// Panics if `programs.len() != graph.node_count()`.
@@ -46,8 +46,7 @@ pub fn run_push<A: NodeAlgorithm>(
         graph.node_count(),
         "one program per node is required"
     );
-    let runtime = crate::Runtime::with_config(graph, config);
-    let views = runtime.local_views();
+    let views = crate::algorithm::local_views(graph);
     let budget = config.model.budget();
     let mut events: Vec<TraceEvent> = Vec::new();
 
@@ -197,7 +196,8 @@ mod tests {
             (0..8).map(|_| Echo { rounds_left: 5 }).collect::<Vec<_>>(),
         )
         .unwrap();
-        let pull = crate::Runtime::with_config(&g, config)
+        let pull = crate::Sim::on(&g)
+            .trace(true)
             .run((0..8).map(|_| Echo { rounds_left: 5 }).collect::<Vec<_>>())
             .unwrap();
         assert_eq!(push.outputs, pull.outputs);

@@ -1,53 +1,22 @@
-//! The synchronous round executor.
+//! Run configuration, results and errors.
 //!
-//! The executor routes messages over a **pull-based, double-buffered flat
-//! message plane** (see [`crate::plane::MessagePlane`]):
-//!
-//! * every `(node, port)` pair owns one preallocated slot in a flat buffer
-//!   indexed by the graph's CSR slot space — senders scatter into their own
-//!   slots, receivers gather through the CSR *mirror table*, so delivery
-//!   moves each message exactly once and never clones it;
-//! * two planes are swapped each round (current ↔ next), so the steady-state
-//!   loop performs **no** per-round inbox-vector or hash-set allocations:
-//!   the gather buffer, both planes, and the occupancy bitset are all
-//!   allocated once before round 1 and reused;
-//! * duplicate-port detection uses the plane's occupancy bitset (the seed
-//!   implementation allocated a `HashSet<Port>` per node per round);
-//! * termination uses a running done-counter instead of an O(n) scan of
-//!   every program at every round.
-//!
-//! ## Sparse frontier execution
-//!
-//! For programs that opt in via [`NodeAlgorithm::MESSAGE_DRIVEN`] ("`round`
-//! with an empty inbox is a no-op"), the round loop switches Ligra-style
-//! between the dense scan above and a **sparse frontier gather** (see
-//! [`crate::frontier`]): each successful store into the plane marks the
-//! destination node — known at put time from the CSR `IncidentEdge`
-//! target — in a `next_frontier` bitset, and when the frontier is small
-//! (`|frontier| · θ < n`, θ = 8) the next round iterates only its set bits.
-//! Nodes off the frontier received nothing, so their slots need no drain
-//! and (by the opt-in contract) their step would be a no-op; nodes *on* the
-//! frontier run the exact same gather → step body as the dense scan,
-//! including the done-node drain.  Programs whose instances report
-//! [`NodeAlgorithm::message_driven`]` == false` are eager: they ride the
-//! frontier every round.  The schedule is pinned bit-identical to the dense
-//! scan by `tests/frontier_equivalence.rs`; for programs that do not opt
-//! in, the plumbing compiles away entirely and the loop below is unchanged.
+//! The round loops themselves live in [`crate::batch`] (one thread) and
+//! `batch_sharded` (shard-parallel): [`crate::Sim::run`] is lane 0 of a
+//! one-lane batch.  This module holds what every run shares: the run knobs
+//! ([`RunConfig`]), the outcome ([`RunResult`], [`RunError`]) and the
+//! per-round accounting a lane accumulates while scattering
+//! (`PendingRound`).
 //!
 //! The observable semantics (outputs, [`RunStats`], trace, error cases) are
 //! identical to the original push-based executor, which is preserved in
 //! [`crate::reference`] as a differential-testing oracle; the equivalence is
 //! asserted by the `runtime_equivalence` integration suite.
 
-use crate::algorithm::{LocalView, MsgSink, NodeAlgorithm, SendSlot};
-use crate::frontier::{FrontierMode, NodeSet};
-use crate::message::BitSized;
+use crate::frontier::FrontierMode;
 use crate::model::Model;
-use crate::plane::{ArenaPlane, Backing, HybridPlane, MessagePlane, PlaneStore};
-use crate::pool;
+use crate::plane::Backing;
 use crate::stats::RunStats;
 use crate::trace::TraceEvent;
-use lma_graph::{IncidentEdge, Partition, Port, WeightedGraph};
 use std::num::NonZeroUsize;
 
 /// Configuration of one simulated run.
@@ -64,11 +33,10 @@ pub struct RunConfig {
     pub enforce_congest: bool,
     /// When true, every message delivery is recorded in the result's trace.
     pub trace: bool,
-    /// Executor parallelism: `None` or `Some(1)` runs the sequential plane
-    /// executor; `Some(t)` with `t >= 2` runs the deterministic sharded
-    /// executor on `t` scoped threads (see [`crate::executor`]).  Outputs,
-    /// stats and traces are bit-identical either way; only wall-clock
-    /// changes, so the knob is safe to flip per deployment.
+    /// Worker threads: `None` runs the lockstep loop on the calling
+    /// thread; `Some(t)` with `t >= 2` runs it shard-parallel on `t` scoped
+    /// threads.  Outputs, stats and traces are bit-identical either way;
+    /// only wall-clock changes, so the knob is safe to flip per deployment.
     pub threads: Option<NonZeroUsize>,
     /// Slot-storage backend of the message plane (see [`Backing`]): inline
     /// `Option<M>` slots (the default; best for small flat messages) or the
@@ -77,7 +45,7 @@ pub struct RunConfig {
     /// changes.
     pub backing: Backing,
     /// Sparse-frontier scheduling for programs that opt in via
-    /// [`NodeAlgorithm::MESSAGE_DRIVEN`] (see [`crate::frontier`]): the
+    /// [`crate::NodeAlgorithm::MESSAGE_DRIVEN`] (see [`crate::frontier`]): the
     /// default [`FrontierMode::Auto`] switches per round between the dense
     /// scan and the sparse frontier gather; `Dense` / `Sparse` pin one
     /// path.  Bit-identical results in every mode; ignored by programs
@@ -200,434 +168,11 @@ impl PendingRound {
     }
 }
 
-/// The live scatter path behind every [`MsgSink`] the plane executors hand
-/// to node programs: validates each sent message, stores it into the plane
-/// backend, and accumulates the accounting for the round the messages will
-/// be delivered in (`delivery_round`).  Shared by the sequential and sharded
-/// executors; constructed fresh per node per round (it is only borrows).
-///
-/// `plane` may cover only a suffix-aligned window of the global slot space
-/// (a shard's contiguous slot range): `plane_offset` is the global index of
-/// the plane's slot 0, so the sequential executor passes 0 and a sharded
-/// worker passes its shard's first slot.
-///
-/// Error semantics match the historical outbox validation exactly: the
-/// first fatal event wins (in send order within a node, in node order
-/// across nodes), later sends are ignored, and the error surfaces when the
-/// offending message would have been *delivered* (see [`PendingError`]).
-pub(crate) struct Scatter<'a, M, S: PlaneStore<M>> {
-    pub node: usize,
-    /// First slot of `node` in the global slot space (`offsets[node]`).
-    pub base: usize,
-    pub degree: usize,
-    pub delivery_round: usize,
-    pub plane: &'a mut S,
-    pub plane_offset: usize,
-    pub spare: &'a mut Vec<M>,
-    pub pending: &'a mut PendingRound,
-    pub incident: &'a [IncidentEdge],
-    pub budget: Option<usize>,
-    pub enforce_congest: bool,
-    pub trace: bool,
-    /// Frontier marking target: `Some` only for programs that opted into
-    /// sparse frontier execution ([`NodeAlgorithm::MESSAGE_DRIVEN`]), in
-    /// which case every successfully stored message marks its destination
-    /// node (the `IncidentEdge` target of the slot) as active in the round
-    /// the message will be delivered in.
-    pub frontier: Option<&'a mut NodeSet>,
-}
-
-impl<M: BitSized, S: PlaneStore<M>> Scatter<'_, M, S> {
-    /// Pre-store validation; returns the message's global slot when the
-    /// send should proceed.
-    fn accept(&mut self, port: Port) -> Option<usize> {
-        if self.pending.error.is_some() {
-            return None;
-        }
-        if port >= self.degree {
-            self.pending.error = Some(PendingError::Malformed {
-                node: self.node,
-                port,
-            });
-            return None;
-        }
-        Some(self.base + port)
-    }
-
-    /// Maps a store rejection back to the duplicated port (never a silent
-    /// drop).
-    fn reject(&mut self, occupied: crate::plane::SlotOccupied) {
-        self.pending.error = Some(PendingError::Malformed {
-            node: self.node,
-            port: occupied.slot + self.plane_offset - self.base,
-        });
-    }
-
-    /// Post-store accounting: frontier mark, stats, CONGEST audit, trace.
-    fn account(&mut self, slot: usize, size: usize) {
-        if let Some(front) = self.frontier.as_deref_mut() {
-            front.insert(self.incident[slot].neighbor);
-        }
-        self.pending.messages += 1;
-        self.pending.bits += size as u64;
-        self.pending.max_bits = self.pending.max_bits.max(size);
-        if let Some(b) = self.budget {
-            if size > b {
-                if self.enforce_congest {
-                    self.pending.error = Some(PendingError::Congest { bits: size });
-                    return;
-                }
-                self.pending.violations += 1;
-            }
-        }
-        if self.trace {
-            self.pending.events.push(TraceEvent {
-                round: self.delivery_round,
-                from: self.node,
-                to: self.incident[slot].neighbor,
-                bits: size,
-            });
-        }
-    }
-}
-
-impl<M: BitSized, S: PlaneStore<M>> SendSlot<M> for Scatter<'_, M, S> {
-    fn send(&mut self, port: Port, msg: M) {
-        let Some(slot) = self.accept(port) else {
-            return;
-        };
-        let size = msg.bit_size();
-        match self.plane.store(slot - self.plane_offset, msg, self.spare) {
-            Ok(()) => self.account(slot, size),
-            Err(occupied) => self.reject(occupied),
-        }
-    }
-
-    fn send_ref(&mut self, port: Port, msg: &M) {
-        let Some(slot) = self.accept(port) else {
-            return;
-        };
-        let size = msg.bit_size();
-        match self.plane.store_ref(slot - self.plane_offset, msg) {
-            Ok(()) => self.account(slot, size),
-            Err(occupied) => self.reject(occupied),
-        }
-    }
-}
-
-/// The synchronous round executor for one graph.
-#[derive(Debug, Clone)]
-pub struct Runtime<'g> {
-    graph: &'g WeightedGraph,
-    config: RunConfig,
-}
-
-impl<'g> Runtime<'g> {
-    /// A runtime with the default configuration (LOCAL model).
-    #[must_use]
-    pub fn new(graph: &'g WeightedGraph) -> Self {
-        Self {
-            graph,
-            config: RunConfig::default(),
-        }
-    }
-
-    /// A runtime with an explicit configuration.
-    #[must_use]
-    pub fn with_config(graph: &'g WeightedGraph, config: RunConfig) -> Self {
-        Self { graph, config }
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &RunConfig {
-        &self.config
-    }
-
-    /// The graph the runtime executes on.
-    #[must_use]
-    pub fn graph(&self) -> &WeightedGraph {
-        self.graph
-    }
-
-    /// Builds the [`LocalView`] each node program is allowed to see.
-    #[must_use]
-    pub fn local_views(&self) -> Vec<LocalView> {
-        let g = self.graph;
-        g.nodes()
-            .map(|u| LocalView {
-                node: u,
-                id: g.id(u),
-                n: g.node_count(),
-                incident: g
-                    .incident(u)
-                    .iter()
-                    .map(|ie| (ie.port, ie.weight))
-                    .collect(),
-            })
-            .collect()
-    }
-
-    /// Runs one node program per node until every node is done.
-    ///
-    /// `programs[u]` is the program for node `u`; the caller typically builds
-    /// these from per-node advice strings.
-    ///
-    /// Dispatches on [`RunConfig::threads`]: the default (`None` / `Some(1)`)
-    /// executes the sequential plane loop; `Some(t >= 2)` executes the
-    /// deterministic sharded executor (see [`crate::sharded`]) on `t` scoped
-    /// threads.  Both paths produce bit-identical outputs, stats and traces.
-    pub fn run<A: NodeAlgorithm>(
-        &self,
-        programs: Vec<A>,
-    ) -> Result<RunResult<A::Output>, RunError> {
-        if let Some(threads) = self.config.threads {
-            if threads.get() > 1 && self.graph.node_count() > 1 {
-                let views = self.local_views();
-                let partition = Partition::new(self.graph.csr(), threads.get());
-                return crate::sharded::run_sharded(
-                    self.graph,
-                    self.config,
-                    &partition,
-                    &views,
-                    programs,
-                );
-            }
-        }
-        self.run_sequential(programs)
-    }
-
-    /// The sequential plane executor (the deterministic reference the
-    /// sharded executor is pinned against), dispatched on
-    /// [`RunConfig::backing`].
-    pub(crate) fn run_sequential<A: NodeAlgorithm>(
-        &self,
-        programs: Vec<A>,
-    ) -> Result<RunResult<A::Output>, RunError> {
-        match self.config.backing {
-            Backing::Inline => self.run_sequential_on::<MessagePlane<A::Msg>, A>(programs),
-            Backing::Arena => self.run_sequential_on::<ArenaPlane<A::Msg>, A>(programs),
-            Backing::Hybrid => self.run_sequential_on::<HybridPlane<A::Msg>, A>(programs),
-        }
-    }
-
-    fn run_sequential_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
-        &self,
-        programs: Vec<A>,
-    ) -> Result<RunResult<A::Output>, RunError> {
-        // All steady-state storage comes from the per-thread pool: allocated
-        // at most once, then reused by every later run on this thread.
-        let mut set = pool::checkout::<A::Msg, S>(self.graph.csr().slot_count());
-        let result = self.sequential_loop(&mut set, programs);
-        pool::give_back(set);
-        result
-    }
-
-    fn sequential_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
-        &self,
-        set: &mut pool::PlaneSet<A::Msg, S>,
-        mut programs: Vec<A>,
-    ) -> Result<RunResult<A::Output>, RunError> {
-        let n = self.graph.node_count();
-        assert_eq!(programs.len(), n, "one program per node is required");
-        let views = self.local_views();
-        let budget = self.config.model.budget();
-        let csr = self.graph.csr();
-        let offsets = csr.offsets();
-        let mirror = csr.mirror_table();
-        let incident = csr.incident_flat();
-
-        let pool::PlaneSet {
-            cur,
-            next,
-            inbox,
-            spare,
-        } = set;
-        let mut pending = PendingRound::default();
-        let mut events: Vec<TraceEvent> = Vec::new();
-        let mut stats = RunStats::default();
-        let mut done_count = 0usize;
-
-        // Frontier state for opted-in programs: `cur_front` holds the nodes
-        // active in the round being gathered, `next_front` collects scatter
-        // marks for the round after, `eager_front` is the constant set of
-        // nodes whose instances are not message-driven.  For programs that
-        // do not opt in these stay empty and every frontier branch below is
-        // compiled out (`MESSAGE_DRIVEN` is an associated const).
-        let mut cur_front = NodeSet::default();
-        let mut next_front = NodeSet::default();
-        let mut eager_front = NodeSet::default();
-        if A::MESSAGE_DRIVEN {
-            eager_front = NodeSet::new(n);
-            for (u, program) in programs.iter().enumerate() {
-                if !program.message_driven() {
-                    eager_front.insert(u);
-                }
-            }
-            cur_front = eager_front.clone();
-            next_front = NodeSet::new(n);
-        }
-
-        // Initialization: round-0 local computation producing round-1
-        // traffic, emitted straight into the plane (marking the round-1
-        // frontier as it goes).
-        for u in 0..n {
-            let mut scatter = Scatter {
-                node: u,
-                base: offsets[u],
-                degree: offsets[u + 1] - offsets[u],
-                delivery_round: 1,
-                plane: &mut *cur,
-                plane_offset: 0,
-                spare: &mut *spare,
-                pending: &mut pending,
-                incident,
-                budget,
-                enforce_congest: self.config.enforce_congest,
-                trace: self.config.trace,
-                frontier: A::MESSAGE_DRIVEN.then_some(&mut cur_front),
-            };
-            programs[u].init_into(&views[u], &mut MsgSink::new(&mut scatter));
-            if programs[u].is_done() {
-                done_count += 1;
-            }
-        }
-
-        let mut round = 0usize;
-        while done_count < n {
-            if round >= self.config.max_rounds {
-                return Err(RunError::RoundLimitExceeded {
-                    limit: self.config.max_rounds,
-                });
-            }
-            round += 1;
-
-            // Commit the traffic scattered for this round: errors first (in
-            // scatter order), then the statistics and the trace.
-            match pending.error {
-                Some(PendingError::Malformed { node, port }) => {
-                    return Err(RunError::MalformedOutbox { node, port });
-                }
-                Some(PendingError::Congest { bits }) => {
-                    return Err(RunError::CongestViolation {
-                        round,
-                        bits,
-                        budget: budget.expect("congest error implies a budget"),
-                    });
-                }
-                None => {}
-            }
-            stats.record_round(
-                pending.messages,
-                pending.bits,
-                pending.max_bits,
-                pending.violations,
-            );
-            // Frontier bookkeeping (opted-in programs only): record the
-            // round's active-node count, decide dense vs sparse, and seed
-            // the next frontier with the always-active eager nodes.
-            let use_sparse = if A::MESSAGE_DRIVEN {
-                let active = cur_front.count();
-                let use_sparse = self.config.frontier.use_sparse(active, n);
-                stats.record_frontier(active as u64, use_sparse);
-                next_front.copy_from(&eager_front);
-                use_sparse
-            } else {
-                false
-            };
-            if self.config.trace {
-                events.append(&mut pending.events);
-            }
-            pending.reset();
-
-            // Deliver and step.  Each receiver gathers its traffic by
-            // pulling from the mirror slot of each of its ports: delivery
-            // order is port-ascending by construction (no sort needed), and
-            // each message is *moved* (inline) or decoded into a recycled
-            // value (arena) out of the sender's slot.  Gathering is
-            // unconditional — done nodes still drain their slots so the
-            // plane is empty when the buffers swap.  (In sparse mode only
-            // frontier nodes are visited; by construction nobody stored
-            // into the slots of a skipped node, so the drain invariant
-            // holds.)
-            macro_rules! gather_step {
-                ($v:expr) => {{
-                    let v: usize = $v;
-                    if S::RECYCLES {
-                        spare.extend(inbox.drain(..).map(|(_, m)| m));
-                    } else {
-                        inbox.clear();
-                    }
-                    let base = offsets[v];
-                    for (p, &sender_slot) in mirror[base..offsets[v + 1]].iter().enumerate() {
-                        if let Some(msg) = cur.fetch(sender_slot, spare) {
-                            inbox.push((p, msg));
-                        }
-                    }
-                    if !programs[v].is_done() {
-                        let mut scatter = Scatter {
-                            node: v,
-                            base,
-                            degree: offsets[v + 1] - base,
-                            delivery_round: round + 1,
-                            plane: &mut *next,
-                            plane_offset: 0,
-                            spare: &mut *spare,
-                            pending: &mut pending,
-                            incident,
-                            budget,
-                            enforce_congest: self.config.enforce_congest,
-                            trace: self.config.trace,
-                            frontier: A::MESSAGE_DRIVEN.then_some(&mut next_front),
-                        };
-                        programs[v].round_into(
-                            &views[v],
-                            round,
-                            inbox,
-                            &mut MsgSink::new(&mut scatter),
-                        );
-                        if programs[v].is_done() {
-                            done_count += 1;
-                        }
-                    }
-                }};
-            }
-            if use_sparse {
-                for v in cur_front.ones() {
-                    gather_step!(v);
-                }
-            } else {
-                for v in 0..n {
-                    gather_step!(v);
-                }
-            }
-
-            // The current plane was fully drained by the gather pass; it
-            // becomes the (empty) scatter target of the next round.  The
-            // frontiers swap in lockstep with the planes.
-            std::mem::swap(cur, next);
-            next.reset_round();
-            if A::MESSAGE_DRIVEN {
-                std::mem::swap(&mut cur_front, &mut next_front);
-            }
-        }
-
-        let outputs = programs.iter().map(NodeAlgorithm::output).collect();
-        Ok(RunResult {
-            outputs,
-            stats,
-            trace: self.config.trace.then(|| {
-                events.sort_by_key(|e| (e.round, e.from, e.to));
-                events
-            }),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::Outbox;
+    use crate::algorithm::{local_views, LocalView, NodeAlgorithm, Outbox};
+    use crate::Sim;
     use lma_graph::generators::{path, ring};
     use lma_graph::weights::WeightStrategy;
     use lma_graph::Port;
@@ -716,9 +261,8 @@ mod tests {
     #[test]
     fn zero_round_algorithm_uses_zero_rounds() {
         let g = path(5, WeightStrategy::Unit);
-        let rt = Runtime::new(&g);
         let programs = (0..5).map(|_| ZeroRound { out: None }).collect();
-        let result = rt.run(programs).unwrap();
+        let result = Sim::on(&g).run(programs).unwrap();
         assert_eq!(result.stats.rounds, 0);
         assert_eq!(result.stats.total_messages, 0);
         assert_eq!(result.outputs[0], Some(1));
@@ -728,9 +272,8 @@ mod tests {
     #[test]
     fn flooding_converges_to_global_max() {
         let g = ring(9, WeightStrategy::Unit);
-        let rt = Runtime::new(&g);
         let programs = (0..9).map(|_| MaxIdFlood::new()).collect();
-        let result = rt.run(programs).unwrap();
+        let result = Sim::on(&g).run(programs).unwrap();
         for out in &result.outputs {
             assert_eq!(*out, Some(8));
         }
@@ -741,53 +284,36 @@ mod tests {
     #[test]
     fn round_limit_is_enforced() {
         let g = path(4, WeightStrategy::Unit);
-        let config = RunConfig {
-            max_rounds: 2,
-            ..RunConfig::default()
-        };
-        let rt = Runtime::with_config(&g, config);
         let programs = (0..4).map(|_| MaxIdFlood::new()).collect::<Vec<_>>();
-        let err = rt.run(programs).unwrap_err();
+        let err = Sim::on(&g).round_limit(2).run(programs).unwrap_err();
         assert_eq!(err, RunError::RoundLimitExceeded { limit: 2 });
     }
 
     #[test]
     fn congest_violations_are_counted_but_not_fatal_by_default() {
         let g = path(3, WeightStrategy::Unit);
-        let config = RunConfig {
-            model: Model::Congest { bits: 1 },
-            ..RunConfig::default()
-        };
-        let rt = Runtime::with_config(&g, config);
+        let sim = Sim::on(&g).model(Model::Congest { bits: 1 });
         let programs = (0..3).map(|_| MaxIdFlood::new()).collect::<Vec<_>>();
-        let result = rt.run(programs).unwrap();
+        let result = sim.run(programs).unwrap();
         assert!(result.stats.congest_violations > 0);
     }
 
     #[test]
     fn congest_enforcement_aborts() {
         let g = path(3, WeightStrategy::Unit);
-        let config = RunConfig {
-            model: Model::Congest { bits: 1 },
-            enforce_congest: true,
-            ..RunConfig::default()
-        };
-        let rt = Runtime::with_config(&g, config);
+        let sim = Sim::on(&g)
+            .model(Model::Congest { bits: 1 })
+            .enforce_congest(true);
         let programs = (0..3).map(|_| MaxIdFlood::new()).collect::<Vec<_>>();
-        let err = rt.run(programs).unwrap_err();
+        let err = sim.run(programs).unwrap_err();
         assert!(matches!(err, RunError::CongestViolation { .. }));
     }
 
     #[test]
     fn trace_records_deliveries() {
         let g = path(3, WeightStrategy::Unit);
-        let config = RunConfig {
-            trace: true,
-            ..RunConfig::default()
-        };
-        let rt = Runtime::with_config(&g, config);
         let programs = (0..3).map(|_| MaxIdFlood::new()).collect::<Vec<_>>();
-        let result = rt.run(programs).unwrap();
+        let result = Sim::on(&g).trace(true).run(programs).unwrap();
         let trace = result.trace.unwrap();
         assert!(!trace.is_empty());
         assert!(trace.windows(2).all(|w| w[0].round <= w[1].round));
@@ -824,17 +350,15 @@ mod tests {
     #[test]
     fn duplicate_port_use_is_malformed() {
         let g = path(2, WeightStrategy::Unit);
-        let rt = Runtime::new(&g);
         let programs = vec![Misbehaving { done: false }, Misbehaving { done: false }];
-        let err = rt.run(programs).unwrap_err();
+        let err = Sim::on(&g).run(programs).unwrap_err();
         assert!(matches!(err, RunError::MalformedOutbox { .. }));
     }
 
     #[test]
     fn local_views_expose_only_local_information() {
         let g = ring(5, WeightStrategy::ByEdgeId);
-        let rt = Runtime::new(&g);
-        let views = rt.local_views();
+        let views = local_views(&g);
         assert_eq!(views.len(), 5);
         for (u, view) in views.iter().enumerate() {
             assert_eq!(view.node, u);
@@ -880,13 +404,12 @@ mod tests {
     #[test]
     fn final_step_messages_are_dropped() {
         let g = path(3, WeightStrategy::Unit);
-        let rt = Runtime::new(&g);
         // All nodes are done right after init, so the init traffic is
         // dropped and the run reports zero rounds and zero messages.
         let programs = (0..3)
             .map(|_| FinalShout { sent: false })
             .collect::<Vec<_>>();
-        let result = rt.run(programs).unwrap();
+        let result = Sim::on(&g).run(programs).unwrap();
         assert_eq!(result.stats.rounds, 0);
         assert_eq!(result.stats.total_messages, 0);
     }

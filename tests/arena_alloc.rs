@@ -23,16 +23,17 @@
 //! the facts vector per port per round — must show a strictly positive
 //! difference, so the test cannot silently pass by measuring nothing.
 //!
-//! The hybrid backing is pinned in **both** of its regimes: the
-//! `Knowledge`-flood gossip above (every encoding spills to the arena) and
-//! a small-`u64`-message beacon (every encoding stays in the 16-byte cell,
-//! never touching the arena) must each show a zero per-round difference.
+//! The same difference must be zero for the lockstep batch kernel and for
+//! shard-parallel runs (two threads): there the arena `Knowledge` gossip
+//! and a small-`u64`-message inline beacon pin that the barrier protocol —
+//! shard reports, the leader's merge, the exchange buffers — reuses its
+//! buffers instead of allocating per round.
 
 use lma_baselines::flood_collect::FixedGossip;
 use lma_graph::generators::ring;
 use lma_graph::weights::WeightStrategy;
 use lma_graph::Port;
-use lma_sim::{collect_outbox, Backing, LocalView, MsgSink, NodeAlgorithm, Outbox, Runtime, Sim};
+use lma_sim::{collect_outbox, Backing, LocalView, MsgSink, NodeAlgorithm, Outbox, Sim};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -71,8 +72,7 @@ const FACTS: usize = 48;
 const ROUNDS_SHORT: usize = 40;
 const ROUNDS_LONG: usize = 64;
 
-fn gossip_allocations(g: &lma_graph::WeightedGraph, backing: Backing, rounds: usize) -> u64 {
-    let sim = Sim::on(g).backing(backing);
+fn gossip_allocations(g: &lma_graph::WeightedGraph, sim: Sim<'_>, rounds: usize) -> u64 {
     let programs: Vec<FixedGossip> = g
         .nodes()
         .map(|u| FixedGossip::new(u as u64, FACTS, rounds))
@@ -84,16 +84,8 @@ fn gossip_allocations(g: &lma_graph::WeightedGraph, backing: Backing, rounds: us
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
-/// Allocation count of one `f()` call.
-fn allocations_of(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
-
-/// The small-message regime probe: every round each node broadcasts its
-/// `u64` id (a couple of LEB128 bytes — always inside a hybrid cell) for a
-/// fixed number of rounds.  The sink forms are the primary implementation
+/// The small-message probe: every round each node broadcasts its `u64` id
+/// for a fixed number of rounds.  The sink forms are the primary implementation
 /// so the program itself allocates nothing per round.
 struct Beacon {
     id: u64,
@@ -147,8 +139,7 @@ impl NodeAlgorithm for Beacon {
     }
 }
 
-fn beacon_allocations(g: &lma_graph::WeightedGraph, backing: Backing, rounds: usize) -> u64 {
-    let sim = Sim::on(g).backing(backing);
+fn beacon_allocations(g: &lma_graph::WeightedGraph, sim: Sim<'_>, rounds: usize) -> u64 {
     let programs: Vec<Beacon> = g
         .nodes()
         .map(|u| Beacon {
@@ -188,15 +179,16 @@ fn batch_gossip_allocations(g: &lma_graph::WeightedGraph, backing: Backing, roun
 #[test]
 fn arena_gossip_steady_state_allocates_nothing_per_round() {
     let g = ring(24, WeightStrategy::Unit);
+    let on = |backing| Sim::on(&g).backing(backing);
 
     // Warm-up: prime the per-thread plane pool, the arenas and the spare
     // messages to their high-water marks for every backing.
     for backing in Backing::ALL {
-        gossip_allocations(&g, backing, ROUNDS_LONG);
+        gossip_allocations(&g, on(backing), ROUNDS_LONG);
     }
 
-    let arena_short = gossip_allocations(&g, Backing::Arena, ROUNDS_SHORT);
-    let arena_long = gossip_allocations(&g, Backing::Arena, ROUNDS_LONG);
+    let arena_short = gossip_allocations(&g, on(Backing::Arena), ROUNDS_SHORT);
+    let arena_long = gossip_allocations(&g, on(Backing::Arena), ROUNDS_LONG);
     assert_eq!(
         arena_long, arena_short,
         "arena-backed gossip must not allocate per round \
@@ -206,77 +198,21 @@ fn arena_gossip_steady_state_allocates_nothing_per_round() {
 
     // Control: the inline backing clones the facts vector per message, so
     // the extra rounds must show up — proving the measurement has teeth.
-    let inline_short = gossip_allocations(&g, Backing::Inline, ROUNDS_SHORT);
-    let inline_long = gossip_allocations(&g, Backing::Inline, ROUNDS_LONG);
+    let inline_short = gossip_allocations(&g, on(Backing::Inline), ROUNDS_SHORT);
+    let inline_long = gossip_allocations(&g, on(Backing::Inline), ROUNDS_LONG);
     assert!(
         inline_long > inline_short,
         "inline-backed gossip was expected to allocate per round \
          (got {inline_short} vs {inline_long}) — is the control broken?"
     );
 
-    // Driver-overhead oracle (same binary so the global counter stays
-    // single-threaded): a `Sim`-built run must perform exactly as many
-    // allocations as a direct `Runtime::run` with a pre-built `RunConfig` —
-    // the builder is zero-cost.
-    let mk = || -> Vec<FixedGossip> {
-        g.nodes()
-            .map(|u| FixedGossip::new(u as u64, FACTS, ROUNDS_SHORT))
-            .collect()
-    };
-    let config = Sim::on(&g).backing(Backing::Arena).config();
-    Runtime::with_config(&g, config).run(mk()).unwrap();
-    let direct = allocations_of(|| {
-        Runtime::with_config(&g, config).run(mk()).unwrap();
-    });
-    let built = allocations_of(|| {
-        Sim::on(&g).backing(Backing::Arena).run(mk()).unwrap();
-    });
-    assert_eq!(
-        built, direct,
-        "the Sim builder must add zero per-run allocations over a direct \
-         Runtime::run (builder: {built}, direct: {direct})"
-    );
-
     // ------------------------------------------------------------------
-    // Hybrid backing, both regimes.  Same test function (not a second
-    // `#[test]`): the harness runs tests on parallel threads, which would
-    // interleave allocations into the single global counter.
-    // ------------------------------------------------------------------
-
-    // Warm-up: prime the hybrid plane pool, cells, spill arena and spare
-    // messages to their high-water marks for the beacon probe (the gossip
-    // warm-up above already covered hybrid).
-    beacon_allocations(&g, Backing::Hybrid, ROUNDS_LONG);
-
-    // Spill regime: every `Knowledge` encoding (48 facts) overflows the
-    // 16-byte cell into the bump arena — the arena discipline must keep
-    // steady-state rounds allocation-free, exactly like the arena backing.
-    let flood_short = gossip_allocations(&g, Backing::Hybrid, ROUNDS_SHORT);
-    let flood_long = gossip_allocations(&g, Backing::Hybrid, ROUNDS_LONG);
-    assert_eq!(
-        flood_long, flood_short,
-        "hybrid-backed Knowledge flood must not allocate per round \
-         ({ROUNDS_LONG}-round run: {flood_long} allocations, \
-         {ROUNDS_SHORT}-round run: {flood_short})"
-    );
-
-    // Inline regime: a `u64` beacon encodes to a couple of bytes, so every
-    // message lives in its cell and the arena is never touched — and the
-    // cell path must be just as allocation-free.
-    let beacon_short = beacon_allocations(&g, Backing::Hybrid, ROUNDS_SHORT);
-    let beacon_long = beacon_allocations(&g, Backing::Hybrid, ROUNDS_LONG);
-    assert_eq!(
-        beacon_long, beacon_short,
-        "hybrid-backed small-message beacon must not allocate per round \
-         ({ROUNDS_LONG}-round run: {beacon_long} allocations, \
-         {ROUNDS_SHORT}-round run: {beacon_short})"
-    );
-
-    // ------------------------------------------------------------------
-    // Batch executor (same single-`#[test]` discipline): the lockstep loop
-    // drives every lane through one traversal per round, and its live-lane
-    // iteration reuses a scratch buffer — steady-state batch rounds must be
-    // exactly as allocation-free as solo ones.
+    // Batch executor (same single-`#[test]` discipline: the harness runs
+    // tests on parallel threads, which would interleave allocations into
+    // the single global counter): the lockstep loop drives every lane
+    // through one traversal per round, and its live-lane iteration reuses
+    // a scratch buffer — steady-state batch rounds must be exactly as
+    // allocation-free as solo ones.
     // ------------------------------------------------------------------
     batch_gossip_allocations(&g, Backing::Arena, ROUNDS_LONG);
     let batch_short = batch_gossip_allocations(&g, Backing::Arena, ROUNDS_SHORT);
@@ -286,5 +222,31 @@ fn arena_gossip_steady_state_allocates_nothing_per_round() {
         "arena-backed batch gossip must not allocate per round \
          ({ROUNDS_LONG}-round run: {batch_long} allocations, \
          {ROUNDS_SHORT}-round run: {batch_short})"
+    );
+
+    // ------------------------------------------------------------------
+    // Two threads: each run spawns its shard workers and builds their
+    // planes and exchange buffers (fixed per-run costs that cancel in the
+    // difference); the rounds themselves — publish, the leader's merge,
+    // the retired-lane check — must reuse every buffer.
+    // ------------------------------------------------------------------
+    let t2 = |backing| on(backing).threads(2);
+    gossip_allocations(&g, t2(Backing::Arena), ROUNDS_LONG);
+    let sharded_short = gossip_allocations(&g, t2(Backing::Arena), ROUNDS_SHORT);
+    let sharded_long = gossip_allocations(&g, t2(Backing::Arena), ROUNDS_LONG);
+    assert_eq!(
+        sharded_long, sharded_short,
+        "two-thread arena gossip must not allocate per round \
+         ({ROUNDS_LONG}-round run: {sharded_long} allocations, \
+         {ROUNDS_SHORT}-round run: {sharded_short})"
+    );
+    beacon_allocations(&g, t2(Backing::Inline), ROUNDS_LONG);
+    let beacon_short = beacon_allocations(&g, t2(Backing::Inline), ROUNDS_SHORT);
+    let beacon_long = beacon_allocations(&g, t2(Backing::Inline), ROUNDS_LONG);
+    assert_eq!(
+        beacon_long, beacon_short,
+        "two-thread inline beacon must not allocate per round \
+         ({ROUNDS_LONG}-round run: {beacon_long} allocations, \
+         {ROUNDS_SHORT}-round run: {beacon_short})"
     );
 }

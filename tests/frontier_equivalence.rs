@@ -346,7 +346,7 @@ proptest! {
         n in 8usize..40,
         p_mil in 80u32..400,
         seed in 0u64..500,
-        backing_ix in 0usize..3,
+        backing_ix in 0usize..Backing::ALL.len(),
         threads in 1usize..4,
         eager_stride in 0usize..4,
     ) {

@@ -18,9 +18,7 @@
 //! `W` runs and still be bit-identical to `W` sequential runs: striping is
 //! invisible exactly when packing is lossless and lanes never alias.
 
-use lma_sim::{
-    ArenaPlane, BatchPlaneStore, BitFleet, HybridPlane, LaneWords, MessagePlane, PlaneStore,
-};
+use lma_sim::{ArenaPlane, BatchPlaneStore, BitFleet, LaneWords, MessagePlane, PlaneStore};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -164,7 +162,6 @@ proptest! {
         let drain = drain.0.then_some(drain.1);
         pin_lane_isolation::<MessagePlane<u64>>(slots, lanes, &writes, drain);
         pin_lane_isolation::<ArenaPlane<u64>>(slots, lanes, &writes, drain);
-        pin_lane_isolation::<HybridPlane<u64>>(slots, lanes, &writes, drain);
     }
 
     #[test]

@@ -2,17 +2,17 @@
 //!
 //! The round executor was rewritten from push-based routing (per-round inbox
 //! vectors, per-node hash sets, clone-on-delivery) to a pull-based,
-//! double-buffered flat message plane, and then extended with a
-//! shard-parallel engine ([`lma_sim::ShardedExecutor`]).  These tests pin
-//! the contract of those rewrites:
+//! double-buffered flat message plane, run as a lockstep batch kernel on
+//! one thread or shard-parallel ([`lma_sim::Engine::Threads`]).  These
+//! tests pin the contract of those rewrites:
 //!
 //! 1. **determinism** — running the same program set on the same seeded
 //!    graph twice produces bit-identical outputs, [`RunStats`] and traces;
 //! 2. **equivalence** — the plane executor and the preserved push-based
 //!    reference executor ([`lma_sim::reference`]) agree exactly, under both
 //!    LOCAL and CONGEST-audit configurations;
-//! 3. **sharded equivalence** — the sharded executor produces bit-identical
-//!    outputs, stats and traces to the sequential executor on ring, grid,
+//! 3. **sharded equivalence** — the shard-parallel kernel produces
+//!    bit-identical outputs, stats and traces to one thread on ring, grid,
 //!    G(n, p) and sparse random graphs at several shard counts, including
 //!    every error path (malformed outbox, round limit, CONGEST enforcement);
 //! 4. the `sync_boruvka` baseline (the most protocol-heavy consumer of the
@@ -306,7 +306,7 @@ impl NodeAlgorithm for DuplicatePort {
 }
 
 fn shard_engine(threads: usize) -> Engine {
-    Engine::Sharded(NonZeroUsize::new(threads).unwrap())
+    Engine::Threads(NonZeroUsize::new(threads).unwrap())
 }
 
 #[test]
@@ -443,7 +443,7 @@ fn assert_baseline_backing_equivalence<B: NoAdviceMst>(baseline: B, g: &Weighted
     for backing in Backing::ALL {
         let sim = Sim::on(g).backing(backing);
         let seq = baseline
-            .run(&sim.executor(Engine::Sequential))
+            .run(&sim.executor(shard_engine(1)))
             .unwrap_or_else(|e| panic!("{}: sequential failed: {e}", baseline.name()));
         assert_eq!(
             reference.0,

@@ -129,6 +129,14 @@ fn admission_failures_are_typed_and_isolated() {
             },
             code::UNKNOWN_BACKING,
         ),
+        // The retired tagged-cell backing is refused like any unknown name.
+        (
+            RunSpec {
+                backing: "hybrid".to_string(),
+                ..run_spec("flood", "ring", 8, 1)
+            },
+            code::UNKNOWN_BACKING,
+        ),
         (run_spec("flood", "ring", 0, 1), code::BAD_REQUEST),
         (
             RunSpec {

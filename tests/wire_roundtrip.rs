@@ -11,12 +11,10 @@
 //!    claims it is;
 //! 4. **stable appending length** — [`encoded_len`] is deterministic and
 //!    `encode` appends exactly that many bytes wherever the buffer tail
-//!    is.  The hybrid backing decides inline-vs-spill by encoding onto the
-//!    arena tail and measuring the growth, so the 15-byte threshold is
-//!    made on a number pinned correct here.
+//!    is, so spans recorded by offset into a shared bump arena stay exact.
 //!
-//! These properties are what let the arena- and hybrid-backed executors be
-//! bit-identical to the inline and push executors: routing through bytes is
+//! These properties are what let the arena-backed plane be bit-identical to
+//! the inline plane and the push executor: routing through bytes is
 //! invisible exactly when the codec is lossless and the accounting honest.
 
 use lma_advice::constant::messages::{ChooserPayload, ConstMsg, MapEntry, Report};
@@ -32,8 +30,7 @@ use lma_sim::wire::{Wire, WireReader};
 use proptest::prelude::*;
 
 /// The encoded byte length of `value`: a fresh encode into an empty
-/// buffer.  This is the number the hybrid backing's inline/spill threshold
-/// decision is made on (≤ 15 bytes stays in the 16-byte cell).
+/// buffer.
 fn encoded_len<T: Wire>(value: &T) -> usize {
     let mut bytes = Vec::new();
     value.encode(&mut bytes);
@@ -53,8 +50,8 @@ fn pin_codec<T: Wire + BitSized + PartialEq + std::fmt::Debug>(value: &T, scratc
         "encoded_len must be deterministic per value"
     );
     // `encode` must *append* exactly `encoded_len` bytes wherever the
-    // buffer tail is — the hybrid store encodes onto the arena tail and
-    // measures the growth to pick inline vs spill.
+    // buffer tail is — the arena store encodes onto the tail of one shared
+    // per-round buffer and records the span by offset.
     let mut prefixed = vec![0xA5u8; 3];
     value.encode(&mut prefixed);
     assert_eq!(
