@@ -36,7 +36,8 @@
 
 use crate::algorithm::{local_views, MsgSink, NodeAlgorithm, SendSlot};
 use crate::batch_plane::BatchPlaneStore;
-use crate::driver::{Engine, Sim};
+use crate::driver::Sim;
+use crate::executor::Executor;
 use crate::frontier::BatchFrontier;
 use crate::lanes::LaneWords;
 use crate::message::BitSized;
@@ -45,7 +46,7 @@ use crate::pool;
 use crate::runtime::{PendingError, PendingRound, RunConfig, RunError, RunResult};
 use crate::stats::RunStats;
 use crate::trace::TraceEvent;
-use lma_graph::{IncidentEdge, Partition, Port, WeightedGraph};
+use lma_graph::{IncidentEdge, Port, WeightedGraph};
 
 /// The per-lane outcomes of a batch run: one entry per lane, index for
 /// index with the `fleets` handed to [`BatchSim::run`], each exactly what
@@ -83,10 +84,11 @@ impl<'g> BatchSim<'g> {
     /// returned for that fleet alone (a failing lane reports its own error;
     /// the other lanes complete).
     ///
-    /// Dispatches on the resolved thread count: two or more threads tile
-    /// shard × lane (one barrier cycle per round for the whole batch), one
-    /// thread runs the lockstep loop below, and [`Engine::Reference`] runs
-    /// each lane through the push oracle.
+    /// Dispatches through [`crate::executor`] on the resolved thread count:
+    /// two or more threads tile shard × lane (one barrier cycle per round
+    /// for the whole batch), one thread runs the lockstep loop below, and
+    /// [`Engine::Reference`](crate::Engine::Reference) runs each lane
+    /// through the push oracle.
     pub fn run<A: NodeAlgorithm>(
         &self,
         fleets: Vec<Vec<A>>,
@@ -100,35 +102,7 @@ impl<'g> BatchSim<'g> {
         if self.lanes == 0 {
             return Ok(Vec::new());
         }
-        let graph = self.sim.graph();
-        let config = self.sim.config();
-        if self.sim.engine() == Engine::Reference {
-            // The push-based oracle has no plane to stripe; run the lanes
-            // through it one by one (differential-testing path only).
-            return Ok(fleets
-                .into_iter()
-                .map(|f| crate::reference::run_push(graph, config, f))
-                .collect());
-        }
-        match config.threads {
-            Some(threads) if graph.node_count() > 1 => {
-                let views = local_views(graph);
-                // A precomputed partition supplied via `Sim::with_partition`
-                // is reused when it was built for this graph and width.
-                let fresh;
-                let partition = match self.sim.usable_partition(threads.get()) {
-                    Some(partition) => partition,
-                    None => {
-                        fresh = Partition::new(graph.csr(), threads.get());
-                        &fresh
-                    }
-                };
-                Ok(crate::batch_sharded::run_batch_sharded(
-                    graph, config, partition, &views, fleets,
-                ))
-            }
-            _ => Ok(run_batch_sequential(graph, config, fleets)),
-        }
+        Ok(Executor::of(&self.sim).run(&self.sim, fleets))
     }
 }
 
@@ -617,6 +591,7 @@ fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
 mod tests {
     use super::*;
     use crate::algorithm::{LocalView, Outbox};
+    use crate::executor::Engine;
     use lma_graph::generators::{gnp_connected, ring};
     use lma_graph::weights::WeightStrategy;
 

@@ -49,6 +49,7 @@
 use crate::algorithm::NodeAlgorithm;
 use crate::batch::BatchSim;
 use crate::digest::{fold_error, DigestWriter, RunSummary};
+pub use crate::executor::Engine;
 use crate::frontier::FrontierMode;
 use crate::model::Model;
 use crate::plane::Backing;
@@ -56,43 +57,6 @@ use crate::runtime::{RunConfig, RunError, RunResult};
 use lma_graph::{Partition, WeightedGraph};
 use std::any::Any;
 use std::num::NonZeroUsize;
-
-/// The execution engine a [`Sim`] dispatches a run to.
-///
-/// Every plane run — solo or batched, one thread or many — goes through
-/// the lockstep batch kernel ([`crate::batch`]); the engine only fixes its
-/// thread count, or swaps in the push-based oracle.  All engines produce
-/// bit-identical outputs, stats, traces and errors for the same
-/// `(graph, config, programs)` — pinned by the `runtime_equivalence` suite
-/// — so the choice is purely about performance (and, for
-/// [`Engine::Reference`], differential testing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Dispatch on the configured thread count ([`Sim::threads`]): the
-    /// calling thread by default, shard-parallel when two or more threads
-    /// are requested.  The right choice for all ordinary callers.
-    Auto,
-    /// The plane kernel on exactly this many threads, ignoring the thread
-    /// knob: `1` runs on the calling thread, `t >= 2` shard-parallel.
-    Threads(NonZeroUsize),
-    /// The preserved push-based oracle (plane-free, allocating) — for
-    /// differential testing and benchmark baselines only.
-    Reference,
-}
-
-impl Engine {
-    /// Stable short label used in scenario cell ids and lock files
-    /// (`"auto"`, `"seq"` for one thread, `"sharded<t>"`, `"push"`).
-    #[must_use]
-    pub fn label(self) -> String {
-        match self {
-            Engine::Auto => "auto".to_string(),
-            Engine::Threads(t) if t.get() == 1 => "seq".to_string(),
-            Engine::Threads(t) => format!("sharded{t}"),
-            Engine::Reference => "push".to_string(),
-        }
-    }
-}
 
 /// A configured simulation: one graph plus every run knob, ready to execute
 /// program fleets.  See the [module docs](self) for the builder idiom.

@@ -1,170 +1,126 @@
-//! The executor abstraction: one interface, three interchangeable engines.
+//! The execution engines: the loops a run's rounds can go through, and the
+//! dispatch that picks one.
 //!
-//! | implementation | engine | use it for |
+//! | engine | executes on | use it for |
 //! |---|---|---|
-//! | [`SequentialExecutor`] | pull-based message plane, one thread | the default: small graphs, debugging, bit-exact reference |
-//! | [`ShardedExecutor`] | per-shard planes + boundary exchange on scoped threads | large graphs (≳10⁴ nodes) on multi-core hosts |
-//! | [`ReferenceExecutor`] | the seed's push-based loop (allocating, cloning) | differential testing and benchmark baselines only |
+//! | one thread ([`Engine::Auto`] by default, [`Engine::Threads`]`(1)`) | the lockstep batch loop ([`crate::batch`]) on the calling thread | the default: small graphs, debugging |
+//! | `t >= 2` threads ([`Engine::Threads`]`(t)`, or [`Engine::Auto`] with [`Sim::threads`]) | the shard-parallel batch loop on `t` scoped threads | large graphs (≳10⁴ nodes) on multi-core hosts |
+//! | [`Engine::Reference`] | the push-based oracle ([`crate::reference`]), lane by lane | differential testing and benchmark baselines only |
 //!
-//! All three produce **bit-identical** outputs, [`crate::RunStats`] and
-//! traces for the same `(graph, config, programs)` — the
+//! All three produce **bit-identical** outputs, [`crate::RunStats`],
+//! traces and errors for the same `(graph, config, programs)` — the
 //! `runtime_equivalence` integration suite pins this — so callers choose
-//! purely on performance grounds.  Most code should not name an executor at
-//! all: set [`RunConfig::threads`] and let [`crate::Runtime::run`] dispatch.
-//! The trait exists for harnesses (benches, sweep drivers) that want to hold
-//! the engine choice as a value and reuse per-graph precomputation such as
-//! the [`Partition`] held by [`ShardedExecutor::for_graph`].
+//! purely on performance grounds.  Callers pin an [`Engine`] on a [`Sim`]
+//! (most never do: [`Engine::Auto`] plus [`Sim::threads`] is the ordinary
+//! path); the crate-internal `Executor::of` resolves it against the thread
+//! knob and the graph, and `Executor::run` runs a fleet of fleets on the
+//! result.
 //!
-//! Orthogonally to the engine, [`RunConfig::backing`] selects the plane's
-//! slot-storage backend (inline `Option<M>` slots vs the byte arena of
-//! [`crate::plane::ArenaPlane`]); the sequential and sharded engines honor
-//! it, while the reference oracle has no plane at all and ignores it.
+//! Orthogonally to the engine, [`crate::RunConfig::backing`] selects the
+//! plane's slot-storage backend; both plane loops honor it, while the
+//! reference oracle has no plane at all and ignores it.
 
-use crate::algorithm::NodeAlgorithm;
-use crate::runtime::{RunConfig, RunError, RunResult, Runtime};
-use lma_graph::{Partition, WeightedGraph};
+use crate::algorithm::{local_views, NodeAlgorithm};
+use crate::batch::LaneResults;
+use crate::driver::Sim;
+use lma_graph::Partition;
 use std::num::NonZeroUsize;
 
-/// A strategy for executing one synchronous run end to end.
+/// The execution engine a [`Sim`] dispatches a run to.
 ///
-/// The method is generic over the node program, so the trait is not object
-/// safe; harnesses hold a concrete executor (or an enum of them) instead of
-/// a `dyn` value.
-pub trait Executor {
-    /// A short, stable name used in bench scenario labels.
-    fn name(&self) -> &'static str;
-
-    /// Runs `programs` on `graph` under `config`.
-    ///
-    /// # Errors
-    /// Exactly the error cases of [`Runtime::run`].
-    fn run<A: NodeAlgorithm>(
-        &self,
-        graph: &WeightedGraph,
-        config: RunConfig,
-        programs: Vec<A>,
-    ) -> Result<RunResult<A::Output>, RunError>;
+/// Every plane run — solo or batched, one thread or many — goes through
+/// the lockstep batch kernel ([`crate::batch`]); the engine only fixes its
+/// thread count, or swaps in the push-based oracle.  All engines produce
+/// bit-identical outputs, stats, traces and errors for the same
+/// `(graph, config, programs)` — pinned by the `runtime_equivalence` suite
+/// — so the choice is purely about performance (and, for
+/// [`Engine::Reference`], differential testing).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// Dispatch on the configured thread count ([`Sim::threads`]): the
+    /// calling thread by default, shard-parallel when two or more threads
+    /// are requested.  The right choice for all ordinary callers.
+    Auto,
+    /// The plane kernel on exactly this many threads, ignoring the thread
+    /// knob: `1` runs on the calling thread, `t >= 2` shard-parallel.
+    Threads(NonZeroUsize),
+    /// The preserved push-based oracle (plane-free, allocating) — for
+    /// differential testing and benchmark baselines only.
+    Reference,
 }
 
-/// The sequential plane executor (ignores [`RunConfig::threads`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SequentialExecutor;
-
-impl Executor for SequentialExecutor {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
-    fn run<A: NodeAlgorithm>(
-        &self,
-        graph: &WeightedGraph,
-        config: RunConfig,
-        programs: Vec<A>,
-    ) -> Result<RunResult<A::Output>, RunError> {
-        Runtime::with_config(graph, config).run_sequential(programs)
-    }
-}
-
-/// The preserved push-based oracle (see [`crate::reference`]); deliberately
-/// the slow path — differential testing and baselines only.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReferenceExecutor;
-
-impl Executor for ReferenceExecutor {
-    fn name(&self) -> &'static str {
-        "reference-push"
-    }
-
-    fn run<A: NodeAlgorithm>(
-        &self,
-        graph: &WeightedGraph,
-        config: RunConfig,
-        programs: Vec<A>,
-    ) -> Result<RunResult<A::Output>, RunError> {
-        crate::reference::run_push(graph, config, programs)
-    }
-}
-
-/// The shard-parallel executor (see [`crate::sharded`]): one worker thread
-/// per shard, a barrier per round, deterministic shard-order merges.
-///
-/// Build it with [`ShardedExecutor::for_graph`] to precompute the
-/// [`Partition`] once and reuse it (borrowed, never copied) across every run
-/// on that graph — the multi-run harness path.  The cached partition is tied
-/// to the *identity* of the graph it was built from (not just its size):
-/// runs on any other graph, including a different graph with the same node
-/// and edge counts, partition on the fly instead.
-/// [`ShardedExecutor::new`] always partitions lazily per run.
-#[derive(Debug, Clone)]
-pub struct ShardedExecutor<'g> {
-    threads: NonZeroUsize,
-    partition: Option<(&'g WeightedGraph, Partition)>,
-}
-
-impl<'g> ShardedExecutor<'g> {
-    /// An executor that partitions each graph at run time.
+impl Engine {
+    /// Stable short label used in scenario cell ids and lock files
+    /// (`"auto"`, `"seq"` for one thread, `"sharded<t>"`, `"push"`).
     #[must_use]
-    pub fn new(threads: NonZeroUsize) -> Self {
-        Self {
-            threads,
-            partition: None,
-        }
-    }
-
-    /// An executor with a precomputed partition for `graph`, reused by every
-    /// run on that exact graph (runs on other graphs fall back to
-    /// partitioning on the fly).
-    #[must_use]
-    pub fn for_graph(graph: &'g WeightedGraph, threads: NonZeroUsize) -> Self {
-        Self {
-            threads,
-            partition: Some((graph, Partition::new(graph.csr(), threads.get()))),
-        }
-    }
-
-    /// The configured worker-thread count.
-    #[must_use]
-    pub fn threads(&self) -> NonZeroUsize {
-        self.threads
-    }
-
-    /// The cached partition when `graph` is the exact graph this executor
-    /// was built for (pointer identity — two distinct graphs of equal size
-    /// must not share a partition: boundary maps depend on the edges).
-    fn cached_partition(&self, graph: &WeightedGraph) -> Option<&Partition> {
-        match &self.partition {
-            Some((cached_graph, partition)) if std::ptr::eq(*cached_graph, graph) => {
-                Some(partition)
-            }
-            _ => None,
+    pub fn label(self) -> String {
+        match self {
+            Engine::Auto => "auto".to_string(),
+            Engine::Threads(t) if t.get() == 1 => "seq".to_string(),
+            Engine::Threads(t) => format!("sharded{t}"),
+            Engine::Reference => "push".to_string(),
         }
     }
 }
 
-impl Executor for ShardedExecutor<'_> {
-    fn name(&self) -> &'static str {
-        "sharded"
+/// The loop one run executes on: a [`Sim`]'s pinned [`Engine`] resolved
+/// against its thread knob and its graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Executor {
+    /// The lockstep batch loop on the calling thread.
+    Sequential,
+    /// The shard-parallel batch loop on this many (at least two) threads.
+    Sharded(NonZeroUsize),
+    /// The push-based oracle, one lane at a time.
+    Reference,
+}
+
+impl Executor {
+    /// The loop `sim` dispatches to: the push oracle when pinned, the
+    /// shard-parallel loop when the resolved config asks for two or more
+    /// threads on a graph of more than one node, the calling thread
+    /// otherwise.
+    pub(crate) fn of(sim: &Sim<'_>) -> Self {
+        if sim.engine() == Engine::Reference {
+            return Executor::Reference;
+        }
+        match sim.config().threads {
+            Some(threads) if sim.graph().node_count() > 1 => Executor::Sharded(threads),
+            _ => Executor::Sequential,
+        }
     }
 
-    fn run<A: NodeAlgorithm>(
-        &self,
-        graph: &WeightedGraph,
-        config: RunConfig,
-        programs: Vec<A>,
-    ) -> Result<RunResult<A::Output>, RunError> {
-        if self.threads.get() <= 1 || graph.node_count() <= 1 {
-            return Runtime::with_config(graph, config).run_sequential(programs);
-        }
-        let runtime = Runtime::with_config(graph, config);
-        let views = runtime.local_views();
-        match self.cached_partition(graph) {
-            Some(partition) => {
-                crate::sharded::run_sharded(graph, config, partition, &views, programs)
+    /// Runs `fleets` — one program fleet per lane, already checked against
+    /// the batch width — on this loop, under `sim`'s resolved config.
+    pub(crate) fn run<A: NodeAlgorithm>(
+        self,
+        sim: &Sim<'_>,
+        fleets: Vec<Vec<A>>,
+    ) -> LaneResults<A::Output> {
+        let graph = sim.graph();
+        let config = sim.config();
+        match self {
+            Executor::Sequential => crate::batch::run_batch_sequential(graph, config, fleets),
+            Executor::Sharded(threads) => {
+                let views = local_views(graph);
+                // A precomputed partition supplied via `Sim::with_partition`
+                // is reused when it was built for this graph and width.
+                let fresh;
+                let partition = match sim.usable_partition(threads.get()) {
+                    Some(partition) => partition,
+                    None => {
+                        fresh = Partition::new(graph.csr(), threads.get());
+                        &fresh
+                    }
+                };
+                crate::batch_sharded::run_batch_sharded(graph, config, partition, &views, fleets)
             }
-            None => {
-                let partition = Partition::new(graph.csr(), self.threads.get());
-                crate::sharded::run_sharded(graph, config, &partition, &views, programs)
-            }
+            // The push-based oracle has no plane to stripe; run the lanes
+            // through it one by one (differential-testing path only).
+            Executor::Reference => fleets
+                .into_iter()
+                .map(|f| crate::reference::run_push(graph, config, f))
+                .collect(),
         }
     }
 }
@@ -173,9 +129,10 @@ impl Executor for ShardedExecutor<'_> {
 mod tests {
     use super::*;
     use crate::algorithm::{LocalView, Outbox};
+    use crate::plane::Backing;
     use lma_graph::generators::ring;
     use lma_graph::weights::WeightStrategy;
-    use lma_graph::Port;
+    use lma_graph::{GraphBuilder, Port};
 
     struct CountDown {
         rounds_left: usize,
@@ -206,81 +163,96 @@ mod tests {
         }
     }
 
+    fn count_down(n: usize, rounds: usize) -> Vec<CountDown> {
+        (0..n)
+            .map(|_| CountDown {
+                rounds_left: rounds,
+            })
+            .collect()
+    }
+
+    fn threads(t: usize) -> Engine {
+        Engine::Threads(NonZeroUsize::new(t).unwrap())
+    }
+
     #[test]
     fn all_three_executors_agree() {
         let g = ring(24, WeightStrategy::DistinctRandom { seed: 4 });
-        let config = RunConfig {
-            trace: true,
-            ..RunConfig::default()
-        };
-        let mk = || {
-            (0..24)
-                .map(|_| CountDown { rounds_left: 6 })
-                .collect::<Vec<_>>()
-        };
-        let seq = SequentialExecutor.run(&g, config, mk()).unwrap();
-        let push = ReferenceExecutor.run(&g, config, mk()).unwrap();
-        let sharded = ShardedExecutor::for_graph(&g, NonZeroUsize::new(3).unwrap())
-            .run(&g, config, mk())
-            .unwrap();
-        assert_eq!(seq.outputs, push.outputs);
-        assert_eq!(seq.stats, push.stats);
-        assert_eq!(seq.trace, push.trace);
-        assert_eq!(seq.outputs, sharded.outputs);
-        assert_eq!(seq.stats, sharded.stats);
-        assert_eq!(seq.trace, sharded.trace);
+        for backing in [Backing::Inline, Backing::Arena] {
+            let base = Sim::on(&g).trace(true).backing(backing);
+            let seq = base.executor(threads(1));
+            let sharded = base.executor(threads(3));
+            let push = base.executor(Engine::Reference);
+            assert_eq!(Executor::of(&seq), Executor::Sequential);
+            assert_eq!(
+                Executor::of(&sharded),
+                Executor::Sharded(NonZeroUsize::new(3).unwrap())
+            );
+            assert_eq!(Executor::of(&push), Executor::Reference);
+
+            let expected = Executor::of(&seq).run(&seq, vec![count_down(24, 6)]);
+            let expected = expected[0].as_ref().unwrap();
+            assert_eq!(expected.outputs.len(), 24);
+            for sim in [sharded, push] {
+                // Two lanes through each loop: both equal the one-thread run.
+                let lanes =
+                    Executor::of(&sim).run(&sim, vec![count_down(24, 6), count_down(24, 6)]);
+                assert_eq!(lanes.len(), 2);
+                for lane in lanes {
+                    let lane = lane.unwrap();
+                    assert_eq!(expected.outputs, lane.outputs, "{backing:?}");
+                    assert_eq!(expected.stats, lane.stats, "{backing:?}");
+                    assert_eq!(expected.trace, lane.trace, "{backing:?}");
+                }
+            }
+        }
     }
 
     #[test]
     fn sharded_with_one_thread_falls_back_to_sequential() {
         let g = ring(8, WeightStrategy::Unit);
-        let result = ShardedExecutor::new(NonZeroUsize::new(1).unwrap())
-            .run(
-                &g,
-                RunConfig::default(),
-                (0..8).map(|_| CountDown { rounds_left: 2 }).collect(),
-            )
-            .unwrap();
-        assert_eq!(result.outputs.len(), 8);
-    }
-
-    #[test]
-    fn cached_partition_is_not_reused_for_a_different_graph_of_equal_size() {
-        // Two graphs with identical node/slot counts but different edges:
-        // the partition cache must key on graph identity, not size, or the
-        // cross-shard routing tables of one graph would route the other.
-        let a = ring(24, WeightStrategy::DistinctRandom { seed: 1 });
-        let b = lma_graph::generators::connected_random(
-            24,
-            24,
-            7,
-            WeightStrategy::DistinctRandom { seed: 7 },
-        );
-        assert_eq!(a.node_count(), b.node_count());
-        assert_eq!(a.csr().slot_count(), b.csr().slot_count());
-        let exec = ShardedExecutor::for_graph(&a, NonZeroUsize::new(3).unwrap());
-        for g in [&a, &b] {
-            let mk = || {
-                (0..24)
-                    .map(|_| CountDown { rounds_left: 5 })
-                    .collect::<Vec<_>>()
-            };
-            let seq = SequentialExecutor
-                .run(g, RunConfig::default(), mk())
-                .unwrap();
-            let par = exec.run(g, RunConfig::default(), mk()).unwrap();
-            assert_eq!(seq.outputs, par.outputs);
-            assert_eq!(seq.stats, par.stats);
+        // A one-thread pin, or one thread through the knob, stays on the
+        // calling thread whatever the knob says.
+        for sim in [
+            Sim::on(&g).executor(threads(1)),
+            Sim::on(&g).threads(4).executor(threads(1)),
+            Sim::on(&g).threads(1),
+            Sim::on(&g).threads(0),
+        ] {
+            assert_eq!(
+                Executor::of(&sim),
+                Executor::Sequential,
+                "{:?}",
+                sim.engine()
+            );
+            let result = sim.run(count_down(8, 2)).unwrap();
+            assert_eq!(result.outputs.len(), 8);
         }
+        // So does a shard-parallel pin on a graph too small to shard.
+        let single = GraphBuilder::new(1).build().unwrap();
+        let sim = Sim::on(&single).executor(threads(3));
+        assert_eq!(Executor::of(&sim), Executor::Sequential);
+        let result = sim.run(count_down(1, 2)).unwrap();
+        assert_eq!(result.outputs, vec![Some(0)]);
     }
 
     #[test]
     fn executor_names_are_stable() {
-        assert_eq!(SequentialExecutor.name(), "sequential");
-        assert_eq!(ReferenceExecutor.name(), "reference-push");
-        assert_eq!(
-            ShardedExecutor::new(NonZeroUsize::new(2).unwrap()).name(),
-            "sharded"
-        );
+        // Scenario cell ids and lock files key on these labels.
+        assert_eq!(Engine::Auto.label(), "auto");
+        assert_eq!(threads(1).label(), "seq");
+        assert_eq!(Engine::Reference.label(), "push");
+        for t in 2..=64 {
+            assert_eq!(threads(t).label(), format!("sharded{t}"));
+        }
+        let mut labels: Vec<String> = [Engine::Auto, Engine::Reference]
+            .into_iter()
+            .chain((1..=64).map(threads))
+            .map(Engine::label)
+            .collect();
+        let count = labels.len();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), count, "engine labels must be distinct");
     }
 }

@@ -81,6 +81,7 @@ pub(crate) mod batch_sharded;
 pub mod bitset;
 pub mod digest;
 pub mod driver;
+pub mod executor;
 pub mod frontier;
 pub mod lanes;
 pub mod message;
@@ -100,8 +101,9 @@ pub use bitset::FixedBitSet;
 pub use digest::{Digest, DigestWriter, FrontierProfile, RunSummary};
 pub use driver::{
     run_workload, run_workload_batch, run_workload_batch_prepared, run_workload_prepared,
-    DynWorkload, Engine, FleetWorkload, PreparedOracle, Sim, Workload, WorkloadError,
+    DynWorkload, FleetWorkload, PreparedOracle, Sim, Workload, WorkloadError,
 };
+pub use executor::Engine;
 pub use frontier::FrontierMode;
 pub use lanes::{BitFleet, LaneWords};
 pub use message::BitSized;
