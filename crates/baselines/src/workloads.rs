@@ -14,7 +14,10 @@ use lma_mst::digest::fold_upward_outputs;
 use lma_mst::verify::{verify_upward_outputs, UpwardOutput};
 use lma_sim::digest::{fold_result, fold_stats, DigestWriter};
 use lma_sim::driver::{FleetWorkload, Sim, Workload, WorkloadError};
-use lma_sim::{LocalView, Model, NodeAlgorithm, Outbox, RunResult, RunStats, RunSummary};
+use lma_sim::{
+    collect_outbox, LocalView, Model, MsgSink, NodeAlgorithm, Outbox, RunResult, RunStats,
+    RunSummary,
+};
 
 /// Max-identifier flooding for exactly `n` rounds: every node broadcasts the
 /// largest identifier it has seen; traffic shape (bit sizes) changes as the
@@ -46,20 +49,38 @@ impl NodeAlgorithm for MaxFlood {
     type Output = u64;
 
     fn init(&mut self, view: &LocalView) -> Outbox<u64> {
-        self.best = view.id;
-        self.rounds_left = view.n;
-        (0..view.degree()).map(|p| (p, self.best)).collect()
+        collect_outbox(|out| self.init_into(view, out))
     }
 
-    fn round(&mut self, view: &LocalView, _round: usize, inbox: &[(Port, u64)]) -> Outbox<u64> {
+    fn round(&mut self, view: &LocalView, round: usize, inbox: &[(Port, u64)]) -> Outbox<u64> {
+        collect_outbox(|out| self.round_into(view, round, inbox, out))
+    }
+
+    fn init_into(&mut self, view: &LocalView, out: &mut MsgSink<'_, u64>) {
+        self.best = view.id;
+        self.rounds_left = view.n;
+        for p in 0..view.degree() {
+            out.send(p, self.best);
+        }
+    }
+
+    fn round_into(
+        &mut self,
+        view: &LocalView,
+        _round: usize,
+        inbox: &[(Port, u64)],
+        out: &mut MsgSink<'_, u64>,
+    ) {
         for (_, id) in inbox {
             self.best = self.best.max(*id);
         }
         self.rounds_left -= 1;
         if self.rounds_left == 0 {
-            return Vec::new();
+            return;
         }
-        (0..view.degree()).map(|p| (p, self.best)).collect()
+        for p in 0..view.degree() {
+            out.send(p, self.best);
+        }
     }
 
     fn is_done(&self) -> bool {
@@ -125,21 +146,38 @@ impl NodeAlgorithm for WaveFlood {
     }
 
     fn init(&mut self, view: &LocalView) -> Outbox<u64> {
-        if self.source {
-            self.reached = Some((view.id, 0));
-            self.done = true;
-            return (0..view.degree()).map(|p| (p, view.id)).collect();
-        }
-        Vec::new()
+        collect_outbox(|out| self.init_into(view, out))
     }
 
     fn round(&mut self, view: &LocalView, round: usize, inbox: &[(Port, u64)]) -> Outbox<u64> {
+        collect_outbox(|out| self.round_into(view, round, inbox, out))
+    }
+
+    fn init_into(&mut self, view: &LocalView, out: &mut MsgSink<'_, u64>) {
+        if self.source {
+            self.reached = Some((view.id, 0));
+            self.done = true;
+            for p in 0..view.degree() {
+                out.send(p, view.id);
+            }
+        }
+    }
+
+    fn round_into(
+        &mut self,
+        view: &LocalView,
+        round: usize,
+        inbox: &[(Port, u64)],
+        out: &mut MsgSink<'_, u64>,
+    ) {
         let Some(&(_, id)) = inbox.iter().min_by_key(|(_, id)| *id) else {
-            return Vec::new();
+            return;
         };
         self.reached = Some((id, round as u64));
         self.done = true;
-        (0..view.degree()).map(|p| (p, id)).collect()
+        for p in 0..view.degree() {
+            out.send(p, id);
+        }
     }
 
     fn is_done(&self) -> bool {

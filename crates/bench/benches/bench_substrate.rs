@@ -38,6 +38,11 @@
 //! barrier and frontier hand-off the whole cost.  Per-run time via
 //! `Throughput::Elements(1)`.
 //!
+//! The `trace` group prices delivery tracing on the registry's
+//! `flood/preferential-attachment/n64/s12` topology: a [`MaxFlood`] fleet
+//! solo with the trace off and on, and as an 8-lane traced batch, each cell
+//! reporting time per run.
+//!
 //! The `driver` group times a plain [`Sim`]-built run, the end-to-end
 //! entry point every caller uses.
 
@@ -50,9 +55,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lma_baselines::flood_collect::FixedGossip;
-use lma_baselines::WaveFlood;
+use lma_baselines::{MaxFlood, WaveFlood};
 use lma_graph::generators::{
-    barabasi_albert, complete, connected_random, gnp_connected, grid, ring,
+    barabasi_albert, complete, connected_random, gnp_connected, grid, ring, Family,
 };
 use lma_graph::weights::WeightStrategy;
 use lma_graph::{Partition, Port, WeightedGraph};
@@ -548,6 +553,42 @@ fn bench_frontier_schedules(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `trace` group: the cost of delivery tracing on a flood.  Each traced
+/// run returns every delivery (`2 · |E| · n` events here), so the gap
+/// between `solo` and `solo-traced` is the trace's whole price, and
+/// `batch8-traced` (per-run time via `Throughput::Elements(8)`) shows
+/// whether eight traced lanes still amortize one traversal.
+fn bench_trace(c: &mut Criterion) {
+    let mut group = c.benchmark_group("trace");
+    let name = "preferential-attachment/n64";
+    let g = Family::PreferentialAttachment.instantiate(
+        64,
+        WeightStrategy::DistinctRandom { seed: 12 },
+        12,
+    );
+    let fleet =
+        |g: &WeightedGraph| -> Vec<MaxFlood> { g.nodes().map(|_| MaxFlood::new()).collect() };
+    group.throughput(Throughput::Elements(1));
+    for (label, sim) in [
+        ("solo", Sim::on(&g)),
+        ("solo-traced", Sim::on(&g).trace(true)),
+    ] {
+        group.bench_with_input(BenchmarkId::new(label, name), &g, |b, g| {
+            b.iter(|| black_box(sim.run(fleet(g)).unwrap().stats.total_messages));
+        });
+    }
+    let lanes = 8;
+    group.throughput(Throughput::Elements(lanes as u64));
+    let batch = Sim::on(&g).trace(true).batch(lanes);
+    group.bench_with_input(BenchmarkId::new("batch8-traced", name), &g, |b, g| {
+        b.iter(|| {
+            let fleets = (0..lanes).map(|_| fleet(g)).collect();
+            black_box(batch.run(fleets).unwrap().len())
+        });
+    });
+    group.finish();
+}
+
 /// Rounds driven per iteration in the driver scenario.
 const DRIVER_ROUNDS: usize = 10;
 
@@ -575,6 +616,6 @@ criterion_group! {
     config = Criterion::default().sample_size(10);
     targets = bench_union_find, bench_generators, bench_sequential_mst, bench_simulator,
         bench_routing_scaling, bench_gossip_backings, bench_fleet_batching,
-        bench_frontier_schedules, bench_driver_overhead
+        bench_frontier_schedules, bench_trace, bench_driver_overhead
 }
 criterion_main!(substrate);

@@ -289,10 +289,13 @@ impl TcpServer {
                             continue;
                         };
                         let shared = Arc::clone(&shared);
-                        std::thread::Builder::new()
+                        // A failed spawn (out of threads or memory) drops
+                        // this one connection — the closure, and both
+                        // halves of the stream with it — and keeps
+                        // accepting.
+                        let _ = std::thread::Builder::new()
                             .name("lma-serve-conn".to_string())
-                            .spawn(move || serve_connection(&shared, stream, write_half))
-                            .expect("spawn connection thread");
+                            .spawn(move || serve_connection(&shared, stream, write_half));
                     }
                 })
                 .expect("spawn accept thread")

@@ -45,7 +45,7 @@ use crate::plane::{ArenaPlane, Backing, MessagePlane, PlaneStore, SlotOccupied};
 use crate::pool;
 use crate::runtime::{PendingError, PendingRound, RunConfig, RunError, RunResult};
 use crate::stats::RunStats;
-use crate::trace::TraceEvent;
+use crate::trace::{order_sender_groups, TraceEvent};
 use lma_graph::{IncidentEdge, Port, WeightedGraph};
 
 /// The per-lane outcomes of a batch run: one entry per lane, index for
@@ -289,7 +289,11 @@ fn run_batch_sequential_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     results
 }
 
-/// The finished result of a lane: its outputs, stats and sorted trace.
+/// The finished result of a lane: its outputs, stats and trace.  The lane's
+/// events were committed round by round, each round's in the order its
+/// senders were stepped — ascending node order, dense scan or sparse walk —
+/// so only each sender's group needs ordering by `to` (see
+/// [`crate::trace`]).
 fn finish_lane<A: NodeAlgorithm>(
     fleet: &[A],
     stats: &mut RunStats,
@@ -301,7 +305,7 @@ fn finish_lane<A: NodeAlgorithm>(
         outputs: fleet.iter().map(NodeAlgorithm::output).collect(),
         stats: std::mem::take(stats),
         trace: trace.then(|| {
-            events.sort_by_key(|e| (e.round, e.from, e.to));
+            order_sender_groups(&mut events);
             events
         }),
     })

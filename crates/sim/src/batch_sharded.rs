@@ -89,7 +89,7 @@ use crate::lanes::LaneWords;
 use crate::plane::{ArenaPlane, Backing, MessagePlane, PlaneStore};
 use crate::runtime::{PendingError, PendingRound, RunConfig, RunError, RunResult};
 use crate::stats::RunStats;
-use crate::trace::TraceEvent;
+use crate::trace::{order_sender_groups, TraceEvent};
 use lma_graph::{Partition, Port, WeightedGraph};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -350,12 +350,15 @@ fn run_batch_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
                         .map(NodeAlgorithm::output)
                 })
                 .collect();
+            // Each round's events were merged in shard order from workers
+            // that step their contiguous node ranges in ascending order, so
+            // the lane's trace is already in `(round, from)` order.
             let mut events = lane.events;
             Ok(RunResult {
                 outputs,
                 stats: lane.stats,
                 trace: config.trace.then(|| {
-                    events.sort_by_key(|e| (e.round, e.from, e.to));
+                    order_sender_groups(&mut events);
                     events
                 }),
             })

@@ -126,7 +126,9 @@ pub struct RunResult<O> {
     pub outputs: Vec<Option<O>>,
     /// Aggregate communication statistics.
     pub stats: RunStats,
-    /// Message-delivery trace, when requested in the config.
+    /// Message-delivery trace, when requested in the config, in
+    /// `(round, from, to)` order on every engine (see [`crate::trace`] for
+    /// the emission order the plane engines rely on).
     pub trace: Option<Vec<TraceEvent>>,
 }
 

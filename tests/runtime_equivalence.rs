@@ -22,10 +22,13 @@
 //!    bit-identical outputs, stats and traces to sequential runs of the same
 //!    programs, on both plane backings, sequential and sharded, including
 //!    the malformed-outbox error path (the failing lane alone reports the
-//!    sequential run's exact error; every other lane completes).
+//!    sequential run's exact error; every other lane completes);
+//! 6. **trace order** — a program that sends through its ports in
+//!    descending order gets the push reference's `(round, from, to)` trace
+//!    from every thread count, batch width and backing.
 
 use lma_baselines::{FloodCollectMst, NoAdviceMst, SyncBoruvkaMst};
-use lma_graph::generators::{connected_random, gnp_connected, grid, ring};
+use lma_graph::generators::{barabasi_albert, connected_random, gnp_connected, grid, ring};
 use lma_graph::weights::WeightStrategy;
 use lma_graph::{Port, WeightedGraph};
 use lma_sim::{Backing, Engine, LocalView, Model, NodeAlgorithm, Outbox, RunError, RunResult, Sim};
@@ -111,6 +114,50 @@ impl NodeAlgorithm for MinForward {
         }
         let cheapest = view.ports_by_weight()[0];
         vec![(cheapest, self.best)]
+    }
+
+    fn is_done(&self) -> bool {
+        self.rounds_left == 0
+    }
+
+    fn output(&self) -> Option<u64> {
+        (self.rounds_left == 0).then_some(self.best)
+    }
+}
+
+/// Max-identifier flooding for a fixed number of rounds that broadcasts
+/// through its ports in **descending** order, so each sender's trace events
+/// are emitted against port order (and, on the test graphs, against
+/// receiver order).
+struct DescendingFlood {
+    best: u64,
+    rounds_left: usize,
+}
+
+impl DescendingFlood {
+    fn broadcast(&self, view: &LocalView) -> Outbox<u64> {
+        (0..view.degree()).rev().map(|p| (p, self.best)).collect()
+    }
+}
+
+impl NodeAlgorithm for DescendingFlood {
+    type Msg = u64;
+    type Output = u64;
+
+    fn init(&mut self, view: &LocalView) -> Outbox<u64> {
+        self.best = view.id;
+        self.broadcast(view)
+    }
+
+    fn round(&mut self, view: &LocalView, _round: usize, inbox: &[(Port, u64)]) -> Outbox<u64> {
+        for (_, id) in inbox {
+            self.best = self.best.max(*id);
+        }
+        self.rounds_left -= 1;
+        if self.rounds_left == 0 {
+            return Vec::new();
+        }
+        self.broadcast(view)
     }
 
     fn is_done(&self) -> bool {
@@ -262,6 +309,63 @@ fn trace_round_numbers_and_totals_are_consistent() {
     assert!(trace
         .windows(2)
         .all(|w| (w[0].round, w[0].from, w[0].to) <= (w[1].round, w[1].from, w[1].to)));
+}
+
+#[test]
+fn descending_port_sends_trace_in_reference_order() {
+    let graphs = [
+        (
+            "preferential-attachment",
+            barabasi_albert(64, 3, 12, WeightStrategy::DistinctRandom { seed: 12 }),
+        ),
+        (
+            "ring",
+            ring(31, WeightStrategy::DistinctRandom { seed: 11 }),
+        ),
+    ];
+    for (name, g) in &graphs {
+        let mk = || {
+            g.nodes()
+                .map(|_| DescendingFlood {
+                    best: 0,
+                    rounds_left: 6,
+                })
+                .collect::<Vec<_>>()
+        };
+        let reference = Sim::on(g)
+            .trace(true)
+            .executor(Engine::Reference)
+            .run(mk())
+            .unwrap();
+        // The program must actually emit some sender group against
+        // receiver order, or the comparison below proves nothing.
+        let out_of_order = g.nodes().any(|u| {
+            let to: Vec<_> = g.incident(u).iter().map(|e| e.neighbor).collect();
+            to.windows(2).any(|w| w[0] < w[1])
+        });
+        assert!(out_of_order, "{name}: descending ports are already sorted");
+        for backing in Backing::ALL {
+            for threads in [1usize, 2, 3] {
+                for lanes in [1usize, 3] {
+                    let fleets = (0..lanes).map(|_| mk()).collect();
+                    let results = Sim::on(g)
+                        .trace(true)
+                        .backing(backing)
+                        .threads(threads)
+                        .batch(lanes)
+                        .run(fleets)
+                        .unwrap();
+                    for (lane, result) in results.into_iter().enumerate() {
+                        assert_identical(
+                            &reference,
+                            &result.unwrap(),
+                            &format!("{name}/{backing:?}/threads={threads}/W={lanes}/lane={lane}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// A program with a planted bug: node `culprit` sends twice through port 0
