@@ -22,7 +22,6 @@ use lma_mst::RootedTree;
 use lma_sim::digest::{fold_stats, DigestWriter};
 use lma_sim::driver::{Sim, Workload, WorkloadError};
 use lma_sim::runtime::RunError;
-use lma_sim::BatchSim;
 use lma_sim::{RunStats, RunSummary};
 
 /// Per-node advice strings, indexed by node index.
@@ -129,20 +128,6 @@ pub trait AdvisingScheme: Send + Sync {
     /// is `sim.graph()`; the advice assignment must cover exactly its
     /// nodes.
     fn decode(&self, sim: &Sim<'_>, advice: &Advice) -> Result<DecodeOutcome, SchemeError>;
-
-    /// Decodes a whole batch: one advice assignment per lane of `batch`,
-    /// one outcome (or error) per lane, index for index.  The default runs
-    /// the lanes one by one through [`decode`](AdvisingScheme::decode);
-    /// single-fleet decoders override it to fan the lanes into one
-    /// [`BatchSim::run`] so the graph traversal is shared.  Per-lane
-    /// results are bit-identical either way.
-    fn decode_batch(
-        &self,
-        batch: &BatchSim<'_>,
-        advice: &[Advice],
-    ) -> Vec<Result<DecodeOutcome, SchemeError>> {
-        advice.iter().map(|a| self.decode(batch.sim(), a)).collect()
-    }
 }
 
 /// The verified result of a full oracle-then-decode run of a scheme.
@@ -297,35 +282,6 @@ impl<S: AdvisingScheme> Workload for SchemeWorkload<S> {
 
     fn execute(&self, sim: &Sim<'_>, advice: Advice) -> Result<SchemeEvaluation, WorkloadError> {
         evaluate_scheme_with_advice(&self.scheme, sim, &advice).map_err(to_workload_error)
-    }
-
-    fn supports_batch(&self) -> bool {
-        true
-    }
-
-    fn execute_batch(
-        &self,
-        batch: &BatchSim<'_>,
-        preps: Vec<Advice>,
-    ) -> Vec<Result<SchemeEvaluation, WorkloadError>> {
-        let g = batch.sim().graph();
-        let outcomes = self.scheme.decode_batch(batch, &preps);
-        preps
-            .into_iter()
-            .zip(outcomes)
-            .map(|(advice, lane)| {
-                let advice_stats = advice.stats();
-                lane.and_then(|outcome| {
-                    let tree = verify_upward_outputs(g, &outcome.outputs)?;
-                    Ok(SchemeEvaluation {
-                        advice: advice_stats,
-                        run: outcome.stats,
-                        tree,
-                    })
-                })
-                .map_err(to_workload_error)
-            })
-            .collect()
     }
 
     fn fold(&self, w: &mut DigestWriter, outcome: &SchemeEvaluation) {

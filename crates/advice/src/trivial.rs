@@ -23,7 +23,7 @@ use lma_graph::Port;
 use lma_graph::{index, WeightedGraph};
 use lma_mst::boruvka::{run_boruvka, BoruvkaConfig};
 use lma_mst::verify::UpwardOutput;
-use lma_sim::{BatchSim, LocalView, NodeAlgorithm, Outbox, Sim};
+use lma_sim::{LocalView, NodeAlgorithm, Outbox, Sim};
 
 /// The trivial (⌈log n⌉, 0)-advising scheme.
 #[derive(Debug, Clone, Default)]
@@ -87,37 +87,6 @@ impl AdvisingScheme for TrivialScheme {
             outputs: result.outputs,
             stats: result.stats,
         })
-    }
-
-    fn decode_batch(
-        &self,
-        batch: &BatchSim<'_>,
-        advice: &[Advice],
-    ) -> Vec<Result<DecodeOutcome, SchemeError>> {
-        let g = batch.sim().graph();
-        let fleets = advice
-            .iter()
-            .map(|a| {
-                g.nodes()
-                    .map(|u| TrivialDecoder {
-                        advice: a.per_node[u].clone(),
-                        output: None,
-                    })
-                    .collect()
-            })
-            .collect();
-        batch
-            .run(fleets)
-            .expect("one advice assignment per lane was supplied")
-            .into_iter()
-            .map(|lane| {
-                lane.map(|result| DecodeOutcome {
-                    outputs: result.outputs,
-                    stats: result.stats,
-                })
-                .map_err(SchemeError::Run)
-            })
-            .collect()
     }
 }
 
@@ -236,19 +205,23 @@ mod tests {
     #[test]
     fn batched_decode_matches_solo_evaluations() {
         use crate::scheme::SchemeWorkload;
-        use lma_sim::driver::{run_workload, run_workload_batch, Workload};
+        use lma_sim::driver::{run_workload, Workload};
 
+        // `execute_batch` is a loop of solo decodes: one evaluation per
+        // advice assignment, each equal to the solo pipeline's.
         let g = grid(4, 5, WeightStrategy::DistinctRandom { seed: 12 });
         let workload = SchemeWorkload::new("trivial", TrivialScheme::default());
-        assert!(Workload::supports_batch(&workload));
         let sim = Workload::tune(&workload, Sim::on(&g));
         let solo = run_workload(&workload, &sim).unwrap();
-        for lane in run_workload_batch(&workload, &sim.batch(3)) {
-            let lane = lane.unwrap();
-            assert_eq!(lane.tree.edges, solo.tree.edges);
-            assert_eq!(lane.tree.parent_port, solo.tree.parent_port);
-            assert_eq!(lane.run, solo.run);
-            assert_eq!(lane.advice.max_bits, solo.advice.max_bits);
+        let advice = Workload::prepare(&workload, &g).unwrap();
+        let outcomes = workload.execute_batch(&sim.batch(3), vec![advice; 3]);
+        assert_eq!(outcomes.len(), 3);
+        for outcome in outcomes {
+            let outcome = outcome.unwrap();
+            assert_eq!(outcome.tree.edges, solo.tree.edges);
+            assert_eq!(outcome.tree.parent_port, solo.tree.parent_port);
+            assert_eq!(outcome.run, solo.run);
+            assert_eq!(outcome.advice.max_bits, solo.advice.max_bits);
         }
     }
 

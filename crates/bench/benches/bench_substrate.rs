@@ -21,14 +21,6 @@
 //! arena-vs-inline allocation win lands in the committed trajectory next to
 //! the push → pull → sharded one.
 //!
-//! The `fleet` group measures lockstep batching ([`lma_sim::BatchSim`]):
-//! `W` same-program runs sharing one graph traversal versus `W` sequential
-//! runs, at W ∈ {8, 64, 256} on ring, G(n, p) and Barabási–Albert graphs
-//! under LOCAL and CONGEST-audit, plus the word-packed [`lma_sim::BitFleet`]
-//! against `W` single-lane floods (the one-bitwise-op-per-64-runs case).
-//! Every cell reports per-run time via `Throughput::Elements(W)`, so runs/sec
-//! of batched vs sequential land side by side in the committed trajectory.
-//!
 //! The `frontier` group measures sparse frontier execution: a
 //! message-driven BFS wave under the forced-dense, forced-sparse and auto
 //! schedules on long-diameter rings (where the active set is 2–4 nodes for
@@ -40,8 +32,7 @@
 //!
 //! The `trace` group prices delivery tracing on the registry's
 //! `flood/preferential-attachment/n64/s12` topology: a [`MaxFlood`] fleet
-//! solo with the trace off and on, and as an 8-lane traced batch, each cell
-//! reporting time per run.
+//! with the trace off and on, each cell reporting time per run.
 //!
 //! The `driver` group times a plain [`Sim`]-built run, the end-to-end
 //! entry point every caller uses.
@@ -49,16 +40,14 @@
 #![forbid(unsafe_code)]
 //!
 //! `-- --smoke` shrinks the scaling graphs to 10³–10⁴ nodes (gossip to
-//! 256–1024, fleets to 128, frontier waves to 256–1024) and clamps the
+//! 256–1024, frontier waves to 256–1024) and clamps the
 //! sample counts (see the vendored criterion shim), which is what the CI
 //! smoke job runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lma_baselines::flood_collect::FixedGossip;
 use lma_baselines::{MaxFlood, WaveFlood};
-use lma_graph::generators::{
-    barabasi_albert, complete, connected_random, gnp_connected, grid, ring, Family,
-};
+use lma_graph::generators::{complete, connected_random, gnp_connected, grid, ring, Family};
 use lma_graph::weights::WeightStrategy;
 use lma_graph::{Partition, Port, WeightedGraph};
 use lma_mst::boruvka::{run_boruvka, BoruvkaConfig};
@@ -362,124 +351,6 @@ fn bench_gossip_backings(c: &mut Criterion) {
     group.finish();
 }
 
-/// Rounds driven per iteration in the fleet scenarios.
-const FLEET_ROUNDS: usize = 8;
-
-/// Batch widths the fleet scenarios sweep (each compared against the same
-/// number of sequential runs).
-const FLEET_WIDTHS: [usize; 3] = [8, 64, 256];
-
-/// Fleet-scenario graph families: ring, G(n, p) and Barabási–Albert (the
-/// heavy-tailed degree case, where lane striping meets very uneven slot
-/// groups).  Fleet traffic is Θ(W × messages), so the scale sits below the
-/// routing scenarios'.
-fn fleet_graphs() -> Vec<(String, WeightedGraph)> {
-    let scale: usize = if criterion::is_smoke() { 128 } else { 512 };
-    vec![
-        (format!("ring/{scale}"), ring(scale, WeightStrategy::Unit)),
-        (
-            format!("gnp/{scale}"),
-            gnp_connected(
-                scale,
-                2.0 * (scale as f64).ln() / scale as f64,
-                17,
-                WeightStrategy::DistinctRandom { seed: 17 },
-            ),
-        ),
-        (
-            format!("ba/{scale}"),
-            barabasi_albert(scale, 3, 19, WeightStrategy::DistinctRandom { seed: 19 }),
-        ),
-    ]
-}
-
-/// The `fleet` group: `W` lockstep lanes through one [`lma_sim::BatchSim`]
-/// traversal versus `W` back-to-back sequential runs of the same program,
-/// and the word-packed [`BitFleet`] versus `W` single-lane floods.  With
-/// `Throughput::Elements(W)`, every cell's `per_element_ns` is the time per
-/// run, so the batched-vs-sequential runs/sec ratio reads straight off the
-/// committed JSON.
-fn bench_fleet_batching(c: &mut Criterion) {
-    let graphs = fleet_graphs();
-    let mut group = c.benchmark_group("fleet");
-    let ping_fleet = |g: &WeightedGraph| -> Vec<Ping> {
-        (0..g.node_count())
-            .map(|_| Ping {
-                rounds_left: FLEET_ROUNDS,
-            })
-            .collect()
-    };
-    for (name, g) in &graphs {
-        for w in FLEET_WIDTHS {
-            group.throughput(Throughput::Elements(w as u64));
-            for (model, sim) in scaling_sims(g) {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("batch{w}/{model}"), name),
-                    g,
-                    |b, g| {
-                        b.iter(|| {
-                            let fleets = (0..w).map(|_| ping_fleet(g)).collect();
-                            let total: u64 = sim
-                                .batch(w)
-                                .run(fleets)
-                                .unwrap()
-                                .into_iter()
-                                .map(|lane| lane.unwrap().stats.total_messages)
-                                .sum();
-                            black_box(total)
-                        });
-                    },
-                );
-                group.bench_with_input(
-                    BenchmarkId::new(format!("seq{w}/{model}"), name),
-                    g,
-                    |b, g| {
-                        b.iter(|| {
-                            let total: u64 = (0..w)
-                                .map(|_| sim.run(ping_fleet(g)).unwrap().stats.total_messages)
-                                .sum();
-                            black_box(total)
-                        });
-                    },
-                );
-            }
-            // The genuinely bit-sized workload: W reachability floods as
-            // packed lanes (⌈W / 64⌉ ORs per edge per round for the whole
-            // fleet) against W one-lane floods over the same buffers.
-            let n = g.node_count();
-            let mut packed = lma_sim::BitFleet::new(n, w);
-            group.bench_with_input(BenchmarkId::new(format!("bitfleet{w}"), name), g, |b, g| {
-                b.iter(|| {
-                    packed.reset();
-                    for lane in 0..w {
-                        packed.seed(lane % n, lane);
-                    }
-                    packed.run(g, FLEET_ROUNDS);
-                    black_box(packed.reached(n - 1, 0))
-                });
-            });
-            let mut single = lma_sim::BitFleet::new(n, 1);
-            group.bench_with_input(
-                BenchmarkId::new(format!("bitfleet-seq{w}"), name),
-                g,
-                |b, g| {
-                    b.iter(|| {
-                        let mut last = false;
-                        for lane in 0..w {
-                            single.reset();
-                            single.seed(lane % n, 0);
-                            single.run(g, FLEET_ROUNDS);
-                            last = single.reached(n - 1, 0);
-                        }
-                        black_box(last)
-                    });
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 /// Frontier-scenario graph families: long-diameter rings (a 2-tip wavefront
 /// for thousands of rounds — the sparse schedule's home turf), a same-scale
 /// grid (√n-wide wavefront, the middle ground), and a dense G(n, p) control
@@ -555,9 +426,7 @@ fn bench_frontier_schedules(c: &mut Criterion) {
 
 /// The `trace` group: the cost of delivery tracing on a flood.  Each traced
 /// run returns every delivery (`2 · |E| · n` events here), so the gap
-/// between `solo` and `solo-traced` is the trace's whole price, and
-/// `batch8-traced` (per-run time via `Throughput::Elements(8)`) shows
-/// whether eight traced lanes still amortize one traversal.
+/// between `solo` and `solo-traced` is the trace's whole price.
 fn bench_trace(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace");
     let name = "preferential-attachment/n64";
@@ -577,15 +446,6 @@ fn bench_trace(c: &mut Criterion) {
             b.iter(|| black_box(sim.run(fleet(g)).unwrap().stats.total_messages));
         });
     }
-    let lanes = 8;
-    group.throughput(Throughput::Elements(lanes as u64));
-    let batch = Sim::on(&g).trace(true).batch(lanes);
-    group.bench_with_input(BenchmarkId::new("batch8-traced", name), &g, |b, g| {
-        b.iter(|| {
-            let fleets = (0..lanes).map(|_| fleet(g)).collect();
-            black_box(batch.run(fleets).unwrap().len())
-        });
-    });
     group.finish();
 }
 
@@ -615,7 +475,7 @@ criterion_group! {
     name = substrate;
     config = Criterion::default().sample_size(10);
     targets = bench_union_find, bench_generators, bench_sequential_mst, bench_simulator,
-        bench_routing_scaling, bench_gossip_backings, bench_fleet_batching,
+        bench_routing_scaling, bench_gossip_backings,
         bench_frontier_schedules, bench_trace, bench_driver_overhead
 }
 criterion_main!(substrate);

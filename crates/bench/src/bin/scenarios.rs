@@ -31,14 +31,15 @@
 //! normally runs *all* of its cells, because cross-cell digest invariance
 //! is part of what is being checked; `--executor E` / `--backing B` narrow
 //! the selection to **cells** whose engine segment (`seq`, `sharded2`,
-//! `push`, `batch8`, …) or backing segment (`inline`, `arena`)
+//! `sharded4`, `push`) or backing segment (`inline`, `arena`)
 //! contains the substring — the handle for re-checking one executor or one backing
 //! in isolation.  `--lock PATH` overrides the default lock location (the
 //! workspace root).  `update` always re-runs scenarios unfiltered and
 //! rejects every selection flag; `update --missing` additionally
-//! *refreshes the cell list* of records whose registry cell set grew since
-//! they were pinned — the new cells must reproduce the pinned digest
-//! bit-for-bit, and the record's digest/chain/stats are kept verbatim.
+//! *refreshes the cell list* of records whose registry cell set changed
+//! since they were pinned — every current cell must reproduce the pinned
+//! digest bit-for-bit, and the record's digest/chain/stats are kept
+//! verbatim.
 
 #![forbid(unsafe_code)]
 // Binaries talk on stdio; the print lints guard library crates.
@@ -372,8 +373,8 @@ fn cmd_update(catalog: &WorkloadCatalog, args: &Args) -> i32 {
                 continue;
             }
             // The registry's cell set for this scenario changed since it
-            // was pinned (e.g. batch cells were added).  Under `--missing`
-            // the pinned behavior is not up for re-signing: re-run every
+            // was pinned (an engine or backing was added or deleted).  Under
+            // `--missing` the pinned behavior is not up for re-signing: re-run every
             // current cell, require each to reproduce the pinned digest
             // bit-for-bit, and refresh only the cell list — digest, chain
             // and traffic stats stay verbatim.

@@ -39,7 +39,7 @@ pub struct Selection {
     /// (`id#engine/backing`).
     pub filter: Option<String>,
     /// Substring match against the engine segment of the cell label
-    /// (`seq`, `sharded2`, `push`, `batch8`, …).
+    /// (`seq`, `sharded2`, `sharded4`, `push`).
     pub executor: Option<String>,
     /// Substring match against the backing segment of the cell label
     /// (`inline`, `arena`).
@@ -150,8 +150,8 @@ impl WorkloadCatalog {
 
     /// The cells of `scenario` matched by `selection` — the binary's
     /// `--executor`/`--backing` semantics: each flag is a substring match
-    /// against its segment of the cell label (`batch8/arena` → engine
-    /// segment `batch8`, backing segment `arena`).  With neither flag, all
+    /// against its segment of the cell label (`sharded2/arena` → engine
+    /// segment `sharded2`, backing segment `arena`).  With neither flag, all
     /// cells are selected.
     #[must_use]
     pub fn select_cells(&self, scenario: &Scenario, selection: &Selection) -> Vec<Variant> {

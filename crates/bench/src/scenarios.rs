@@ -46,7 +46,7 @@ use lma_sim::driver::{DynWorkload, Engine, FleetWorkload, Sim, WorkloadError};
 use lma_sim::{Backing, LocalView, NodeAlgorithm, Outbox, RunResult};
 use std::num::NonZeroUsize;
 
-/// One (executor × plane backing × lane count) combination of a scenario.
+/// One (executor × plane backing) combination of a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Variant {
     /// The execution engine (never [`Engine::Auto`] — registry cells pin
@@ -54,24 +54,13 @@ pub struct Variant {
     pub engine: Engine,
     /// The plane's slot-storage backend.
     pub backing: Backing,
-    /// `Some(W)` runs the cell through the lockstep batch executor at `W`
-    /// lanes (every lane must reproduce the scenario digest — `batched(W)`
-    /// ≡ `W` sequential runs is part of the pinned contract); `None` is an
-    /// ordinary single-run cell.
-    pub lanes: Option<NonZeroUsize>,
 }
 
 impl Variant {
-    /// Stable label: `engine/backing` (e.g. `sharded2/arena`) for
-    /// single-run cells, `batch<W>/backing` (e.g. `batch8/inline`) for
-    /// batch-executor cells.
+    /// Stable label: `engine/backing` (e.g. `sharded2/arena`).
     #[must_use]
     pub fn label(&self) -> String {
-        let backing = self.backing.as_str();
-        match self.lanes {
-            Some(w) => format!("batch{w}/{backing}"),
-            None => format!("{}/{}", self.engine.label(), backing),
-        }
+        format!("{}/{}", self.engine.label(), self.backing.as_str())
     }
 }
 
@@ -222,19 +211,10 @@ pub struct Scenario {
     pub seed: u64,
     /// Whether the scenario is part of the CI smoke subset.
     pub smoke: bool,
-    /// Whether the scenario also expands batch-executor cells (see
-    /// [`BATCH_WIDTHS`]).
-    pub batch: bool,
 }
 
 /// Sharded worker counts every full-matrix scenario is pinned on.
 pub const SHARD_COUNTS: [usize; 2] = [2, 4];
-
-/// Lane widths batch-marked scenarios are pinned on (inline backing; an
-/// extra `W = 8` cell covers the arena).  `batched(W)` must reproduce the
-/// scenario's solo digest in every lane.  `W = 1` is not listed: a solo
-/// run *is* a one-lane batch, so `batch1/*` would be the `seq/*` cell again.
-pub const BATCH_WIDTHS: [usize; 2] = [8, 64];
 
 impl Scenario {
     /// Stable scenario id, e.g. `flood/ring/n48/s11`.
@@ -249,20 +229,11 @@ impl Scenario {
         )
     }
 
-    /// Marks the scenario as carrying batch-executor cells (see
-    /// [`BATCH_WIDTHS`] and [`Scenario::variants`]).
-    #[must_use]
-    pub fn with_batch(mut self) -> Self {
-        self.batch = true;
-        self
-    }
-
     /// Every cell of this scenario: one thread and every [`SHARD_COUNTS`]
     /// thread count on every backing ([`Backing::ALL`]), plus the push
     /// oracle (inline only — it has no plane, so a second backing cell would
     /// be the same run twice) when the workload supports the reference
-    /// engine, plus — for batch-marked scenarios — lockstep batches at every
-    /// [`BATCH_WIDTHS`] lane count (inline) and at `W = 8` on the arena.
+    /// engine.
     #[must_use]
     pub fn variants(&self) -> Vec<Variant> {
         let threads = |t: usize| Engine::Threads(NonZeroUsize::new(t).expect("t >= 1"));
@@ -271,13 +242,11 @@ impl Scenario {
             variants.push(Variant {
                 engine: threads(1),
                 backing,
-                lanes: None,
             });
             for t in SHARD_COUNTS {
                 variants.push(Variant {
                     engine: threads(t),
                     backing,
-                    lanes: None,
                 });
             }
         }
@@ -285,21 +254,6 @@ impl Scenario {
             variants.push(Variant {
                 engine: Engine::Reference,
                 backing: Backing::Inline,
-                lanes: None,
-            });
-        }
-        if self.batch {
-            for w in BATCH_WIDTHS {
-                variants.push(Variant {
-                    engine: threads(1),
-                    backing: Backing::Inline,
-                    lanes: NonZeroUsize::new(w),
-                });
-            }
-            variants.push(Variant {
-                engine: threads(1),
-                backing: Backing::Arena,
-                lanes: NonZeroUsize::new(8),
             });
         }
         variants
@@ -339,33 +293,6 @@ impl Scenario {
             .tune(Sim::on(graph))
             .executor(variant.engine)
             .backing(variant.backing);
-        if let Some(lanes) = variant.lanes {
-            // Batch cell: every lane folds into its own writer; all W
-            // digests must agree (per-lane bit-equality with the sequential
-            // run is the batch executor's contract), and the shared digest
-            // must then also match the scenario's golden.
-            let lanes = lanes.get();
-            let mut writers: Vec<DigestWriter> = (0..lanes).map(|_| self.fold_header()).collect();
-            let summaries = workload
-                .run_fold_batch(&sim, lanes, &mut writers)
-                .unwrap_or_else(|e| panic!("scenario {} failed: {e}", self.id()));
-            let digests: Vec<Digest> = writers.into_iter().map(DigestWriter::finish).collect();
-            let digest = if digests.iter().all(|d| *d == digests[0]) {
-                digests[0]
-            } else {
-                // Lane divergence is an executor defect: synthesize a digest
-                // that can never match the golden, so `verify` flags the
-                // cell instead of silently trusting lane 0.
-                let mut w = self.fold_header();
-                w.str("batch-lane-divergence");
-                for d in &digests {
-                    w.str(&d.to_string());
-                }
-                w.finish()
-            };
-            let summary = summaries.into_iter().next().expect("W >= 1 lanes");
-            return CellOutcome { digest, summary };
-        }
         let mut w = self.fold_header();
         let summary = workload
             .run_fold(&sim, &mut w)
@@ -487,12 +414,11 @@ pub fn registry() -> Vec<Scenario> {
         n,
         seed,
         smoke,
-        batch: false,
     };
     vec![
         // Flooding: LOCAL, trace-folded; ring (worst-case diameter), the
         // scale-free hubs, and the torus lattice.
-        s(W::Flood, F::Ring, 48, 11, true).with_batch(),
+        s(W::Flood, F::Ring, 48, 11, true),
         s(W::Flood, F::PreferentialAttachment, 64, 12, true),
         s(W::Flood, F::Torus, 49, 13, false),
         // Gossip: variable-size payloads under a CONGEST audit; the
@@ -517,14 +443,14 @@ pub fn registry() -> Vec<Scenario> {
         // Cells unlocked by the unified Workload API (PR 5): advising
         // schemes on the Barabási–Albert and Watts–Strogatz families.
         s(W::SchemeOneRound, F::PreferentialAttachment, 40, 56, false),
-        s(W::SchemeTrivial, F::SmallWorld, 36, 57, true).with_batch(),
+        s(W::SchemeTrivial, F::SmallWorld, 36, 57, true),
         // Sparse frontier execution (PR 8): the message-driven BFS wave.
         // Runs under the default auto schedule — the digest must not depend
         // on the dense↔sparse decision, which the frontier equivalence
         // suite pins and these goldens re-check on every verify.  Ring is
-        // the long-diameter sparse regime (batch cells included); the
-        // scale-free hubs give a fast-collapsing dense-control wave.
-        s(W::Wave, F::Ring, 48, 81, true).with_batch(),
+        // the long-diameter sparse regime; the scale-free hubs give a
+        // fast-collapsing dense-control wave.
+        s(W::Wave, F::Ring, 48, 81, true),
         s(W::Wave, F::PreferentialAttachment, 56, 82, false),
     ]
 }
@@ -795,8 +721,8 @@ mod tests {
             cell_count(&scenarios)
         );
         // The matrix shape: 19 scenarios × (2 backings × 3 thread counts)
-        // + 12 push cells + 3 batch-marked scenarios × 3 batch cells.
-        assert_eq!(cell_count(&scenarios), 135, "registry cell matrix changed");
+        // + 12 push cells.
+        assert_eq!(cell_count(&scenarios), 126, "registry cell matrix changed");
         // All three engines, every backing.
         let mut engines = std::collections::BTreeSet::new();
         let mut backings = std::collections::BTreeSet::new();
@@ -811,22 +737,6 @@ mod tests {
         assert!(engines.contains("sharded4"));
         assert!(engines.contains("push"));
         assert_eq!(backings.len(), Backing::ALL.len());
-        // Batch cells: at least one batch-marked scenario per label family,
-        // every pinned width on the inline backing plus the arena W=8 cell —
-        // and no one-lane batch cell, which would repeat `seq/inline`.
-        let batch_labels: std::collections::BTreeSet<String> = scenarios
-            .iter()
-            .filter(|s| s.batch)
-            .flat_map(|s| s.variants())
-            .filter(|v| v.lanes.is_some())
-            .map(|v| v.label())
-            .collect();
-        assert_eq!(
-            batch_labels,
-            ["batch64/inline", "batch8/arena", "batch8/inline"]
-                .map(String::from)
-                .into(),
-        );
         // At least one advice-scheme workload and two of the new families.
         assert!(scenarios.iter().any(|s| !s.workload.supports_reference()));
         assert!(scenarios
@@ -874,15 +784,12 @@ mod tests {
         // One cheap full-matrix scenario and one config-dispatch scenario:
         // every variant must produce the canonical digest.
         for scenario in [
-            // The flood scenario is batch-marked, so this also pins the
-            // batch cells (every lane) against the sequential digest.
             Scenario {
                 workload: WorkloadKind::Flood,
                 family: Family::Ring,
                 n: 16,
                 seed: 7,
                 smoke: false,
-                batch: true,
             },
             Scenario {
                 workload: WorkloadKind::SchemeConstant,
@@ -890,7 +797,6 @@ mod tests {
                 n: 24,
                 seed: 9,
                 smoke: false,
-                batch: false,
             },
         ] {
             let outcome = run_scenario(&scenario);
@@ -912,7 +818,6 @@ mod tests {
             n: 8,
             seed: 3,
             smoke: false,
-            batch: false,
         };
         let outcome = run_scenario(&scenario);
         assert!(outcome.divergent().is_empty());
@@ -927,7 +832,6 @@ mod tests {
             n: 20,
             seed: 1,
             smoke: false,
-            batch: false,
         };
         let perturbed = Scenario { seed: 2, ..base };
         let a = base.run(base.variants()[0]);

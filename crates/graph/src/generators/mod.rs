@@ -148,7 +148,7 @@ impl Family {
             Family::RandomTree => random_tree(n, seed, weights),
             Family::SparseRandom => connected_random(n, 2 * n, seed, weights),
             Family::DenseRandom => connected_random(n, (n * n) / 8 + n, seed, weights),
-            Family::Lollipop => lollipop(n, weights),
+            Family::Lollipop => lollipop(n.max(4), weights),
             Family::Hypercube => {
                 let dim = (usize::BITS - n.max(2).leading_zeros() - 1).max(1);
                 hypercube(dim, weights)
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn every_family_instantiates_to_a_valid_connected_graph() {
         for fam in Family::ALL {
-            for n in [4usize, 9, 17, 32] {
+            for n in [2usize, 3, 4, 9, 17, 32] {
                 let g = fam.instantiate(n, WeightStrategy::DistinctRandom { seed: 42 }, 7);
                 check_instance(&g)
                     .unwrap_or_else(|e| panic!("family {} with n={n} invalid: {e}", fam.name()));

@@ -105,7 +105,9 @@ pub fn is_known(name: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 /// The digest-affecting sources: everything folded into a scenario digest
-/// flows through these crates (plus the registry/catalog definitions).
+/// flows through these crates (the baselines' workloads fold most registry
+/// digests), plus the registry/catalog definitions and the `experiments`
+/// tables.
 #[must_use]
 pub fn digest_scope(path: &str) -> bool {
     const PREFIXES: &[&str] = &[
@@ -114,10 +116,12 @@ pub fn digest_scope(path: &str) -> bool {
         "crates/advice/src/",
         "crates/mst/src/",
         "crates/labeling/src/",
+        "crates/baselines/src/",
     ];
     PREFIXES.iter().any(|p| path.starts_with(p))
         || path == "crates/bench/src/scenarios.rs"
         || path == "crates/bench/src/catalog.rs"
+        || path == "crates/bench/src/experiments.rs"
 }
 
 /// Library sources: all first-party crate code (bins included — their

@@ -49,6 +49,22 @@ fn hash_iteration_positive_negative_pragma() {
 }
 
 #[test]
+fn digest_scope_covers_the_baselines_and_the_experiments_tables() {
+    // The baselines' workloads fold most registry digests, and the
+    // `experiments` binary prints the paper's locked tables: iterating a
+    // default-hasher map in either would leak run-to-run order.
+    let bad = "use std::collections::HashMap;\nfn f(m: &HashMap<u8, u8>) { for _ in m {} }\n";
+    for path in [
+        "crates/baselines/src/workloads.rs",
+        "crates/bench/src/experiments.rs",
+    ] {
+        expect(path, bad, &[("hash-iteration", 1), ("hash-iteration", 2)]);
+    }
+    // The rest of the bench crate stays out of scope.
+    expect("crates/bench/src/harness.rs", bad, &[]);
+}
+
+#[test]
 fn wall_clock_positive_negative_pragma() {
     expect(
         "crates/labeling/src/fake.rs",

@@ -1,8 +1,7 @@
 //! lma-serve: a long-lived workload server over the scenario registry.
 //!
-//! The batch executor made one traversal carry W lockstep runs; the
-//! harness made repeated runs share partitions and oracles.  Both wins
-//! evaporate in a run-per-process world — every invocation rebuilds the
+//! The harness made repeated runs share partitions and oracles.  That win
+//! evaporates in a run-per-process world — every invocation rebuilds the
 //! graph, re-partitions it, re-prepares the oracle, runs once and exits.
 //! This crate keeps that hot state alive in a persistent server:
 //!
@@ -12,9 +11,9 @@
 //! * [`cache`] — interned graphs, partitions and prepared oracles keyed by
 //!   topology identity.
 //! * [`server`] — admission queue, the coalescing dispatcher (queued
-//!   same-identity requests merge into one lockstep batch), per-request
+//!   same-identity requests are answered from one run), per-request
 //!   deadline budgets and error isolation, graceful drain.
-//! * [`metrics`] — queue/total latency percentiles, batch-width histogram,
+//! * [`metrics`] — queue/total latency percentiles, group-width histogram,
 //!   cache hit rates; served on the wire as `Stats`.
 //! * [`replay`] — a client that replays registry mixes against an
 //!   in-process server: digest verification against `SCENARIOS.lock` and
@@ -23,7 +22,7 @@
 //! Digest parity is the contract that makes serving safe: a served run
 //! folds the same pinned scenario header and outcome bytes as the
 //! offline `scenarios` harness, so every response digest can be checked
-//! against the committed goldens, no matter how wide the batch it rode in.
+//! against the committed goldens, no matter how wide the group it rode in.
 //!
 //! [`Wire`]: lma_sim::Wire
 #![forbid(unsafe_code)]

@@ -1,4 +1,4 @@
-//! Server-side instrumentation: request counters, the batch-width
+//! Server-side instrumentation: request counters, the group-width
 //! histogram, and queue/total latency percentiles.
 //!
 //! Latencies are kept in a bounded ring of recent samples (the last
@@ -67,7 +67,7 @@ impl Metrics {
         Self::default()
     }
 
-    /// Records one dispatched batch of `width` requests.
+    /// Records one executed group — one run — answering `width` requests.
     pub fn record_batch(&self, width: u32) {
         *self
             .batch_widths

@@ -188,9 +188,11 @@ pub struct RunReport {
     pub bits: u64,
     /// Nanoseconds the request waited in the admission queue.
     pub queue_ns: u64,
-    /// Nanoseconds the run itself took (shared across a coalesced batch).
+    /// Nanoseconds the run itself took (shared by every member of a
+    /// coalesced group).
     pub run_ns: u64,
-    /// Width of the lockstep batch this request was served in (1 = solo).
+    /// Width of the coalesced group this request was answered in (1 =
+    /// solo).  A group runs once, whatever its width.
     pub lanes: u32,
 }
 
@@ -234,7 +236,7 @@ pub struct StatsReport {
     pub served: u64,
     /// Run requests answered [`ResponseBody::Failed`].
     pub failed: u64,
-    /// Requests served in a batch of width ≥ 2.
+    /// Requests served in a coalesced group of width ≥ 2.
     pub coalesced: u64,
     /// Graph-cache hits / misses.
     pub graph_hits: u64,
@@ -248,7 +250,8 @@ pub struct StatsReport {
     pub oracle_hits: u64,
     /// Oracle-cache misses.
     pub oracle_misses: u64,
-    /// Batch-width histogram: `(width, batches dispatched at that width)`.
+    /// Group-width histogram: `(width, groups executed at that width)`.
+    /// Each group is one run, so the counts sum to the runs executed.
     pub batch_widths: Vec<(u32, u64)>,
     /// p50 of queue-wait nanoseconds (over the retained sample window).
     pub queue_p50_ns: u64,

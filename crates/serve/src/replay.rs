@@ -9,13 +9,14 @@
 //!   every selected scenario's run spec, *interleaved across scenarios*,
 //!   and asserts each served digest is byte-identical to the committed
 //!   `SCENARIOS.lock` golden.  This is the serving counterpart of
-//!   `scenarios verify`: coalescing, caching and batching are allowed to
-//!   change only *when* a run happens, never its bytes.
-//! * **Throughput trajectory** ([`bench()`]) replays bursts against the
-//!   batchable smoke scenarios twice — coalescing off (the serial
-//!   baseline) and on — and records client-observed p50/p99 latencies and
-//!   runs/sec into `BENCH_serve.json` via the criterion shim's trajectory
-//!   guard (core-count honesty applies to serve numbers too).
+//!   `scenarios verify`: coalescing and caching are allowed to change only
+//!   *when* a run happens, never its bytes.
+//! * **Throughput trajectory** ([`bench()`]) replays bursts against three
+//!   smoke scenarios (flood/ring, scheme-trivial/small-world, wave/ring)
+//!   twice — coalescing off (the serial baseline) and on — and records
+//!   client-observed p50/p99 latencies and runs/sec into `BENCH_serve.json`
+//!   via the criterion shim's trajectory guard (core-count honesty applies
+//!   to serve numbers too).
 
 use crate::proto::{
     read_frame, write_frame, Request, RequestBody, Response, ResponseBody, RunSpec,
@@ -241,8 +242,16 @@ struct BenchCell {
 /// How many timed bursts each scenario gets per mode.
 const BURSTS: usize = 6;
 
-/// Replays bursts against the batchable smoke scenarios with coalescing
-/// off and on, prints the comparison, and writes `BENCH_serve.json`.
+/// The scenarios the throughput trajectory measures, by id — the cells
+/// `BENCH_serve.json` has tracked since coalescing landed.
+const BENCH_SCENARIOS: [&str; 3] = [
+    "flood/ring/n48/s11",
+    "scheme-trivial/small-world/n36/s57",
+    "wave/ring/n48/s81",
+];
+
+/// Replays bursts against the three `BENCH_SCENARIOS` with coalescing off
+/// and on, prints the comparison, and writes `BENCH_serve.json`.
 /// Returns `Ok(true)` when at least one scenario clears the 1.2× bar.
 ///
 /// # Errors
@@ -253,20 +262,20 @@ pub fn bench(opts: &ReplayOpts) -> Result<bool, String> {
     let scenarios: Vec<Scenario> = catalog
         .scenarios()
         .iter()
-        .filter(|s| s.batch && (s.smoke || !opts.smoke))
+        .filter(|s| BENCH_SCENARIOS.contains(&s.id().as_str()) && (s.smoke || !opts.smoke))
         .copied()
         .collect();
     if scenarios.is_empty() {
-        return Err("no batchable scenarios selected".to_string());
+        return Err("no bench scenarios selected".to_string());
     }
     let depth = opts.depth.max(1);
     let mut cells: Vec<BenchCell> = Vec::new();
     let mut speedups: Vec<(String, f64, f64, f64)> = Vec::new();
 
-    // Each batchable scenario is measured at its registry size and at 8×
-    // that size: tiny registry topologies finish in tens of microseconds,
-    // where per-request transport overhead (identical in both modes)
-    // drowns the traversal the batch actually shares.  The scaled size is
+    // Each scenario is measured at its registry size and at 8× that size:
+    // tiny registry topologies finish in tens of microseconds, where
+    // per-request transport overhead (identical in both modes) drowns the
+    // run a coalesced group shares.  The scaled size is
     // the same workload on the same family — the regime a long-lived
     // server exists for.
     let targets: Vec<(String, RunSpec)> = scenarios

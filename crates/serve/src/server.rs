@@ -15,9 +15,12 @@
 //! 3. The dispatcher thread drains the whole queue per wakeup (holding the
 //!    door open for [`ServerConfig::coalesce_window`] while a burst is
 //!    still arriving), groups jobs by run identity, and executes each
-//!    group: width-1 groups via `run_fold_prepared`, width-W groups as one
-//!    lockstep [`Sim::batch`] — W queued requests for the same topology
-//!    and program cost one traversal.
+//!    group as **one** `run_fold_prepared` call whose digest and summary
+//!    answer every live member — W queued requests for the same identity
+//!    cost one run.  The identity (workload, topology, seed and every run
+//!    knob) proves the members equivalent: a digest depends only on
+//!    (workload, family, n, seed), which `SCENARIOS.lock` pins across every
+//!    engine and backing.
 //! 4. Every job gets exactly one terminal response: `Done` with digest and
 //!    latencies, or a typed `Failed` (deadline expired in queue, prepare
 //!    failure, verification failure, or a panic caught at the group
@@ -36,7 +39,7 @@ use crate::proto::{
 };
 use lma_bench::{fan_out, WorkloadCatalog};
 use lma_graph::generators::Family;
-use lma_sim::{Backing, DigestWriter, Sim, WorkloadError};
+use lma_sim::{Backing, Sim, WorkloadError};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -63,16 +66,16 @@ pub struct ServerConfig {
     /// dispatcher thread (best thread-local plane-pool reuse), `w ≥ 2`
     /// fans independent groups out over the work-stealing pool.
     pub workers: usize,
-    /// Merge queued same-identity requests into one lockstep batch.  Off,
-    /// every request runs solo — the uncoalesced baseline of the
+    /// Answer queued same-identity requests from one run.  Off, every
+    /// request runs on its own — the uncoalesced baseline of the
     /// `BENCH_serve.json` trajectory.
     pub coalesce: bool,
     /// How long the dispatcher holds the door open for a still-arriving
-    /// burst before executing a partial batch (only with `coalesce`).
+    /// burst before executing a partial group (only with `coalesce`).
     pub coalesce_window: Duration,
     /// Admission-queue capacity; a full queue answers `OVERLOADED`.
     pub max_queue: usize,
-    /// Widest lockstep batch one group may form.
+    /// Most requests one coalesced group may answer from its single run.
     pub max_batch: usize,
 }
 
@@ -98,7 +101,6 @@ struct Job {
     backing: Backing,
     threads: usize,
     round_limit: Option<u64>,
-    batchable: bool,
     deadline: Option<Instant>,
     enqueued: Instant,
     reply: ReplyTx,
@@ -106,7 +108,7 @@ struct Job {
 
 impl Job {
     /// The coalescing identity: jobs with equal keys fold byte-identical
-    /// digests and run under identical knobs, so they may share one batch.
+    /// digests and run under identical knobs, so one run answers them all.
     fn group_key(&self) -> GroupKey {
         (
             self.kind.name(),
@@ -492,7 +494,6 @@ fn validate(
         backing,
         threads: spec.threads,
         round_limit: spec.round_limit,
-        batchable: kind.workload().supports_batch(),
         deadline: spec.deadline_ms.map(|ms| now + Duration::from_millis(ms)),
         enqueued: now,
         reply: ReplyTx::new(tx.clone()),
@@ -573,13 +574,13 @@ fn dispatch_loop(shared: &Arc<Shared>) {
 }
 
 /// Partitions a dispatch window into coalescible groups, preserving FIFO
-/// order of first arrival.  Groups are capped at `max_batch`; non-batchable
-/// workloads and `coalesce: false` degenerate to width-1 groups.
+/// order of first arrival.  Groups are capped at `max_batch`;
+/// `coalesce: false` degenerates to width-1 groups.
 fn group(shared: &Shared, jobs: VecDeque<Job>) -> Vec<Vec<Job>> {
     let mut groups: Vec<Vec<Job>> = Vec::new();
     let mut open: HashMap<GroupKey, usize> = HashMap::new();
     for job in jobs {
-        if !(shared.config.coalesce && job.batchable) {
+        if !shared.config.coalesce {
             groups.push(vec![job]);
             continue;
         }
@@ -595,7 +596,8 @@ fn group(shared: &Shared, jobs: VecDeque<Job>) -> Vec<Vec<Job>> {
     groups
 }
 
-/// Runs one coalesced group end to end and answers every member.
+/// Runs one coalesced group end to end — one run for the whole group — and
+/// answers every member.
 fn execute_group(shared: &Shared, jobs: &[Job]) {
     let now = Instant::now();
     // Deadline is a queue-wait budget: a request whose deadline passed
@@ -632,30 +634,22 @@ fn execute_group(shared: &Shared, jobs: &[Job]) {
         sim = sim.round_limit(usize::try_from(limit).unwrap_or(usize::MAX));
     }
     let width = live.len();
-    let mut writers: Vec<DigestWriter> = (0..width)
-        .map(|_| {
-            shared
-                .catalog
-                .fold_header(lead.kind.name(), lead.family.name(), lead.n, lead.seed)
-        })
-        .collect();
+    let mut writer =
+        shared
+            .catalog
+            .fold_header(lead.kind.name(), lead.family.name(), lead.n, lead.seed);
     let run_started = Instant::now();
     let ran = catch_unwind(AssertUnwindSafe(|| {
-        if width == 1 {
-            workload
-                .run_fold_prepared(&sim, &oracle, &mut writers[0])
-                .map(|summary| vec![summary])
-        } else {
-            workload.run_fold_batch_prepared(&sim, &oracle, width, &mut writers)
-        }
+        workload.run_fold_prepared(&sim, &oracle, &mut writer)
     }));
     let run_ns = elapsed_ns(run_started);
     shared
         .metrics
         .record_batch(u32::try_from(width).unwrap_or(u32::MAX));
     match ran {
-        Ok(Ok(summaries)) => {
-            for ((job, writer), summary) in live.iter().zip(writers).zip(summaries) {
+        Ok(Ok(summary)) => {
+            let digest = writer.finish().to_string();
+            for job in &live {
                 let queue_ns = duration_ns(run_started.saturating_duration_since(job.enqueued));
                 // Count the run before replying, so a client that asks for
                 // `Stats` right after its reply always sees it.
@@ -664,7 +658,7 @@ fn execute_group(shared: &Shared, jobs: &[Job]) {
                 job.reply.send(Response {
                     id: job.id,
                     body: ResponseBody::Done(RunReport {
-                        digest: writer.finish().to_string(),
+                        digest: digest.clone(),
                         rounds: summary.rounds as u64,
                         messages: summary.total_messages,
                         bits: summary.total_bits,

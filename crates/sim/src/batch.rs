@@ -1,45 +1,27 @@
-//! The lockstep batch engine: `W` independent simulations run in lockstep
-//! over **one** graph traversal — and, at `W = 1`, every ordinary run.
+//! The plane kernel on one thread: every ordinary run, and the shared
+//! scatter path of both plane engines.
 //!
-//! The paper's evaluation shape is many same-program runs on a shared
-//! topology — different seeds, advice strings and root choices.  Running
-//! them one at a time re-walks the same CSR adjacency `W` times.  A
-//! [`BatchSim`] (built with [`Sim::batch`]) instead runs a *fleet of
-//! fleets*: `fleets[l][u]` is the program node `u` runs in lane `l`, and
-//! every round the engine walks the CSR **once**, stepping each node's `W`
-//! lane programs back to back while their messages live side by side in
-//! one lane-striped [`BatchPlaneStore`].  Graph traversal, plane
-//! management, the plane pool checkout and (with two or more threads) the
-//! `Partition` and its boundary exchange are all amortized across the whole
-//! batch — the FRAIG-style word-parallel simulation idea applied at the
-//! engine level, with [`crate::lanes`] providing the genuinely word-packed
-//! variant for bit-sized payloads.
+//! [`Sim::run`] lands here when it runs on the calling thread (and on the
+//! shard-parallel `batch_sharded` loop with two or more threads).  Each
+//! round the loop walks the CSR once: every node gathers its traffic by
+//! pulling from the mirror slot of each of its ports — delivery order is
+//! port-ascending by construction — steps its program, and scatters what
+//! the program sends straight into the next round's plane through
+//! `BatchScatter`.  The plane pair, the gather buffer and the spare pool
+//! come from the per-thread [`pool`], so back-to-back runs allocate nothing
+//! after the first.
 //!
-//! There is one round kernel, parameterised by its width: [`Sim::run`] is
-//! lane 0 of `Sim::batch(1)`, on this loop for one thread and on the
-//! shard-parallel `batch_sharded` loop for two or more.  Everything whose
-//! per-round cost could grow with `n · W` is laid out so that it does not:
-//! the sparse frontier (`BatchFrontier`) is word-major with a two-level
-//! any-lane mask, so at `W = 1` it costs what a single-run node bitset
-//! would, and a lane that finishes last skips draining its stripe (the pool
-//! checkout clears the planes anyway).
+//! Programs that opt into [`NodeAlgorithm::MESSAGE_DRIVEN`] get the sparse
+//! frontier (see [`crate::frontier`]): scatters mark their destinations,
+//! and a round whose frontier is small gathers only the marked nodes.
 //!
-//! **Per-lane semantics are exactly the single-run semantics.**  Each lane
-//! carries its own `PendingRound` accounting, its own [`RunStats`], trace
-//! and error state; a lane that finishes (or fails) drops out of the batch
-//! through the per-lane done-bitmask ([`LaneWords`]) without stalling the
-//! others, draining its message stripe so the shared plane's round-reset
-//! invariants hold.  `batched(W)` is therefore bit-for-bit equal to `W`
-//! solo runs — outputs, stats, traces, errors, and golden digests — which
-//! the `runtime_equivalence` suite (against the push reference) and the
-//! scenario registry's batch cells pin at `W ∈ {1, 2, 8, 64}`.
+//! [`Sim::batch`] is a loop of solo runs: a [`BatchSim`] is a sim plus a
+//! width, and [`Workload::execute_batch`](crate::Workload::execute_batch)
+//! runs one [`Sim::run`] per prep.
 
 use crate::algorithm::{local_views, MsgSink, NodeAlgorithm, SendSlot};
-use crate::batch_plane::BatchPlaneStore;
 use crate::driver::Sim;
-use crate::executor::Executor;
-use crate::frontier::BatchFrontier;
-use crate::lanes::LaneWords;
+use crate::frontier::WordMerge;
 use crate::message::BitSized;
 use crate::plane::{ArenaPlane, Backing, MessagePlane, PlaneStore, SlotOccupied};
 use crate::pool;
@@ -48,13 +30,10 @@ use crate::stats::RunStats;
 use crate::trace::{order_sender_groups, TraceEvent};
 use lma_graph::{IncidentEdge, Port, WeightedGraph};
 
-/// The per-lane outcomes of a batch run: one entry per lane, index for
-/// index with the `fleets` handed to [`BatchSim::run`], each exactly what
-/// [`Sim::run`] would have returned for that fleet alone.
-pub type LaneResults<O> = Vec<Result<RunResult<O>, RunError>>;
-
-/// A configured batch of `W` lockstep simulations: a [`Sim`] plus a lane
-/// count.  Built with [`Sim::batch`]; see the [module docs](self).
+/// A [`Sim`] plus a width `W`: the shape of `W` solo runs of one workload
+/// on one graph.  Built with [`Sim::batch`];
+/// [`Workload::execute_batch`](crate::Workload::execute_batch) runs it as a
+/// loop of [`Sim::run`] calls, one per prep.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchSim<'g> {
     sim: Sim<'g>,
@@ -62,88 +41,33 @@ pub struct BatchSim<'g> {
 }
 
 impl<'g> BatchSim<'g> {
-    pub(crate) fn new(sim: Sim<'g>, lanes: usize) -> Self {
-        Self { sim, lanes }
-    }
-
-    /// The underlying single-run simulation (graph + every run knob).
+    /// The underlying simulation (graph + every run knob).
     #[must_use]
     pub fn sim(&self) -> &Sim<'g> {
         &self.sim
     }
 
-    /// The lane count `W`.
+    /// The width `W`.
     #[must_use]
     pub fn lanes(&self) -> usize {
         self.lanes
     }
-
-    /// Runs `W` program fleets in lockstep: `fleets[l][u]` is the program
-    /// node `u` runs in lane `l`.  Returns one per-lane result, index for
-    /// index with `fleets` — each exactly what [`Sim::run`] would have
-    /// returned for that fleet alone (a failing lane reports its own error;
-    /// the other lanes complete).
-    ///
-    /// Dispatches through [`crate::executor`] on the resolved thread count:
-    /// two or more threads tile shard × lane (one barrier cycle per round
-    /// for the whole batch), one thread runs the lockstep loop below, and
-    /// [`Engine::Reference`](crate::Engine::Reference) runs each lane
-    /// through the push oracle.
-    pub fn run<A: NodeAlgorithm>(
-        &self,
-        fleets: Vec<Vec<A>>,
-    ) -> Result<LaneResults<A::Output>, BatchShapeError> {
-        if fleets.len() != self.lanes {
-            return Err(BatchShapeError {
-                expected: self.lanes,
-                got: fleets.len(),
-            });
-        }
-        if self.lanes == 0 {
-            return Ok(Vec::new());
-        }
-        Ok(Executor::of(&self.sim).run(&self.sim, fleets))
-    }
 }
-
-/// The batch was handed the wrong number of fleets (`fleets.len() != W`).
-/// Shape errors are the caller's bug, not a lane outcome, so they surface
-/// separately from the per-lane [`RunError`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchShapeError {
-    /// The batch's configured lane count.
-    pub expected: usize,
-    /// The number of fleets actually supplied.
-    pub got: usize,
-}
-
-impl std::fmt::Display for BatchShapeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "batch of {} lanes was handed {} fleets",
-            self.expected, self.got
-        )
-    }
-}
-
-impl std::error::Error for BatchShapeError {}
 
 impl<'g> Sim<'g> {
-    /// Turns this simulation into a batch of `lanes` lockstep runs sharing
-    /// one traversal (see [`BatchSim`] and the [`crate::batch`] docs).
+    /// Pairs this simulation with a width of `lanes` solo runs (see
+    /// [`BatchSim`]).
     #[must_use]
     pub fn batch(self, lanes: usize) -> BatchSim<'g> {
-        BatchSim::new(self, lanes)
+        BatchSim { sim: self, lanes }
     }
 }
 
 /// The live scatter path behind every [`MsgSink`](crate::MsgSink) the plane
 /// engines hand to node programs: validates each sent message, stores it
-/// into `(slot, lane)` of the lane-striped plane, and accumulates that
-/// lane's accounting for the round the messages will be delivered in
-/// (`delivery_round`).  Constructed fresh per node per lane per round (it
-/// is only borrows).
+/// into its slot of the plane, and accumulates the accounting for the round
+/// the messages will be delivered in (`delivery_round`).  Constructed fresh
+/// per node per round (it is only borrows).
 ///
 /// `plane` may cover only a window of the global slot space (a shard's
 /// contiguous slot range): `plane_offset` is the global index of the
@@ -160,9 +84,8 @@ pub(crate) struct BatchScatter<'a, M, S: PlaneStore<M>> {
     pub base: usize,
     pub degree: usize,
     pub delivery_round: usize,
-    pub plane: &'a mut BatchPlaneStore<M, S>,
+    pub plane: &'a mut S,
     pub plane_offset: usize,
-    pub lane: usize,
     pub spare: &'a mut Vec<M>,
     pub pending: &'a mut PendingRound,
     pub incident: &'a [IncidentEdge],
@@ -172,9 +95,9 @@ pub(crate) struct BatchScatter<'a, M, S: PlaneStore<M>> {
     /// Frontier marking target: `Some` only for programs that opted into
     /// sparse frontier execution ([`crate::NodeAlgorithm::MESSAGE_DRIVEN`]),
     /// in which case every successfully stored message marks its
-    /// destination node (the `IncidentEdge` target of the slot) in `lane`
-    /// for the round the message will be delivered in.
-    pub frontier: Option<&'a mut BatchFrontier>,
+    /// destination node (the `IncidentEdge` target of the slot) for the
+    /// round the message will be delivered in.
+    pub frontier: Option<&'a mut WordMerge>,
 }
 
 impl<M: BitSized, S: PlaneStore<M>> BatchScatter<'_, M, S> {
@@ -194,8 +117,8 @@ impl<M: BitSized, S: PlaneStore<M>> BatchScatter<'_, M, S> {
         Some(self.base + port)
     }
 
-    /// Maps a store rejection (already in graph-slot space: the batch plane
-    /// un-stripes it) back to the duplicated port — never a silent drop.
+    /// Maps a store rejection (in the plane's slot space) back to the
+    /// duplicated port — never a silent drop.
     fn reject(&mut self, occupied: SlotOccupied) {
         self.pending.error = Some(PendingError::Malformed {
             node: self.node,
@@ -206,7 +129,7 @@ impl<M: BitSized, S: PlaneStore<M>> BatchScatter<'_, M, S> {
     /// Post-store accounting: frontier mark, stats, CONGEST audit, trace.
     fn account(&mut self, slot: usize, size: usize) {
         if let Some(front) = self.frontier.as_deref_mut() {
-            front.mark(self.incident[slot].neighbor, self.lane);
+            front.mark(self.incident[slot].neighbor);
         }
         self.pending.messages += 1;
         self.pending.bits += size as u64;
@@ -237,10 +160,7 @@ impl<M: BitSized, S: PlaneStore<M>> SendSlot<M> for BatchScatter<'_, M, S> {
             return;
         };
         let size = msg.bit_size();
-        match self
-            .plane
-            .store(slot - self.plane_offset, self.lane, msg, self.spare)
-        {
+        match self.plane.store(slot - self.plane_offset, msg, self.spare) {
             Ok(()) => self.account(slot, size),
             Err(occupied) => self.reject(occupied),
         }
@@ -251,101 +171,91 @@ impl<M: BitSized, S: PlaneStore<M>> SendSlot<M> for BatchScatter<'_, M, S> {
             return;
         };
         let size = msg.bit_size();
-        match self
-            .plane
-            .store_ref(slot - self.plane_offset, self.lane, msg)
-        {
+        match self.plane.store_ref(slot - self.plane_offset, msg) {
             Ok(()) => self.account(slot, size),
             Err(occupied) => self.reject(occupied),
         }
     }
 }
 
-/// The one-thread lockstep loop, dispatched on the configured backing.
+/// The run's error for a committed pending error in round `round`.
+pub(crate) fn commit_error(error: PendingError, round: usize, budget: Option<usize>) -> RunError {
+    match error {
+        PendingError::Malformed { node, port } => RunError::MalformedOutbox { node, port },
+        PendingError::Congest { bits } => RunError::CongestViolation {
+            round,
+            bits,
+            budget: budget.expect("congest error implies a budget"),
+        },
+    }
+}
+
+/// The finished result of a run: its outputs, stats and trace.  The events
+/// were committed round by round, each round's in the order its senders
+/// were stepped — ascending node order, dense scan or sparse walk — so only
+/// each sender's group needs ordering by `to` (see [`crate::trace`]).
+pub(crate) fn finish<O>(
+    outputs: Vec<Option<O>>,
+    stats: RunStats,
+    mut events: Vec<TraceEvent>,
+    trace: bool,
+) -> RunResult<O> {
+    RunResult {
+        outputs,
+        stats,
+        trace: trace.then(|| {
+            order_sender_groups(&mut events);
+            events
+        }),
+    }
+}
+
+/// The one-thread loop, dispatched on the configured backing.
 pub(crate) fn run_batch_sequential<A: NodeAlgorithm>(
     graph: &WeightedGraph,
     config: RunConfig,
-    fleets: Vec<Vec<A>>,
-) -> LaneResults<A::Output> {
+    programs: Vec<A>,
+) -> Result<RunResult<A::Output>, RunError> {
     match config.backing {
         Backing::Inline => {
-            run_batch_sequential_on::<MessagePlane<A::Msg>, A>(graph, config, fleets)
+            run_batch_sequential_on::<MessagePlane<A::Msg>, A>(graph, config, programs)
         }
-        Backing::Arena => run_batch_sequential_on::<ArenaPlane<A::Msg>, A>(graph, config, fleets),
+        Backing::Arena => run_batch_sequential_on::<ArenaPlane<A::Msg>, A>(graph, config, programs),
     }
 }
 
 fn run_batch_sequential_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     graph: &WeightedGraph,
     config: RunConfig,
-    fleets: Vec<Vec<A>>,
-) -> LaneResults<A::Output> {
-    let lanes = fleets.len();
+    programs: Vec<A>,
+) -> Result<RunResult<A::Output>, RunError> {
     // All steady-state storage comes from the per-thread pool: allocated
     // at most once, then reused by every later run on this thread.
-    let mut set = pool::checkout_batch::<A::Msg, S>(graph.csr().slot_count(), lanes);
-    let results = batch_loop(graph, config, &mut set, fleets);
+    let mut set = pool::checkout_batch::<A::Msg, S>(graph.csr().slot_count());
+    let result = batch_loop(graph, config, &mut set, programs);
     pool::give_back_batch(set);
-    results
+    result
 }
 
-/// The finished result of a lane: its outputs, stats and trace.  The lane's
-/// events were committed round by round, each round's in the order its
-/// senders were stepped — ascending node order, dense scan or sparse walk —
-/// so only each sender's group needs ordering by `to` (see
-/// [`crate::trace`]).
-fn finish_lane<A: NodeAlgorithm>(
-    fleet: &[A],
-    stats: &mut RunStats,
-    events: &mut Vec<TraceEvent>,
-    trace: bool,
-) -> Result<RunResult<A::Output>, RunError> {
-    let mut events = std::mem::take(events);
-    Ok(RunResult {
-        outputs: fleet.iter().map(NodeAlgorithm::output).collect(),
-        stats: std::mem::take(stats),
-        trace: trace.then(|| {
-            order_sender_groups(&mut events);
-            events
-        }),
-    })
-}
-
-/// The core lockstep loop.  Every piece of run state is a per-lane vector,
-/// and the done-check, round-limit check and pending-error commit are
-/// applied lane by lane in the order a solo run applies them — that
-/// ordering is what makes `batched(W)` bit-identical to `W` solo runs.
+/// The core round loop.
 ///
-/// Per round: commit each lane's scattered traffic (errors first, then
-/// stats and trace), pick dense or sparse on the any-lane frontier, then
-/// deliver and step.  Each receiver gathers its traffic by pulling from
-/// the mirror slot of each of its ports — delivery order is port-ascending
-/// by construction — and each message is *moved* (inline) or decoded into a
+/// Per round: the done-check (a fully done run completes *before* the
+/// round-limit check, and its final-step traffic is dropped, never
+/// counted), the round-limit check, the commit of the scattered traffic
+/// (errors first, then stats and trace), the dense↔sparse pick, then
+/// deliver and step.  Each message is *moved* (inline) or decoded into a
 /// recycled value (arena) out of the sender's slot.  Gathering is
 /// unconditional, so done nodes still drain their slots and the plane is
-/// empty when the buffers swap.
-#[allow(clippy::too_many_lines)]
+/// empty when the buffers swap; an early return leaves the planes as they
+/// are, and the pool's checkout clears them for the next run.
 fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     graph: &WeightedGraph,
     config: RunConfig,
     set: &mut pool::BatchSet<A::Msg, S>,
-    fleets: Vec<Vec<A>>,
-) -> LaneResults<A::Output> {
-    let lanes = fleets.len();
+    mut programs: Vec<A>,
+) -> Result<RunResult<A::Output>, RunError> {
     let n = graph.node_count();
-    for fleet in &fleets {
-        assert_eq!(fleet.len(), n, "one program per node per lane is required");
-    }
-    // The lanes' programs back to back, lane-major: `(node v, lane l)` is
-    // `programs[l * n + v]`.  One flat buffer keeps the hot step to a
-    // single index, and lane 0 keeps its allocation (a solo run moves
-    // nothing).
-    let mut fleets = fleets.into_iter();
-    let mut programs = fleets.next().expect("at least one lane");
-    programs.reserve(n * (lanes - 1));
-    for fleet in fleets {
-        programs.extend(fleet);
-    }
+    assert_eq!(programs.len(), n, "one program per node is required");
     let views = local_views(graph);
     let budget = config.model.budget();
     let csr = graph.csr();
@@ -359,220 +269,137 @@ fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         inbox,
         spare,
     } = set;
-    let mut pending: Vec<PendingRound> = (0..lanes).map(|_| PendingRound::default()).collect();
-    let mut events: Vec<Vec<TraceEvent>> = (0..lanes).map(|_| Vec::new()).collect();
-    let mut stats: Vec<RunStats> = (0..lanes).map(|_| RunStats::default()).collect();
-    let mut done_counts = vec![0usize; lanes];
-    let mut results: Vec<Option<Result<RunResult<A::Output>, RunError>>> =
-        (0..lanes).map(|_| None).collect();
-    // The per-lane done-bitmask: lanes still running.  Finished lanes drop
-    // out without stalling the batch.
-    let mut active = LaneWords::new(lanes);
-    active.fill();
-    // Lanes that stopped this round (reused scratch): their stripes are
-    // drained only when some other lane keeps the planes cycling.
-    let mut stopped: Vec<usize> = Vec::with_capacity(lanes);
+    let mut pending = PendingRound::default();
+    let mut events: Vec<TraceEvent> = Vec::new();
+    let mut stats = RunStats::default();
+    let mut done_count = 0usize;
 
     // Sparse frontier state (see `crate::frontier`): `cur_front` holds the
-    // (node, lane) pairs active in the round being gathered, `next_front`
-    // collects scatter marks for the round after, and `eager_front` is the
-    // constant template of instances that are not message-driven, which
-    // re-seeds `next_front` each round.  Compiled away unless the program
-    // opts in via `MESSAGE_DRIVEN` (an associated const).
-    let mut cur_front = BatchFrontier::default();
-    let mut next_front = BatchFrontier::default();
-    let mut eager_front = BatchFrontier::default();
-    let mut lane_active: Vec<u64> = Vec::new();
+    // nodes active in the round being gathered, `next_front` collects
+    // scatter marks for the round after, and `eager_front` is the constant
+    // template of instances that are not message-driven, which re-seeds
+    // `next_front` each round.  Compiled away unless the program opts in via
+    // `MESSAGE_DRIVEN` (an associated const).
+    let mut cur_front = WordMerge::default();
+    let mut next_front = WordMerge::default();
+    let mut eager_front = WordMerge::default();
     if A::MESSAGE_DRIVEN {
-        eager_front = BatchFrontier::new(n, lanes);
-        for (i, program) in programs.iter().enumerate() {
+        eager_front = WordMerge::for_nodes(n);
+        for (v, program) in programs.iter().enumerate() {
             if !program.message_driven() {
-                eager_front.mark(i % n, i / n);
+                eager_front.mark(v);
             }
         }
         cur_front = eager_front.clone();
-        next_front = BatchFrontier::new(n, lanes);
-        lane_active = vec![0; lanes];
+        next_front = WordMerge::for_nodes(n);
     }
 
-    // Initialization: every lane's round-0 local computation producing
-    // round-1 traffic, node-major so the views are walked once, emitted
-    // straight into the plane (marking the round-1 frontier as it goes).
-    for u in 0..n {
-        for l in 0..lanes {
-            let program = &mut programs[l * n + u];
-            let mut scatter = BatchScatter {
-                node: u,
-                base: offsets[u],
-                degree: offsets[u + 1] - offsets[u],
-                delivery_round: 1,
-                plane: &mut *cur,
-                plane_offset: 0,
-                lane: l,
-                spare: &mut *spare,
-                pending: &mut pending[l],
-                incident,
-                budget,
-                enforce_congest: config.enforce_congest,
-                trace: config.trace,
-                frontier: A::MESSAGE_DRIVEN.then_some(&mut cur_front),
-            };
-            program.init_into(&views[u], &mut MsgSink::new(&mut scatter));
-            if program.is_done() {
-                done_counts[l] += 1;
-            }
+    // Initialization: round-0 local computation producing round-1 traffic,
+    // emitted straight into the plane (marking the round-1 frontier).
+    for (u, program) in programs.iter_mut().enumerate() {
+        let mut scatter = BatchScatter {
+            node: u,
+            base: offsets[u],
+            degree: offsets[u + 1] - offsets[u],
+            delivery_round: 1,
+            plane: &mut *cur,
+            plane_offset: 0,
+            spare: &mut *spare,
+            pending: &mut pending,
+            incident,
+            budget,
+            enforce_congest: config.enforce_congest,
+            trace: config.trace,
+            frontier: A::MESSAGE_DRIVEN.then_some(&mut cur_front),
+        };
+        program.init_into(&views[u], &mut MsgSink::new(&mut scatter));
+        if program.is_done() {
+            done_count += 1;
         }
     }
 
     let mut round = 0usize;
-    loop {
-        // Lane finalization first — the done-check of each lane's own loop:
-        // a fully done lane completes *before* the round-limit check, and
-        // its final-step traffic is dropped, never counted.
-        stopped.clear();
-        active.for_each(|l| {
-            if done_counts[l] >= n {
-                stopped.push(l);
-            }
-        });
-        for &l in &stopped {
-            pending[l].reset();
-            results[l] = Some(finish_lane(
-                &programs[l * n..(l + 1) * n],
-                &mut stats[l],
-                &mut events[l],
-                config.trace,
-            ));
-            active.clear(l);
-        }
-        if !active.any() {
-            break;
-        }
-        for &l in &stopped {
-            cur.drain_lane(l, spare);
-        }
+    while done_count < n {
         if round >= config.max_rounds {
-            for l in active.ones() {
-                // Pending errors are shadowed by the round limit, exactly
-                // as in a solo run.  The planes are left as-is; the pool's
-                // checkout `prepare` clears them for the next run.
-                results[l] = Some(Err(RunError::RoundLimitExceeded {
-                    limit: config.max_rounds,
-                }));
-            }
-            break;
+            // Pending errors are shadowed by the round limit.
+            return Err(RunError::RoundLimitExceeded {
+                limit: config.max_rounds,
+            });
         }
         round += 1;
 
-        // Commit each active lane's scattered traffic: errors first (in
-        // scatter order within the lane), then stats and trace.
-        stopped.clear();
-        active.for_each(|l| {
-            let p = &mut pending[l];
-            let failure = match p.error {
-                Some(PendingError::Malformed { node, port }) => {
-                    Some(RunError::MalformedOutbox { node, port })
-                }
-                Some(PendingError::Congest { bits }) => Some(RunError::CongestViolation {
-                    round,
-                    bits,
-                    budget: budget.expect("congest error implies a budget"),
-                }),
-                None => None,
-            };
-            if let Some(error) = failure {
-                results[l] = Some(Err(error));
-                stopped.push(l);
-            } else {
-                stats[l].record_round(p.messages, p.bits, p.max_bits, p.violations);
-                if config.trace {
-                    events[l].append(&mut p.events);
-                }
-            }
-            p.reset();
-        });
-        for &l in &stopped {
-            active.clear(l);
+        // Commit the scattered traffic: errors first, then stats and trace.
+        if let Some(error) = pending.error {
+            return Err(commit_error(error, round, budget));
         }
-        if !active.any() {
-            break;
+        stats.record_round(
+            pending.messages,
+            pending.bits,
+            pending.max_bits,
+            pending.violations,
+        );
+        if config.trace {
+            events.append(&mut pending.events);
         }
-        for &l in &stopped {
-            cur.drain_lane(l, spare);
-        }
+        pending.reset();
 
-        // The frontier decision is global for the batch (on the any-lane
-        // mask, so one traversal serves everyone) but the recorded per-lane
-        // active counts are lane-exact — identical to what each lane's solo
-        // run records.  `next` is re-seeded from the eager template so
-        // eager instances never leave the frontier.
+        // `next` is re-seeded from the eager template so eager instances
+        // never leave the frontier.
         let use_sparse = if A::MESSAGE_DRIVEN {
-            let use_sparse = config
-                .frontier
-                .use_sparse(cur_front.counts(&mut lane_active), n);
-            active.for_each(|l| stats[l].record_frontier(lane_active[l], use_sparse));
+            let active = cur_front.count();
+            let use_sparse = config.frontier.use_sparse(active, n);
+            stats.record_frontier(active as u64, use_sparse);
             next_front.reset_to(&eager_front);
             use_sparse
         } else {
             false
         };
 
-        // Deliver and step: one CSR walk for the whole batch.  Per node,
-        // every active lane gathers (unconditionally — done nodes of live
-        // lanes still drain their stripe) and steps back to back, so the
-        // offsets/mirror/incident cache lines are touched once per node for
-        // all W runs.  The sparse branch walks only any-lane-active nodes:
-        // by the marking invariant a skipped node's slots are empty in every
-        // lane, so skipping its gather is a pure no-op.
-        macro_rules! gather_step {
-            ($v:expr) => {{
-                let v: usize = $v;
-                let base = offsets[v];
-                let degree = offsets[v + 1] - base;
-                active.for_each(|l| {
-                    if S::RECYCLES {
-                        spare.extend(inbox.drain(..).map(|(_, m)| m));
-                    } else {
-                        inbox.clear();
-                    }
-                    for (p, &sender_slot) in mirror[base..base + degree].iter().enumerate() {
-                        if let Some(msg) = cur.fetch(sender_slot, l, spare) {
-                            inbox.push((p, msg));
-                        }
-                    }
-                    let program = &mut programs[l * n + v];
-                    if program.is_done() {
-                        return;
-                    }
-                    let mut scatter = BatchScatter {
-                        node: v,
-                        base,
-                        degree,
-                        delivery_round: round + 1,
-                        plane: &mut *next,
-                        plane_offset: 0,
-                        lane: l,
-                        spare: &mut *spare,
-                        pending: &mut pending[l],
-                        incident,
-                        budget,
-                        enforce_congest: config.enforce_congest,
-                        trace: config.trace,
-                        frontier: A::MESSAGE_DRIVEN.then_some(&mut next_front),
-                    };
-                    program.round_into(&views[v], round, inbox, &mut MsgSink::new(&mut scatter));
-                    if program.is_done() {
-                        done_counts[l] += 1;
-                    }
-                });
-            }};
-        }
-        if use_sparse {
-            cur_front.any().for_each_one(|v| gather_step!(v));
-        } else {
-            for v in 0..n {
-                gather_step!(v);
+        // Deliver and step.  Every visited node gathers (unconditionally —
+        // done nodes still drain their slots).  The sparse branch walks
+        // only frontier nodes: by the marking invariant a skipped node's
+        // slots are empty, so skipping its gather is a pure no-op.
+        let gather_step = |v: usize| {
+            let base = offsets[v];
+            let degree = offsets[v + 1] - base;
+            if S::RECYCLES {
+                spare.extend(inbox.drain(..).map(|(_, m)| m));
+            } else {
+                inbox.clear();
             }
+            for (p, &sender_slot) in mirror[base..base + degree].iter().enumerate() {
+                if let Some(msg) = cur.fetch(sender_slot, spare) {
+                    inbox.push((p, msg));
+                }
+            }
+            let program = &mut programs[v];
+            if program.is_done() {
+                return;
+            }
+            let mut scatter = BatchScatter {
+                node: v,
+                base,
+                degree,
+                delivery_round: round + 1,
+                plane: &mut *next,
+                plane_offset: 0,
+                spare: &mut *spare,
+                pending: &mut pending,
+                incident,
+                budget,
+                enforce_congest: config.enforce_congest,
+                trace: config.trace,
+                frontier: A::MESSAGE_DRIVEN.then_some(&mut next_front),
+            };
+            program.round_into(&views[v], round, inbox, &mut MsgSink::new(&mut scatter));
+            if program.is_done() {
+                done_count += 1;
+            }
+        };
+        if use_sparse {
+            cur_front.for_each_one(gather_step);
+        } else {
+            (0..n).for_each(gather_step);
         }
 
         // The current plane was fully drained by the gather pass; it
@@ -585,10 +412,8 @@ fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         }
     }
 
-    results
-        .into_iter()
-        .map(|r| r.expect("every lane was finalized"))
-        .collect()
+    let outputs = programs.iter().map(NodeAlgorithm::output).collect();
+    Ok(finish(outputs, stats, events, config.trace))
 }
 
 #[cfg(test)]
@@ -651,51 +476,36 @@ mod tests {
             .collect()
     }
 
-    fn assert_lanes_match_sequential(graph: &WeightedGraph, sim: Sim<'_>, lanes: usize) {
-        let n = graph.node_count();
-        let batched = sim
-            .batch(lanes)
-            .run((0..lanes).map(|_| flood_fleet(n)).collect())
-            .unwrap();
-        let solo = sim.run(flood_fleet(n)).unwrap();
+    fn assert_matches_push(sim: Sim<'_>, n: usize) {
+        let got = sim.run(flood_fleet(n)).unwrap();
         let oracle = sim.executor(Engine::Reference).run(flood_fleet(n)).unwrap();
-        for (l, lane) in batched.iter().enumerate() {
-            let lane = lane.as_ref().expect("flood lanes succeed");
-            for (what, expected) in [("solo", &solo), ("push", &oracle)] {
-                assert_eq!(lane.outputs, expected.outputs, "lane {l} outputs vs {what}");
-                assert_eq!(lane.stats, expected.stats, "lane {l} stats vs {what}");
-                assert_eq!(lane.trace, expected.trace, "lane {l} trace vs {what}");
-            }
-        }
+        assert_eq!(got.outputs, oracle.outputs, "outputs vs push");
+        assert_eq!(got.stats, oracle.stats, "stats vs push");
+        assert_eq!(got.trace, oracle.trace, "trace vs push");
     }
 
     #[test]
-    fn batched_flood_is_bit_identical_to_sequential_per_lane() {
+    fn flood_is_bit_identical_to_the_push_oracle() {
         let g = ring(13, WeightStrategy::DistinctRandom { seed: 5 });
-        let sim = Sim::on(&g).trace(true);
-        for lanes in [1usize, 2, 8] {
-            assert_lanes_match_sequential(&g, sim, lanes);
-        }
+        assert_matches_push(Sim::on(&g).trace(true), 13);
     }
 
     #[test]
-    fn batched_arena_backing_matches_too() {
+    fn arena_backing_matches_too() {
         let g = gnp_connected(20, 0.2, 3, WeightStrategy::DistinctRandom { seed: 8 });
-        let sim = Sim::on(&g).trace(true).backing(Backing::Arena);
-        assert_lanes_match_sequential(&g, sim, 3);
+        assert_matches_push(Sim::on(&g).trace(true).backing(Backing::Arena), 20);
     }
 
     #[test]
-    fn sharded_batch_matches_sequential_lane_for_lane() {
+    fn sharded_run_matches_the_push_oracle() {
         let g = gnp_connected(24, 0.15, 11, WeightStrategy::DistinctRandom { seed: 4 });
         for backing in Backing::ALL {
-            let sim = Sim::on(&g).trace(true).backing(backing).threads(3);
-            assert_lanes_match_sequential(&g, sim, 5);
+            assert_matches_push(Sim::on(&g).trace(true).backing(backing).threads(3), 24);
         }
     }
 
     /// A flood program that, when rogue, also sends through a port it does
-    /// not have — the per-lane malformed-outbox path.
+    /// not have — the malformed-outbox path.
     struct MaybeRogue {
         flood: MaxIdFlood,
         rogue: bool,
@@ -734,64 +544,37 @@ mod tests {
     }
 
     #[test]
-    fn failing_lane_reports_its_own_error_and_the_others_complete() {
+    fn malformed_outbox_fails_the_run_on_every_engine() {
         let g = ring(10, WeightStrategy::DistinctRandom { seed: 2 });
+        let bad = Sim::on(&g)
+            .executor(Engine::Reference)
+            .run(rogue_fleet(10, true))
+            .unwrap_err();
+        assert!(matches!(bad, RunError::MalformedOutbox { .. }));
         for threads in [0usize, 3] {
             let sim = Sim::on(&g).threads(threads);
-            let good = sim.run(rogue_fleet(10, false)).unwrap();
-            let bad = sim.run(rogue_fleet(10, true)).unwrap_err();
-            let results = sim
-                .batch(3)
-                .run(vec![
-                    rogue_fleet(10, false),
-                    rogue_fleet(10, true),
-                    rogue_fleet(10, false),
-                ])
-                .unwrap();
             assert_eq!(
-                results[1].as_ref().unwrap_err(),
-                &bad,
-                "threads={threads}: the rogue lane fails exactly like its solo run"
+                sim.run(rogue_fleet(10, true)).unwrap_err(),
+                bad,
+                "threads={threads}"
             );
-            for l in [0usize, 2] {
-                let lane = results[l].as_ref().unwrap();
-                assert_eq!(lane.outputs, good.outputs, "threads={threads} lane {l}");
-                assert_eq!(lane.stats, good.stats, "threads={threads} lane {l}");
-            }
+            let good = sim.run(rogue_fleet(10, false)).unwrap();
+            assert!(
+                good.outputs.iter().all(Option::is_some),
+                "threads={threads}"
+            );
         }
     }
 
     #[test]
-    fn zero_lanes_is_an_empty_batch() {
-        let g = ring(4, WeightStrategy::Unit);
-        let results = Sim::on(&g).batch(0).run(Vec::<Vec<MaxIdFlood>>::new());
-        assert!(results.unwrap().is_empty());
-    }
-
-    #[test]
-    fn wrong_fleet_count_is_a_shape_error() {
-        let g = ring(4, WeightStrategy::Unit);
-        let err = Sim::on(&g).batch(3).run(vec![flood_fleet(4)]).unwrap_err();
-        assert_eq!(
-            err,
-            BatchShapeError {
-                expected: 3,
-                got: 1
-            }
-        );
-        assert!(err.to_string().contains("3 lanes"));
-    }
-
-    #[test]
-    fn round_limit_fails_every_unfinished_lane() {
+    fn round_limit_fails_an_unfinished_run() {
         let g = ring(9, WeightStrategy::Unit);
-        let sim = Sim::on(&g).round_limit(2);
-        let results = sim
-            .batch(2)
-            .run(vec![flood_fleet(9), flood_fleet(9)])
-            .unwrap();
-        for lane in results {
-            assert_eq!(lane.unwrap_err(), RunError::RoundLimitExceeded { limit: 2 });
+        for threads in [0usize, 3] {
+            let sim = Sim::on(&g).round_limit(2).threads(threads);
+            assert_eq!(
+                sim.run(flood_fleet(9)).unwrap_err(),
+                RunError::RoundLimitExceeded { limit: 2 }
+            );
         }
     }
 }

@@ -43,13 +43,13 @@
 //!
 //! The builder adds **zero per-run overhead**: `Sim` is a `Copy` value
 //! holding a graph reference and the resolved `RunConfig`, and [`Sim::run`]
-//! is lane 0 of a one-lane [`Sim::batch`] — the same two plane engines (and
-//! the same per-thread plane pool) every batch runs on.
+//! hands the programs straight to the engine the config resolves to.
 
 use crate::algorithm::NodeAlgorithm;
 use crate::batch::BatchSim;
 use crate::digest::{fold_error, DigestWriter, RunSummary};
 pub use crate::executor::Engine;
+use crate::executor::Executor;
 use crate::frontier::FrontierMode;
 use crate::model::Model;
 use crate::plane::Backing;
@@ -150,9 +150,8 @@ impl<'g> Sim<'g> {
     /// on it, instead of re-partitioning per run.
     ///
     /// The partition is consulted by every shard-parallel dispatch
-    /// reachable from this value — [`Sim::run`], nested pipeline runs
-    /// through [`Workload::execute`], and lockstep batches ([`Sim::batch`])
-    /// — whenever the run actually shards, the partition's shard count
+    /// reachable from this value — [`Sim::run`] and nested pipeline runs
+    /// through [`Workload::execute`] — whenever the run actually shards, the partition's shard count
     /// matches the resolved worker count **and** the partition fits this
     /// graph ([`Partition::fits`]: same slot layout and boundary routing).
     /// In every other case it is ignored and the run partitions on the fly,
@@ -215,7 +214,7 @@ impl<'g> Sim<'g> {
     }
 
     /// Runs one node program per node until every node is done, dispatching
-    /// on the pinned [`Engine`]: lane 0 of a one-lane [`Sim::batch`].
+    /// on the pinned [`Engine`].
     ///
     /// # Errors
     /// [`RunError::RoundLimitExceeded`] when some node is still running
@@ -227,11 +226,7 @@ impl<'g> Sim<'g> {
         &self,
         programs: Vec<A>,
     ) -> Result<RunResult<A::Output>, RunError> {
-        let mut lanes = self
-            .batch(1)
-            .run(vec![programs])
-            .expect("one fleet for a one-lane batch");
-        lanes.pop().expect("one result per lane")
+        Executor::of(self).run(self, programs)
     }
 
     /// The supplied partition, when it matches the resolved worker count
@@ -294,7 +289,7 @@ pub trait Workload: Send + Sync {
     ///
     /// `Clone` because prepare is deterministic per graph and its product is
     /// pure data: a cached oracle (see [`DynWorkload::prepare_oracle`]) is
-    /// cloned per run/lane rather than recomputed.  `'static + Send + Sync`
+    /// cloned per run rather than recomputed.  `'static + Send + Sync`
     /// so erased oracles can live in cross-request caches.
     type Prep: Clone + Send + Sync + 'static;
     /// The typed outcome of the full pipeline.
@@ -332,20 +327,10 @@ pub trait Workload: Send + Sync {
     /// [`WorkloadError::Run`] when the simulator rejects the run.
     fn execute(&self, sim: &Sim<'_>, prep: Self::Prep) -> Result<Self::Outcome, WorkloadError>;
 
-    /// Whether [`execute_batch`](Workload::execute_batch) actually shares a
-    /// traversal across lanes.  The default impl runs lanes one by one, so
-    /// it answers `false`; single-fleet workloads (the [`FleetWorkload`]
-    /// blanket impl) ride the lockstep batch executor and answer `true`.
-    fn supports_batch(&self) -> bool {
-        false
-    }
-
-    /// The distributed phase for a whole batch: one prep per lane, one
-    /// outcome (or error) per lane, index for index.  The default simply
-    /// executes the lanes sequentially; workloads whose distributed phase
-    /// is a fleet run override this to fan the preps into a
-    /// [`BatchSim::run`] so graph traversal and plane management are
-    /// amortized across the batch.
+    /// The distributed phase for `W` preps on one [`BatchSim`]: one outcome
+    /// (or error) per prep, index for index — a loop of
+    /// [`execute`](Workload::execute) calls on `batch.sim()`, so each
+    /// outcome is exactly its solo run's.
     fn execute_batch(
         &self,
         batch: &BatchSim<'_>,
@@ -404,54 +389,6 @@ pub fn run_workload_prepared<W: Workload + ?Sized>(
     let outcome = workload.execute(sim, prep)?;
     workload.verify(sim.graph(), &outcome)?;
     Ok(outcome)
-}
-
-/// Runs a [`Workload`] once per lane of `batch` — prepare `W` times,
-/// execute the lanes through [`Workload::execute_batch`] (lockstep when the
-/// workload supports it), verify each lane independently — returning one
-/// result per lane, index for index.  Each lane's result is exactly what
-/// [`run_workload`] would have produced on `batch.sim()` alone; the batch
-/// changes the cost, never the outcome.
-pub fn run_workload_batch<W: Workload + ?Sized>(
-    workload: &W,
-    batch: &BatchSim<'_>,
-) -> Vec<Result<W::Outcome, WorkloadError>> {
-    let graph = batch.sim().graph();
-    let mut preps = Vec::with_capacity(batch.lanes());
-    for _ in 0..batch.lanes() {
-        match workload.prepare(graph) {
-            Ok(prep) => preps.push(prep),
-            // Prepare is deterministic per graph: a failure fails every
-            // lane the same way, exactly as `W` solo pipelines would.
-            Err(e) => return (0..batch.lanes()).map(|_| Err(e.clone())).collect(),
-        }
-    }
-    run_workload_batch_prepared(workload, batch, preps)
-}
-
-/// The prepare-free tail of [`run_workload_batch`]: execute all lanes with
-/// caller-supplied preps (one per lane, index for index) and verify each lane
-/// independently.
-///
-/// # Panics
-/// When `preps.len() != batch.lanes()`.
-pub fn run_workload_batch_prepared<W: Workload + ?Sized>(
-    workload: &W,
-    batch: &BatchSim<'_>,
-    preps: Vec<W::Prep>,
-) -> Vec<Result<W::Outcome, WorkloadError>> {
-    assert_eq!(preps.len(), batch.lanes(), "one prep per lane");
-    let graph = batch.sim().graph();
-    workload
-        .execute_batch(batch, preps)
-        .into_iter()
-        .map(|lane| {
-            lane.and_then(|outcome| {
-                workload.verify(graph, &outcome)?;
-                Ok(outcome)
-            })
-        })
-        .collect()
 }
 
 /// A [`Workload`] whose distributed phase is a single fleet run: one
@@ -535,28 +472,6 @@ impl<F: FleetWorkload> Workload for F {
         self.collate(sim.graph(), prep, result)
     }
 
-    fn supports_batch(&self) -> bool {
-        true
-    }
-
-    fn execute_batch(
-        &self,
-        batch: &BatchSim<'_>,
-        preps: Vec<Self::Prep>,
-    ) -> Vec<Result<Self::Outcome, WorkloadError>> {
-        let graph = batch.sim().graph();
-        let fleets = preps.iter().map(|p| self.programs(graph, p)).collect();
-        let lane_results = batch.run(fleets).expect("one fleet per lane was supplied");
-        preps
-            .into_iter()
-            .zip(lane_results)
-            .map(|(prep, lane)| match lane {
-                Ok(result) => self.collate(graph, prep, result),
-                Err(e) => Err(WorkloadError::Run(e)),
-            })
-            .collect()
-    }
-
     fn verify(&self, graph: &WeightedGraph, outcome: &Self::Outcome) -> Result<(), WorkloadError> {
         FleetWorkload::verify(self, graph, outcome)
     }
@@ -572,8 +487,7 @@ impl<F: FleetWorkload> Workload for F {
 
 /// An erased product of a workload's centralized prepare phase, produced by
 /// [`DynWorkload::prepare_oracle`] and consumed by
-/// [`DynWorkload::run_fold_prepared`] /
-/// [`DynWorkload::run_fold_batch_prepared`].
+/// [`DynWorkload::run_fold_prepared`].
 ///
 /// Prepare is deterministic per graph, so an oracle computed once can serve
 /// every later run of the same workload on the same graph — the hot-state
@@ -607,25 +521,6 @@ pub trait DynWorkload: Send + Sync {
     /// centralized phases.
     fn run_fold(&self, sim: &Sim<'_>, w: &mut DigestWriter) -> Result<RunSummary, WorkloadError>;
 
-    /// See [`Workload::supports_batch`].
-    fn supports_batch(&self) -> bool;
-
-    /// Runs the workload once per lane of a `lanes`-wide batch on `sim` via
-    /// [`run_workload_batch`], folding each lane into its own writer
-    /// (`writers[l]` ↔ lane `l`) with the same outcome-or-run-error folding
-    /// as [`run_fold`](DynWorkload::run_fold).  Returns one summary per
-    /// lane.
-    ///
-    /// # Errors
-    /// [`WorkloadError::Prepare`] / [`WorkloadError::Invalid`] from the
-    /// centralized phases of any lane.
-    fn run_fold_batch(
-        &self,
-        sim: &Sim<'_>,
-        lanes: usize,
-        writers: &mut [DigestWriter],
-    ) -> Result<Vec<RunSummary>, WorkloadError>;
-
     /// Runs the centralized prepare phase once, returning its product in
     /// erased, cacheable form (see [`PreparedOracle`]).
     ///
@@ -646,22 +541,6 @@ pub trait DynWorkload: Send + Sync {
         oracle: &PreparedOracle,
         w: &mut DigestWriter,
     ) -> Result<RunSummary, WorkloadError>;
-
-    /// [`run_fold_batch`](DynWorkload::run_fold_batch) with a cached oracle:
-    /// the single oracle is cloned into every lane (prepare is deterministic,
-    /// so `W` fresh prepares would have produced `W` equal preps).
-    ///
-    /// # Errors
-    /// [`WorkloadError::Prepare`] when `oracle` was produced by a different
-    /// workload type; [`WorkloadError::Invalid`] from any lane's
-    /// verification.
-    fn run_fold_batch_prepared(
-        &self,
-        sim: &Sim<'_>,
-        oracle: &PreparedOracle,
-        lanes: usize,
-        writers: &mut [DigestWriter],
-    ) -> Result<Vec<RunSummary>, WorkloadError>;
 }
 
 /// Recovers a workload's typed prep from an erased oracle, failing with a
@@ -692,26 +571,7 @@ impl<W: Workload> DynWorkload for W {
     }
 
     fn run_fold(&self, sim: &Sim<'_>, w: &mut DigestWriter) -> Result<RunSummary, WorkloadError> {
-        fold_lane(self, w, run_workload(self, sim))
-    }
-
-    fn supports_batch(&self) -> bool {
-        Workload::supports_batch(self)
-    }
-
-    fn run_fold_batch(
-        &self,
-        sim: &Sim<'_>,
-        lanes: usize,
-        writers: &mut [DigestWriter],
-    ) -> Result<Vec<RunSummary>, WorkloadError> {
-        assert_eq!(writers.len(), lanes, "one digest writer per lane");
-        let batch = (*sim).batch(lanes);
-        run_workload_batch(self, &batch)
-            .into_iter()
-            .zip(writers.iter_mut())
-            .map(|(lane, w)| fold_lane(self, w, lane))
-            .collect()
+        fold_outcome(self, w, run_workload(self, sim))
     }
 
     fn prepare_oracle(&self, graph: &WeightedGraph) -> Result<PreparedOracle, WorkloadError> {
@@ -725,25 +585,7 @@ impl<W: Workload> DynWorkload for W {
         w: &mut DigestWriter,
     ) -> Result<RunSummary, WorkloadError> {
         let prep = downcast_prep(self, oracle)?.clone();
-        fold_lane(self, w, run_workload_prepared(self, sim, prep))
-    }
-
-    fn run_fold_batch_prepared(
-        &self,
-        sim: &Sim<'_>,
-        oracle: &PreparedOracle,
-        lanes: usize,
-        writers: &mut [DigestWriter],
-    ) -> Result<Vec<RunSummary>, WorkloadError> {
-        assert_eq!(writers.len(), lanes, "one digest writer per lane");
-        let prep = downcast_prep(self, oracle)?;
-        let preps = vec![prep.clone(); lanes];
-        let batch = (*sim).batch(lanes);
-        run_workload_batch_prepared(self, &batch, preps)
-            .into_iter()
-            .zip(writers.iter_mut())
-            .map(|(lane, w)| fold_lane(self, w, lane))
-            .collect()
+        fold_outcome(self, w, run_workload_prepared(self, sim, prep))
     }
 }
 
@@ -751,12 +593,12 @@ impl<W: Workload> DynWorkload for W {
 /// outcome-or-run-error discipline every [`DynWorkload`] entry point shares:
 /// a [`WorkloadError::Run`] is part of the pinned contract (folded as the
 /// error payload, summarized as an error), other errors propagate.
-fn fold_lane<W: Workload + ?Sized>(
+fn fold_outcome<W: Workload + ?Sized>(
     workload: &W,
     w: &mut DigestWriter,
-    lane: Result<W::Outcome, WorkloadError>,
+    outcome: Result<W::Outcome, WorkloadError>,
 ) -> Result<RunSummary, WorkloadError> {
-    match lane {
+    match outcome {
         Ok(outcome) => {
             workload.fold(w, &outcome);
             Ok(workload.summary(&outcome))
@@ -986,24 +828,27 @@ mod tests {
 
     #[test]
     fn batched_workload_folds_match_solo_runs_lane_for_lane() {
+        // `execute_batch` is a loop of solo runs: one outcome per prep, each
+        // folding to the solo digest — run errors included.
         let g = ring(9, WeightStrategy::Unit);
-        let ok: &dyn DynWorkload = &EchoWorkload { round_limit: None };
-        let failing: &dyn DynWorkload = &EchoWorkload {
-            round_limit: Some(1),
-        };
-        assert!(ok.supports_batch(), "fleet workloads batch natively");
-        for workload in [ok, failing] {
-            let sim = workload.tune(Sim::on(&g));
+        for round_limit in [None, Some(1)] {
+            let workload = EchoWorkload { round_limit };
+            let sim = Workload::tune(&workload, Sim::on(&g));
             let mut solo = DigestWriter::new();
-            let solo_summary = workload.run_fold(&sim, &mut solo).unwrap();
+            let solo_summary = DynWorkload::run_fold(&workload, &sim, &mut solo).unwrap();
             let solo_digest = solo.finish();
 
-            let lanes = 3;
-            let mut writers: Vec<DigestWriter> = (0..lanes).map(|_| DigestWriter::new()).collect();
-            let summaries = workload.run_fold_batch(&sim, lanes, &mut writers).unwrap();
-            assert_eq!(summaries, vec![solo_summary; lanes]);
-            for w in writers {
-                assert_eq!(w.finish(), solo_digest, "per-lane digest drifted");
+            let batch = sim.batch(3);
+            assert_eq!(batch.lanes(), 3);
+            let outcomes = workload.execute_batch(&batch, vec![(); 3]);
+            assert_eq!(outcomes.len(), 3);
+            for outcome in outcomes {
+                let mut w = DigestWriter::new();
+                assert_eq!(
+                    fold_outcome(&workload, &mut w, outcome).unwrap(),
+                    solo_summary
+                );
+                assert_eq!(w.finish(), solo_digest, "per-run digest drifted");
             }
         }
     }
@@ -1025,17 +870,6 @@ mod tests {
             .unwrap();
         assert_eq!(cached_summary, fresh_summary);
         assert_eq!(cached.finish(), fresh_digest);
-
-        // The same single oracle serves a whole batch, lane for lane.
-        let lanes = 3;
-        let mut writers: Vec<DigestWriter> = (0..lanes).map(|_| DigestWriter::new()).collect();
-        let summaries = workload
-            .run_fold_batch_prepared(&sim, &oracle, lanes, &mut writers)
-            .unwrap();
-        assert_eq!(summaries, vec![fresh_summary; lanes]);
-        for w in writers {
-            assert_eq!(w.finish(), fresh_digest, "per-lane digest drifted");
-        }
     }
 
     #[test]
@@ -1048,11 +882,6 @@ mod tests {
             Err(WorkloadError::Prepare(msg)) => assert!(msg.contains("echo"), "{msg}"),
             other => panic!("expected a typed prepare error, got {other:?}"),
         }
-        let mut writers = vec![DigestWriter::new()];
-        assert!(matches!(
-            workload.run_fold_batch_prepared(&workload.tune(Sim::on(&g)), &alien, 1, &mut writers),
-            Err(WorkloadError::Prepare(_))
-        ));
     }
 
     #[test]
@@ -1073,16 +902,6 @@ mod tests {
         let fallback = base.with_partition(&wrong).run(fleet(12)).unwrap();
         assert_eq!(fresh.outputs, fallback.outputs);
         assert_eq!(fresh.stats, fallback.stats);
-
-        // And the partition threads through lockstep batches.
-        let lanes = 2;
-        let fleets: Vec<Vec<Echo>> = (0..lanes).map(|_| fleet(12)).collect();
-        let batched = base.with_partition(&partition).batch(lanes);
-        for lane in batched.run(fleets).unwrap() {
-            let lane = lane.unwrap();
-            assert_eq!(fresh.outputs, lane.outputs);
-            assert_eq!(fresh.stats, lane.stats);
-        }
     }
 
     #[test]
@@ -1110,12 +929,6 @@ mod tests {
             assert_eq!(solo.outputs, got.outputs);
             assert_eq!(solo.stats, got.stats);
             assert_eq!(solo.trace, got.trace);
-            for lane in cached.batch(2).run(vec![fleet(24), fleet(24)]).unwrap() {
-                let lane = lane.unwrap();
-                assert_eq!(solo.outputs, lane.outputs);
-                assert_eq!(solo.stats, lane.stats);
-                assert_eq!(solo.trace, lane.trace);
-            }
         }
     }
 

@@ -3,9 +3,9 @@
 //!
 //! | engine | executes on | use it for |
 //! |---|---|---|
-//! | one thread ([`Engine::Auto`] by default, [`Engine::Threads`]`(1)`) | the lockstep batch loop ([`crate::batch`]) on the calling thread | the default: small graphs, debugging |
-//! | `t >= 2` threads ([`Engine::Threads`]`(t)`, or [`Engine::Auto`] with [`Sim::threads`]) | the shard-parallel batch loop on `t` scoped threads | large graphs (≳10⁴ nodes) on multi-core hosts |
-//! | [`Engine::Reference`] | the push-based oracle ([`crate::reference`]), lane by lane | differential testing and benchmark baselines only |
+//! | one thread ([`Engine::Auto`] by default, [`Engine::Threads`]`(1)`) | the plane kernel ([`crate::batch`]) on the calling thread | the default: small graphs, debugging |
+//! | `t >= 2` threads ([`Engine::Threads`]`(t)`, or [`Engine::Auto`] with [`Sim::threads`]) | the shard-parallel plane kernel on `t` scoped threads | large graphs (≳10⁴ nodes) on multi-core hosts |
+//! | [`Engine::Reference`] | the push-based oracle ([`crate::reference`]) | differential testing and benchmark baselines only |
 //!
 //! All three produce **bit-identical** outputs, [`crate::RunStats`],
 //! traces and errors for the same `(graph, config, programs)` — the
@@ -13,7 +13,7 @@
 //! purely on performance grounds.  Callers pin an [`Engine`] on a [`Sim`]
 //! (most never do: [`Engine::Auto`] plus [`Sim::threads`] is the ordinary
 //! path); the crate-internal `Executor::of` resolves it against the thread
-//! knob and the graph, and `Executor::run` runs a fleet of fleets on the
+//! knob and the graph, and `Executor::run` runs one program fleet on the
 //! result.
 //!
 //! Orthogonally to the engine, [`crate::RunConfig::backing`] selects the
@@ -21,20 +21,20 @@
 //! reference oracle has no plane at all and ignores it.
 
 use crate::algorithm::{local_views, NodeAlgorithm};
-use crate::batch::LaneResults;
 use crate::driver::Sim;
+use crate::runtime::{RunError, RunResult};
 use lma_graph::Partition;
 use std::num::NonZeroUsize;
 
 /// The execution engine a [`Sim`] dispatches a run to.
 ///
-/// Every plane run — solo or batched, one thread or many — goes through
-/// the lockstep batch kernel ([`crate::batch`]); the engine only fixes its
-/// thread count, or swaps in the push-based oracle.  All engines produce
-/// bit-identical outputs, stats, traces and errors for the same
-/// `(graph, config, programs)` — pinned by the `runtime_equivalence` suite
-/// — so the choice is purely about performance (and, for
-/// [`Engine::Reference`], differential testing).
+/// Every plane run — one thread or many — goes through the plane kernel
+/// ([`crate::batch`]); the engine only fixes its thread count, or swaps in
+/// the push-based oracle.  All engines produce bit-identical outputs,
+/// stats, traces and errors for the same `(graph, config, programs)` —
+/// pinned by the `runtime_equivalence` suite — so the choice is purely
+/// about performance (and, for [`Engine::Reference`], differential
+/// testing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Dispatch on the configured thread count ([`Sim::threads`]): the
@@ -67,11 +67,11 @@ impl Engine {
 /// against its thread knob and its graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Executor {
-    /// The lockstep batch loop on the calling thread.
+    /// The plane kernel on the calling thread.
     Sequential,
-    /// The shard-parallel batch loop on this many (at least two) threads.
+    /// The shard-parallel plane kernel on this many (at least two) threads.
     Sharded(NonZeroUsize),
-    /// The push-based oracle, one lane at a time.
+    /// The push-based oracle.
     Reference,
 }
 
@@ -90,17 +90,17 @@ impl Executor {
         }
     }
 
-    /// Runs `fleets` — one program fleet per lane, already checked against
-    /// the batch width — on this loop, under `sim`'s resolved config.
+    /// Runs `programs` — one per node — on this loop, under `sim`'s
+    /// resolved config.
     pub(crate) fn run<A: NodeAlgorithm>(
         self,
         sim: &Sim<'_>,
-        fleets: Vec<Vec<A>>,
-    ) -> LaneResults<A::Output> {
+        programs: Vec<A>,
+    ) -> Result<RunResult<A::Output>, RunError> {
         let graph = sim.graph();
         let config = sim.config();
         match self {
-            Executor::Sequential => crate::batch::run_batch_sequential(graph, config, fleets),
+            Executor::Sequential => crate::batch::run_batch_sequential(graph, config, programs),
             Executor::Sharded(threads) => {
                 let views = local_views(graph);
                 // A precomputed partition supplied via `Sim::with_partition`
@@ -113,14 +113,9 @@ impl Executor {
                         &fresh
                     }
                 };
-                crate::batch_sharded::run_batch_sharded(graph, config, partition, &views, fleets)
+                crate::batch_sharded::run_batch_sharded(graph, config, partition, &views, programs)
             }
-            // The push-based oracle has no plane to stripe; run the lanes
-            // through it one by one (differential-testing path only).
-            Executor::Reference => fleets
-                .into_iter()
-                .map(|f| crate::reference::run_push(graph, config, f))
-                .collect(),
+            Executor::Reference => crate::reference::run_push(graph, config, programs),
         }
     }
 }
@@ -190,20 +185,13 @@ mod tests {
             );
             assert_eq!(Executor::of(&push), Executor::Reference);
 
-            let expected = Executor::of(&seq).run(&seq, vec![count_down(24, 6)]);
-            let expected = expected[0].as_ref().unwrap();
+            let expected = Executor::of(&seq).run(&seq, count_down(24, 6)).unwrap();
             assert_eq!(expected.outputs.len(), 24);
             for sim in [sharded, push] {
-                // Two lanes through each loop: both equal the one-thread run.
-                let lanes =
-                    Executor::of(&sim).run(&sim, vec![count_down(24, 6), count_down(24, 6)]);
-                assert_eq!(lanes.len(), 2);
-                for lane in lanes {
-                    let lane = lane.unwrap();
-                    assert_eq!(expected.outputs, lane.outputs, "{backing:?}");
-                    assert_eq!(expected.stats, lane.stats, "{backing:?}");
-                    assert_eq!(expected.trace, lane.trace, "{backing:?}");
-                }
+                let got = Executor::of(&sim).run(&sim, count_down(24, 6)).unwrap();
+                assert_eq!(expected.outputs, got.outputs, "{backing:?}");
+                assert_eq!(expected.stats, got.stats, "{backing:?}");
+                assert_eq!(expected.trace, got.trace, "{backing:?}");
             }
         }
     }

@@ -8,9 +8,8 @@
 //! shard-parallel) gather **only** the nodes that can possibly act:
 //!
 //! * While a sender scatters, each successfully stored message marks its
-//!   `(destination, lane)` pair (the destination is known at `put` time
-//!   from the CSR `IncidentEdge` target) in the next round's
-//!   `BatchFrontier`.
+//!   destination node (known at `put` time from the CSR `IncidentEdge`
+//!   target) in the next round's frontier, a `WordMerge`.
 //! * The next round gathers only frontier nodes when the frontier is small
 //!   (`|frontier| · θ < n`, θ = `THETA`), and falls back to the existing
 //!   dense scan otherwise — dense workloads keep their current code path
@@ -24,10 +23,9 @@
 //! the engines compile the frontier plumbing away (`MESSAGE_DRIVEN` is an
 //! associated const) and behave byte-for-byte as before.
 //!
-//! The frontier is laid out so its per-round cost does not grow with
-//! `n · W` (see `BatchFrontier`): a one-lane run — every [`crate::Sim::run`]
-//! — pays what a plain node bitset would, and a wide batch pays for the
-//! node-words it actually marked.
+//! The frontier is a two-level node bitset, so its per-round passes — the
+//! reset to the eager template, counting, sparse iteration and the sharded
+//! hand-off — cost the words actually marked, not `n`.
 
 /// How an opted-in run picks between the dense scan and the sparse
 /// frontier gather each round.
@@ -127,6 +125,7 @@ impl NodeSet {
     }
 
     /// Iterates set bits in ascending order.
+    #[cfg(test)]
     pub(crate) fn ones(&self) -> impl Iterator<Item = usize> + '_ {
         ones_of(&self.words, 0)
     }
@@ -190,14 +189,14 @@ pub(crate) fn pair_ones(
         .filter(move |v| (start..end).contains(v))
 }
 
-/// A two-level bitset: a dense word array plus a one-bit-per-word
-/// occupancy set, so merging [`WordPair`]s, counting, listing and clearing
-/// all cost the number of non-zero words plus a scan of `len / 64`
-/// occupancy words, never the array's length.
+/// A two-level bitset over nodes: a dense word array plus a
+/// one-bit-per-word occupancy set, so marking, merging [`WordPair`]s,
+/// counting, listing and clearing all cost the number of non-zero words
+/// plus a scan of `n / 4096` occupancy words, never `n`.
 ///
-/// It serves three roles: the any-lane node mask of every
-/// [`BatchFrontier`], the sharded leader's merge of the workers' mark
-/// words, and the leader's node-level mask split out of that merge.
+/// It is the frontier of a run: the one-thread engine's current, next and
+/// eager sets, each shard worker's scatter marks, and the sharded leader's
+/// merge of the workers' mark words.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WordMerge {
     words: Vec<u64>,
@@ -205,23 +204,13 @@ pub(crate) struct WordMerge {
 }
 
 impl WordMerge {
-    /// An empty accumulator over `len` words.
-    fn new(len: usize) -> Self {
+    /// An empty set with one bit per node `0..n`.
+    pub(crate) fn for_nodes(n: usize) -> Self {
+        let len = n.div_ceil(WORD_BITS);
         Self {
             words: vec![0; len],
             occupied: NodeSet::new(len),
         }
-    }
-
-    /// An empty accumulator with one bit per node `0..n`.
-    pub(crate) fn for_nodes(n: usize) -> Self {
-        Self::new(n.div_ceil(WORD_BITS))
-    }
-
-    /// An empty accumulator over the mark words of a [`BatchFrontier`] for
-    /// `n` nodes × `lanes` lanes.
-    pub(crate) fn for_marks(n: usize, lanes: usize) -> Self {
-        Self::new(n.div_ceil(WORD_BITS) * lanes)
     }
 
     /// ORs `word` into word `i`.
@@ -229,6 +218,12 @@ impl WordMerge {
     fn or_word(&mut self, i: usize, word: u64) {
         self.words[i] |= word;
         self.occupied.insert(i);
+    }
+
+    /// Marks `node` active.
+    #[inline]
+    pub(crate) fn mark(&mut self, node: usize) {
+        self.or_word(node / WORD_BITS, 1 << (node % WORD_BITS));
     }
 
     /// ORs `pairs` in.
@@ -239,6 +234,7 @@ impl WordMerge {
     }
 
     /// The non-zero words as ascending pairs.
+    #[cfg(test)]
     pub(crate) fn pairs(&self) -> impl Iterator<Item = WordPair> + '_ {
         self.occupied.ones().map(|i| (i, self.words[i]))
     }
@@ -290,126 +286,28 @@ impl WordMerge {
         self.occupied.for_each(|i| words[i] = 0);
         self.occupied.clear_all();
     }
-}
 
-/// The frontier of a lockstep batch (one lane for [`crate::Sim::run`]):
-/// per-(node, lane) marks plus the two-level any-lane node mask that one
-/// gather pass over the whole batch iterates.
-///
-/// The marks are laid out **word-major**: lane `l` of nodes
-/// `64 i .. 64 i + 63` lives in word `i · lanes + l`.  At one lane the
-/// marks are a plain node bitset; at any width, the `lanes` words of one
-/// node-word sit side by side, so the per-round passes — the reset to the
-/// eager template, sparse iteration and the sharded drain — visit only the
-/// node-words the any-lane mask has occupied, plus its `n / 4096`
-/// occupancy words.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BatchFrontier {
-    marks: Vec<u64>,
-    any: WordMerge,
-    lanes: usize,
-}
-
-impl BatchFrontier {
-    /// An empty frontier for `n` nodes × `lanes` lanes.
-    pub(crate) fn new(n: usize, lanes: usize) -> Self {
-        Self {
-            marks: vec![0; n.div_ceil(WORD_BITS) * lanes],
-            any: WordMerge::for_nodes(n),
-            lanes,
-        }
-    }
-
-    /// Marks `(node, lane)` active and `node` any-lane-active.
-    #[inline]
-    pub(crate) fn mark(&mut self, node: usize, lane: usize) {
-        let i = node / WORD_BITS;
-        let bit = 1 << (node % WORD_BITS);
-        self.marks[i * self.lanes + lane] |= bit;
-        self.any.or_word(i, bit);
-    }
-
-    /// The node-level any-lane-active mask.
-    pub(crate) fn any(&self) -> &WordMerge {
-        &self.any
-    }
-
-    /// The mark words of node-word `i`, one per lane.
-    fn lane_words(&self, i: usize) -> &[u64] {
-        &self.marks[i * self.lanes..(i + 1) * self.lanes]
-    }
-
-    /// Resets this frontier to `template` (equal shape), touching only the
-    /// occupied node-words of both.
+    /// Resets this set to `template` (equal size), touching only the
+    /// occupied words of both.
     pub(crate) fn reset_to(&mut self, template: &Self) {
-        let Self { marks, any, lanes } = self;
-        let lanes = *lanes;
-        let WordMerge { words, occupied } = any;
-        occupied.for_each(|i| {
-            marks[i * lanes..(i + 1) * lanes].fill(0);
-            words[i] = 0;
-        });
-        template.any.occupied.for_each(|i| {
-            marks[i * lanes..(i + 1) * lanes].copy_from_slice(template.lane_words(i));
-            words[i] = template.any.words[i];
-        });
-        occupied.copy_from(&template.any.occupied);
+        self.clear();
+        let words = &mut self.words;
+        template.occupied.for_each(|i| words[i] = template.words[i]);
+        self.occupied.copy_from(&template.occupied);
     }
 
-    /// Moves every non-zero mark word into `out` as ascending
-    /// `(index, word)` pairs and resets this frontier to `template` — the
-    /// sharded worker's publish step.  This frontier must hold `template`
-    /// plus marks (as a worker's scatter set does), so every occupied word
-    /// of the template is occupied here too.
+    /// Moves every non-zero word into `out` as ascending `(index, word)`
+    /// pairs and resets this set to `template` — the sharded worker's
+    /// publish step.  This set must hold `template` plus marks (as a
+    /// worker's scatter set does), so every occupied word of the template
+    /// is occupied here too.
     pub(crate) fn drain_pairs(&mut self, template: &Self, out: &mut Vec<WordPair>) {
-        let Self { marks, any, lanes } = self;
-        let lanes = *lanes;
-        let WordMerge { words, occupied } = any;
+        let Self { words, occupied } = self;
         occupied.for_each(|i| {
-            let range = i * lanes..(i + 1) * lanes;
-            let kept = &template.marks[range.clone()];
-            for ((j, mark), &keep) in range.clone().zip(&mut marks[range]).zip(kept) {
-                if *mark != 0 {
-                    out.push((j, *mark));
-                    *mark = keep;
-                }
-            }
-            words[i] = template.any.words[i];
+            out.push((i, words[i]));
+            words[i] = template.words[i];
         });
-        occupied.copy_from(&template.any.occupied);
-    }
-
-    /// The number of any-lane-active nodes, with the per-lane active-node
-    /// counts (`lane_counts[l] = |{v : (v, l) marked}|`) written alongside:
-    /// one pass over the occupied node-words, one popcount per mark word.
-    pub(crate) fn counts(&self, lane_counts: &mut [u64]) -> usize {
-        debug_assert_eq!(lane_counts.len(), self.lanes);
-        lane_counts.fill(0);
-        let mut any = 0;
-        self.any.occupied.for_each(|i| {
-            any += self.any.words[i].count_ones() as usize;
-            for (count, word) in lane_counts.iter_mut().zip(self.lane_words(i)) {
-                *count += u64::from(word.count_ones());
-            }
-        });
-        any
-    }
-}
-
-/// Splits merged batch mark words (in [`BatchFrontier`]'s layout for
-/// `lanes` lanes) into the node-level any-lane mask, ORed into `nodes`, and
-/// per-lane active-node counts — the sharded leader's analogue of
-/// [`BatchFrontier::any`] and [`BatchFrontier::counts`].
-pub(crate) fn split_lanes(
-    marks: &WordMerge,
-    lanes: usize,
-    nodes: &mut WordMerge,
-    counts: &mut [u64],
-) {
-    counts.fill(0);
-    for (j, word) in marks.pairs() {
-        nodes.or_word(j / lanes, word);
-        counts[j % lanes] += u64::from(word.count_ones());
+        occupied.copy_from(&template.occupied);
     }
 }
 
@@ -461,29 +359,29 @@ mod tests {
 
     #[test]
     fn drained_pairs_merge_back_to_the_union() {
-        // Two one-lane "shards" over 200 nodes, each with an eager template.
-        let mut eager = [BatchFrontier::new(200, 1), BatchFrontier::new(200, 1)];
-        eager[0].mark(3, 0);
-        eager[1].mark(150, 0);
+        // Two "shards" over 200 nodes, each with an eager template.
+        let mut eager = [WordMerge::for_nodes(200), WordMerge::for_nodes(200)];
+        eager[0].mark(3);
+        eager[1].mark(150);
         let mut local = eager.clone();
         let mut merge = WordMerge::for_nodes(200);
         for _round in 0..2 {
             // Scatter marks, remote ones included, then the hand-off.
             for v in [3, 64, 65, 199] {
-                local[0].mark(v, 0);
+                local[0].mark(v);
             }
-            local[1].mark(65, 0);
+            local[1].mark(65);
             merge.clear();
             let mut union = WordMerge::for_nodes(200);
             for (s, set) in local.iter_mut().enumerate() {
-                union.or_pairs(&set.any().pairs().collect::<Vec<_>>());
+                union.or_pairs(&set.pairs().collect::<Vec<_>>());
                 let mut pairs = Vec::new();
                 set.drain_pairs(&eager[s], &mut pairs);
                 assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
                 assert!(pairs.iter().all(|&(_, w)| w != 0));
                 assert_eq!(
-                    set.any().ones().collect::<Vec<_>>(),
-                    eager[s].any().ones().collect::<Vec<_>>()
+                    set.ones().collect::<Vec<_>>(),
+                    eager[s].ones().collect::<Vec<_>>()
                 );
                 merge.or_pairs(&pairs);
             }
@@ -509,86 +407,55 @@ mod tests {
         assert_eq!(merge.pairs().count(), 0);
     }
 
-    /// The reference model of a batch frontier: `model[v][l]`.
-    type Model = Vec<Vec<bool>>;
-
-    fn model_nodes(model: &Model) -> Vec<usize> {
-        (0..model.len())
-            .filter(|&v| model[v].contains(&true))
-            .collect()
-    }
-
-    fn model_counts(model: &Model, lanes: usize) -> Vec<u64> {
-        (0..lanes)
-            .map(|l| model.iter().filter(|lanes| lanes[l]).count() as u64)
-            .collect()
-    }
-
-    /// Marks a random sprinkle of `(node, lane)` pairs into both.
-    fn sprinkle(rng: &mut SplitMix64, f: &mut BatchFrontier, model: &mut Model, marks: usize) {
-        let (n, lanes) = (model.len(), model[0].len());
+    /// Marks a random sprinkle of nodes into both the set and its model.
+    fn sprinkle(rng: &mut SplitMix64, f: &mut WordMerge, model: &mut [bool], marks: usize) {
         for _ in 0..marks {
-            let (v, l) = (rng.next_index(n), rng.next_index(lanes));
-            f.mark(v, l);
-            model[v][l] = true;
+            let v = rng.next_index(model.len());
+            f.mark(v);
+            model[v] = true;
         }
     }
 
-    fn assert_matches(f: &BatchFrontier, model: &Model, what: &str) {
-        let lanes = model[0].len();
-        let nodes = model_nodes(model);
-        assert_eq!(
-            f.any().ones().collect::<Vec<_>>(),
-            nodes,
-            "{what}: iteration"
-        );
-        let mut counts = vec![0; lanes];
-        assert_eq!(f.counts(&mut counts), nodes.len(), "{what}: active count");
-        assert_eq!(f.any().count(), nodes.len(), "{what}: any-mask count");
-        assert_eq!(counts, model_counts(model, lanes), "{what}: lane counts");
+    fn assert_matches(f: &WordMerge, model: &[bool], what: &str) {
+        let nodes: Vec<usize> = (0..model.len()).filter(|&v| model[v]).collect();
+        assert_eq!(f.ones().collect::<Vec<_>>(), nodes, "{what}: iteration");
+        assert_eq!(f.count(), nodes.len(), "{what}: count");
         let mut visited = Vec::new();
-        f.any().for_each_one(|v| visited.push(v));
+        f.for_each_one(|v| visited.push(v));
         assert_eq!(visited, nodes, "{what}: gather order");
     }
 
     #[test]
-    fn batch_frontier_matches_a_bool_model() {
+    fn frontier_matches_a_bool_model() {
         let mut rng = SplitMix64::new(0x5EED_F00D);
-        for lanes in [1usize, 2, 63, 64, 65, 130] {
-            for n in [1usize, 64, 200, 4100] {
-                let what = format!("n={n} W={lanes}");
-                // A sparse eager template and a frontier seeded from it.
-                let mut eager_model: Model = vec![vec![false; lanes]; n];
-                let mut eager = BatchFrontier::new(n, lanes);
-                sprinkle(&mut rng, &mut eager, &mut eager_model, 3);
-                assert_matches(&eager, &eager_model, &what);
+        for n in [1usize, 64, 200, 4100] {
+            // A sparse eager template and a frontier seeded from it.
+            let mut eager_model = vec![false; n];
+            let mut eager = WordMerge::for_nodes(n);
+            sprinkle(&mut rng, &mut eager, &mut eager_model, 3);
+            assert_matches(&eager, &eager_model, &format!("n={n} eager"));
 
-                let mut f = BatchFrontier::new(n, lanes);
-                let mut model: Model = vec![vec![false; lanes]; n];
-                for round in 0..3 {
-                    // Reset to the template, then a round of scatter marks.
-                    f.reset_to(&eager);
-                    model.clone_from(&eager_model);
-                    assert_matches(&f, &model, &format!("{what} reset {round}"));
-                    let marks = 1 + rng.next_index(2 * n);
-                    sprinkle(&mut rng, &mut f, &mut model, marks);
-                    assert_matches(&f, &model, &format!("{what} round {round}"));
+            let mut f = WordMerge::for_nodes(n);
+            let mut model = vec![false; n];
+            for round in 0..3 {
+                // Reset to the template, then a round of scatter marks.
+                f.reset_to(&eager);
+                model.clone_from(&eager_model);
+                assert_matches(&f, &model, &format!("n={n} reset {round}"));
+                let marks = 1 + rng.next_index(2 * n);
+                sprinkle(&mut rng, &mut f, &mut model, marks);
+                assert_matches(&f, &model, &format!("n={n} round {round}"));
 
-                    // The sharded hand-off: drain to pairs, merge, split.
-                    let mut drained = f.clone();
-                    let mut pairs = Vec::new();
-                    drained.drain_pairs(&eager, &mut pairs);
-                    assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
-                    assert!(pairs.iter().all(|&(_, w)| w != 0));
-                    assert_matches(&drained, &eager_model, &format!("{what} drained"));
-                    let mut merged = WordMerge::for_marks(n, lanes);
-                    merged.or_pairs(&pairs);
-                    let mut nodes = WordMerge::for_nodes(n);
-                    let mut counts = vec![0; lanes];
-                    split_lanes(&merged, lanes, &mut nodes, &mut counts);
-                    assert_eq!(nodes.ones().collect::<Vec<_>>(), model_nodes(&model));
-                    assert_eq!(counts, model_counts(&model, lanes), "{what} split");
-                }
+                // The sharded hand-off: drain to pairs, then merge.
+                let mut drained = f.clone();
+                let mut pairs = Vec::new();
+                drained.drain_pairs(&eager, &mut pairs);
+                assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
+                assert!(pairs.iter().all(|&(_, w)| w != 0));
+                assert_matches(&drained, &eager_model, &format!("n={n} drained"));
+                let mut merged = WordMerge::for_nodes(n);
+                merged.or_pairs(&pairs);
+                assert_matches(&merged, &model, &format!("n={n} merged {round}"));
             }
         }
     }

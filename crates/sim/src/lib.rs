@@ -29,18 +29,19 @@
 //! [`crate::reference`] as a differential-testing oracle and benchmark
 //! baseline.
 //!
-//! **One round kernel.**  Every plane run is a lockstep batch
-//! ([`batch`]): `W` program fleets step through one CSR walk per round
-//! with their messages side by side in a lane-striped plane, and
-//! [`Sim::run`] is simply lane 0 of a one-lane batch.  The kernel runs on
-//! the calling thread, or — with [`Sim::threads`] `>= 2` — shard-parallel:
+//! **One round kernel.**  Every plane run goes through one kernel
+//! ([`batch`]): each round walks the CSR once, gathering, stepping and
+//! scattering node by node.  The kernel runs on the calling thread, or —
+//! with [`Sim::threads`] `>= 2` — shard-parallel:
 //! the slot space is split into contiguous shards (see
 //! `lma_graph::Partition`), each shard's gather → step → scatter runs on
 //! its own scoped thread, cross-shard traffic moves through
 //! backend-specific exchange buffers, and a round ends with one arrival per
 //! shard at a spin-then-park barrier whose last arriver merges the shard
 //! reports in shard order.  [`Engine`] picks between these and the push
-//! oracle; all of them produce bit-identical results.
+//! oracle; all of them produce bit-identical results.  [`Sim::batch`] is a
+//! loop of solo runs: a sim plus a width, for
+//! [`Workload::execute_batch`].
 //!
 //! The plane is generic over its **slot-storage backend**
 //! ([`plane::PlaneStore`], selected by [`plane::Backing`] on [`RunConfig`]):
@@ -76,14 +77,12 @@
 pub mod algorithm;
 pub(crate) mod barrier;
 pub mod batch;
-pub mod batch_plane;
 pub(crate) mod batch_sharded;
 pub mod bitset;
 pub mod digest;
 pub mod driver;
 pub mod executor;
 pub mod frontier;
-pub mod lanes;
 pub mod message;
 pub mod model;
 pub mod plane;
@@ -95,17 +94,15 @@ pub mod trace;
 pub mod wire;
 
 pub use algorithm::{collect_outbox, local_views, LocalView, MsgSink, NodeAlgorithm, Outbox};
-pub use batch::{BatchShapeError, BatchSim, LaneResults};
-pub use batch_plane::{BatchArenaPlane, BatchInlinePlane, BatchPlaneStore};
+pub use batch::BatchSim;
 pub use bitset::FixedBitSet;
 pub use digest::{Digest, DigestWriter, FrontierProfile, RunSummary};
 pub use driver::{
-    run_workload, run_workload_batch, run_workload_batch_prepared, run_workload_prepared,
-    DynWorkload, FleetWorkload, PreparedOracle, Sim, Workload, WorkloadError,
+    run_workload, run_workload_prepared, DynWorkload, FleetWorkload, PreparedOracle, Sim, Workload,
+    WorkloadError,
 };
 pub use executor::Engine;
 pub use frontier::FrontierMode;
-pub use lanes::{BitFleet, LaneWords};
 pub use message::BitSized;
 pub use model::Model;
 pub use plane::{ArenaPlane, Backing, MessagePlane, PlaneStore, SlotOccupied, UnknownBacking};

@@ -22,21 +22,19 @@
 //!   messages) stop heap-allocating per message: the arena is *reset* (not
 //!   freed) every round and grows to the high-water mark once.
 //!
-//! The engines address a backend through the lane-striped
-//! [`crate::BatchPlaneStore`] (one lane for an ordinary run).  Planes are
-//! also reused *across* runs: the one-thread engine checks its plane pair
-//! out of a per-thread pool (see [`crate::pool`]), and the shard-parallel
-//! engine sizes one plane per shard over the shard's contiguous slot range
-//! and ships cross-shard traffic through the backend's
-//! [`PlaneStore::Boundary`] exchange buffers (owned values for the inline
-//! backend, copied byte spans for the arena backend).
+//! The engines call a backend directly, generic over `S: PlaneStore<M>`.
+//! Planes are also reused *across* runs: the one-thread engine checks its
+//! plane pair out of a per-thread pool (see [`crate::pool`]), and the
+//! shard-parallel engine sizes one plane per shard over the shard's
+//! contiguous slot range and ships cross-shard traffic through the
+//! backend's [`PlaneStore::Boundary`] exchange buffers (owned values for
+//! the inline backend, copied byte spans for the arena backend).
 //!
 //! A third backing, 16-byte tagged cells that spilled to the arena above
 //! 15 encoded bytes, was retired because it won no measured cell: inline
 //! beat it on every committed `bench_substrate` cell (gossip ring/4096:
-//! 34.0 vs 51.6 ms; fleet batch8 ring/512: 1.25 vs 2.42 ms, 1-core host),
-//! and on a 2-core host arena beat it on sharded gossip (gnp/2048, two
-//! threads: 37.3 vs 40.9 ms).
+//! 34.0 vs 51.6 ms, 1-core host), and on a 2-core host arena beat it on
+//! sharded gossip (gnp/2048, two threads: 37.3 vs 40.9 ms).
 
 use crate::bitset::FixedBitSet;
 use crate::wire::{Wire, WireReader};

@@ -1,11 +1,10 @@
 //! Run configuration, results and errors.
 //!
 //! The round loops themselves live in [`crate::batch`] (one thread) and
-//! `batch_sharded` (shard-parallel): [`crate::Sim::run`] is lane 0 of a
-//! one-lane batch.  This module holds what every run shares: the run knobs
-//! ([`RunConfig`]), the outcome ([`RunResult`], [`RunError`]) and the
-//! per-round accounting a lane accumulates while scattering
-//! (`PendingRound`).
+//! `batch_sharded` (shard-parallel).  This module holds what every run
+//! shares: the run knobs ([`RunConfig`]), the outcome ([`RunResult`],
+//! [`RunError`]) and the per-round accounting a run accumulates while
+//! scattering (`PendingRound`).
 //!
 //! The observable semantics (outputs, [`RunStats`], trace, error cases) are
 //! identical to the original push-based executor, which is preserved in
@@ -33,7 +32,7 @@ pub struct RunConfig {
     pub enforce_congest: bool,
     /// When true, every message delivery is recorded in the result's trace.
     pub trace: bool,
-    /// Worker threads: `None` runs the lockstep loop on the calling
+    /// Worker threads: `None` runs the plane kernel on the calling
     /// thread; `Some(t)` with `t >= 2` runs it shard-parallel on `t` scoped
     /// threads.  Outputs, stats and traces are bit-identical either way;
     /// only wall-clock changes, so the knob is safe to flip per deployment.

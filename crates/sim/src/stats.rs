@@ -5,8 +5,8 @@
 /// Equality deliberately ignores the frontier observability fields
 /// ([`RunStats::per_round_active_nodes`], [`RunStats::per_round_sparse`]):
 /// the sparse/dense *schedule* is an executor decision that may legitimately
-/// differ between engines (a batch run decides globally across lanes, a
-/// force-sparse run differs from a force-dense one) while every semantic
+/// differ between runs (a force-sparse run differs from a force-dense one,
+/// and the push reference records no frontier at all) while every semantic
 /// quantity stays bit-identical — which is exactly what the equivalence
 /// suites assert with `==`.
 #[derive(Debug, Clone, Default)]

@@ -10,7 +10,7 @@
 //! as a message is sent, and they step the nodes of a round in ascending
 //! order (the dense scan and the sparse frontier walk alike; the
 //! shard-parallel leader appends contiguous shards in shard order), so a
-//! lane's events already arrive in `(round, from)` order.  Only each
+//! run's events already arrive in `(round, from)` order.  Only each
 //! sender's own group — at most its degree, in send order — still needs
 //! ordering by `to`, which one linear pass over the trace does.  The
 //! push reference engine sorts its trace outright; it is the oracle the

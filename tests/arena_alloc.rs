@@ -23,11 +23,11 @@
 //! the facts vector per port per round — must show a strictly positive
 //! difference, so the test cannot silently pass by measuring nothing.
 //!
-//! The same difference must be zero for the lockstep batch kernel and for
-//! shard-parallel runs (two threads): there the arena `Knowledge` gossip
-//! and a small-`u64`-message inline beacon pin that the barrier protocol —
-//! shard reports, the leader's merge, the exchange buffers — reuses its
-//! buffers instead of allocating per round.
+//! The same difference must be zero for shard-parallel runs (two threads):
+//! there the arena `Knowledge` gossip and a small-`u64`-message inline
+//! beacon pin that the barrier protocol — shard reports, the leader's
+//! merge, the exchange buffers — reuses its buffers instead of allocating
+//! per round.
 
 use lma_baselines::flood_collect::FixedGossip;
 use lma_graph::generators::ring;
@@ -155,27 +155,6 @@ fn beacon_allocations(g: &lma_graph::WeightedGraph, sim: Sim<'_>, rounds: usize)
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
-const LANES: usize = 3;
-
-fn batch_gossip_allocations(g: &lma_graph::WeightedGraph, backing: Backing, rounds: usize) -> u64 {
-    let sim = Sim::on(g).backing(backing).batch(LANES);
-    let fleets: Vec<Vec<FixedGossip>> = (0..LANES)
-        .map(|l| {
-            g.nodes()
-                .map(|u| FixedGossip::new((l * g.node_count() + u) as u64, FACTS, rounds))
-                .collect()
-        })
-        .collect();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let results = sim.run(fleets).unwrap();
-    for lane in &results {
-        let lane = lane.as_ref().unwrap();
-        assert_eq!(lane.stats.rounds, rounds);
-        assert!(lane.outputs.iter().all(Option::is_some));
-    }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
-
 #[test]
 fn arena_gossip_steady_state_allocates_nothing_per_round() {
     let g = ring(24, WeightStrategy::Unit);
@@ -207,28 +186,10 @@ fn arena_gossip_steady_state_allocates_nothing_per_round() {
     );
 
     // ------------------------------------------------------------------
-    // Batch executor (same single-`#[test]` discipline: the harness runs
-    // tests on parallel threads, which would interleave allocations into
-    // the single global counter): the lockstep loop drives every lane
-    // through one traversal per round, and its live-lane iteration reuses
-    // a scratch buffer — steady-state batch rounds must be exactly as
-    // allocation-free as solo ones.
-    // ------------------------------------------------------------------
-    batch_gossip_allocations(&g, Backing::Arena, ROUNDS_LONG);
-    let batch_short = batch_gossip_allocations(&g, Backing::Arena, ROUNDS_SHORT);
-    let batch_long = batch_gossip_allocations(&g, Backing::Arena, ROUNDS_LONG);
-    assert_eq!(
-        batch_long, batch_short,
-        "arena-backed batch gossip must not allocate per round \
-         ({ROUNDS_LONG}-round run: {batch_long} allocations, \
-         {ROUNDS_SHORT}-round run: {batch_short})"
-    );
-
-    // ------------------------------------------------------------------
     // Two threads: each run spawns its shard workers and builds their
     // planes and exchange buffers (fixed per-run costs that cancel in the
-    // difference); the rounds themselves — publish, the leader's merge,
-    // the retired-lane check — must reuse every buffer.
+    // difference); the rounds themselves — publish and the leader's merge
+    // — must reuse every buffer.
     // ------------------------------------------------------------------
     let t2 = |backing| on(backing).threads(2);
     gossip_allocations(&g, t2(Backing::Arena), ROUNDS_LONG);

@@ -3,21 +3,22 @@
 //! The frontier schedule (`FrontierMode::{Auto, Dense, Sparse}`) is a pure
 //! *scheduling* knob: for a program that honours the
 //! [`NodeAlgorithm::MESSAGE_DRIVEN`] contract, every mode on every executor
-//! (sequential, sharded, batch, batch-sharded — and the push-based
-//! reference, which never skips anyone) must produce bit-identical outputs,
-//! stats, traces and error paths.  These tests pin exactly that, plus the
-//! schedule-*independent* observability contract: the recorded
-//! `per_round_active_nodes` is the same whatever the mode, engine or lane
-//! (only `per_round_sparse`, the decision itself, may differ between modes
-//! — within one mode it is the same on every engine).
+//! (one thread, sharded — and the push-based reference, which never skips
+//! anyone) must produce bit-identical outputs, stats, traces and error
+//! paths.  These tests pin exactly that, plus the schedule-*independent*
+//! observability contract: the recorded `per_round_active_nodes` is the
+//! same whatever the mode or engine (only `per_round_sparse`, the decision
+//! itself, may differ between modes — within one mode it is the same on
+//! every engine).
 
 use lma_baselines::WaveFlood;
 use lma_graph::generators::{gnp_connected, grid, ring, torus};
 use lma_graph::weights::WeightStrategy;
 use lma_graph::{Port, WeightedGraph};
+use lma_sim::digest::fold_result;
 use lma_sim::{
-    Backing, Engine, FrontierMode, LocalView, NodeAlgorithm, Outbox, RunError, RunResult,
-    RunSummary, Sim,
+    Backing, DigestWriter, Engine, FleetWorkload, FrontierMode, LocalView, NodeAlgorithm, Outbox,
+    RunError, RunResult, RunSummary, Sim, Workload, WorkloadError,
 };
 use proptest::prelude::*;
 
@@ -26,6 +27,9 @@ const MODES: [FrontierMode; 3] = [
     FrontierMode::Dense,
     FrontierMode::Sparse,
 ];
+
+/// Which nodes of a wave fleet decline the sparse schedule.
+type EagerMask = fn(usize) -> bool;
 
 /// A wave fleet on `g`: node 0 is the source; nodes where `eager(u)` holds
 /// decline the sparse schedule at the instance level (mixed fleets).
@@ -96,51 +100,106 @@ fn graphs() -> Vec<(&'static str, WeightedGraph)> {
 /// The deterministic tentpole pin: force-sparse ≡ force-dense ≡ auto on
 /// every backing and thread count, and all of them ≡ the push reference.
 /// Within one mode, every thread count also takes the sequential run's
-/// sparse/dense decision in every round.
+/// sparse/dense decision in every round.  Three fleets per graph: fully
+/// message-driven, every instance eager (dense schedule by contract), and
+/// every third node eager (a mixed fleet).
 #[test]
 fn forced_sparse_equals_forced_dense_across_executors_and_backings() {
+    let fleets: [(&str, EagerMask); 3] = [
+        ("message-driven", |_| false),
+        ("eager", |_| true),
+        ("every-third-eager", |u| u % 3 == 0),
+    ];
     for (name, g) in graphs() {
-        for backing in Backing::ALL {
-            let base = Sim::on(&g).trace(true).backing(backing);
-            let dense = base
-                .frontier(FrontierMode::Dense)
-                .run(wave_fleet(&g, |_| false))
-                .unwrap();
-            for mode in MODES {
-                let sequential = base.frontier(mode).run(wave_fleet(&g, |_| false)).unwrap();
-                for threads in [1usize, 2, 3] {
-                    let run = base
-                        .frontier(mode)
-                        .threads(threads)
-                        .run(wave_fleet(&g, |_| false))
-                        .unwrap();
-                    let what = format!("{name}/{backing:?}/{}/threads={threads}", mode.label());
-                    assert_identical(&dense, &run, &what);
-                    assert_eq!(
-                        run.stats.per_round_sparse, sequential.stats.per_round_sparse,
-                        "{what}: per-round sparse decisions diverged from the sequential run"
-                    );
+        for (fleet, eager) in fleets {
+            for backing in Backing::ALL {
+                let base = Sim::on(&g).trace(true).backing(backing);
+                let dense = base
+                    .frontier(FrontierMode::Dense)
+                    .run(wave_fleet(&g, eager))
+                    .unwrap();
+                for mode in MODES {
+                    let sequential = base.frontier(mode).run(wave_fleet(&g, eager)).unwrap();
+                    for threads in [1usize, 2, 3] {
+                        let run = base
+                            .frontier(mode)
+                            .threads(threads)
+                            .run(wave_fleet(&g, eager))
+                            .unwrap();
+                        let what = format!(
+                            "{name}/{fleet}/{backing:?}/{}/threads={threads}",
+                            mode.label()
+                        );
+                        assert_identical(&dense, &run, &what);
+                        assert_eq!(
+                            run.stats.per_round_sparse, sequential.stats.per_round_sparse,
+                            "{what}: per-round sparse decisions diverged from the sequential run"
+                        );
+                    }
                 }
+                let push = base
+                    .executor(Engine::Reference)
+                    .run(wave_fleet(&g, eager))
+                    .unwrap();
+                // The oracle records no frontier, so compare the run
+                // artefacts (stats equality already excludes the frontier
+                // observability).
+                assert_eq!(push.outputs, dense.outputs, "{name}/{fleet}: push outputs");
+                assert_eq!(push.stats, dense.stats, "{name}/{fleet}: push stats");
+                assert_eq!(push.trace, dense.trace, "{name}/{fleet}: push trace");
+                assert!(push.stats.per_round_active_nodes.is_empty());
             }
-            let push = base
-                .executor(Engine::Reference)
-                .run(wave_fleet(&g, |_| false))
-                .unwrap();
-            // The oracle records no frontier, so compare the run artefacts
-            // (stats equality already excludes the frontier observability).
-            assert_eq!(push.outputs, dense.outputs, "{name}: push outputs");
-            assert_eq!(push.stats, dense.stats, "{name}: push stats");
-            assert_eq!(push.trace, dense.trace, "{name}: push trace");
-            assert!(push.stats.per_round_active_nodes.is_empty());
         }
+    }
+}
+
+/// A wave workload whose prep is the fleet's eager mask, so one batch can
+/// hold a message-driven, an all-eager and a mixed lane.
+struct MaskedWave;
+
+impl FleetWorkload for MaskedWave {
+    type Prep = EagerMask;
+    type Program = WaveFlood;
+    type Outcome = RunResult<(u64, u64)>;
+
+    fn name(&self) -> &'static str {
+        "masked-wave"
+    }
+
+    fn prepare(&self, _graph: &WeightedGraph) -> Result<EagerMask, WorkloadError> {
+        Ok(|_| false)
+    }
+
+    fn programs(&self, graph: &WeightedGraph, eager: &EagerMask) -> Vec<WaveFlood> {
+        wave_fleet(graph, eager)
+    }
+
+    fn collate(
+        &self,
+        _graph: &WeightedGraph,
+        _eager: EagerMask,
+        result: RunResult<(u64, u64)>,
+    ) -> Result<RunResult<(u64, u64)>, WorkloadError> {
+        Ok(result)
+    }
+
+    fn fold(&self, w: &mut DigestWriter, outcome: &RunResult<(u64, u64)>) {
+        fold_result(w, outcome, |w, (id, round)| {
+            w.u64(*id);
+            w.u64(*round);
+        });
+    }
+
+    fn summary(&self, outcome: &RunResult<(u64, u64)>) -> RunSummary {
+        RunSummary::of_stats(&outcome.stats)
     }
 }
 
 /// Batch lanes — including a mixed fleet where only some lanes' programs
 /// are message-driven — match their solo runs lane for lane, with
-/// lane-exact frontier counts, on both the sequential and sharded tilings.
-/// The batch decides sparse vs dense once per round for all lanes, so each
-/// sharded lane must take the sequential batch's decisions.
+/// lane-exact frontier counts, on one thread and sharded.  Every lane of
+/// every thread count must also take the one-thread batch's sparse/dense
+/// decision in every round.
 #[test]
 fn batched_wave_lanes_match_solo_runs_including_mixed_eager_lanes() {
     let mut graphs = vec![(
@@ -150,8 +209,7 @@ fn batched_wave_lanes_match_solo_runs_including_mixed_eager_lanes() {
     graphs.extend(multiword_graphs());
     // Lane 0: fully message-driven; lane 1: every instance eager (dense
     // schedule by contract); lane 2: every third node eager.
-    let lane_masks: [fn(usize) -> bool; 3] = [|_| false, |_| true, |u| u % 3 == 0];
-    let fleets = |g: &WeightedGraph| lane_masks.iter().map(|mask| wave_fleet(g, mask)).collect();
+    let lane_masks: [EagerMask; 3] = [|_| false, |_| true, |u| u % 3 == 0];
     for (name, g) in &graphs {
         for backing in Backing::ALL {
             for mode in MODES {
@@ -160,13 +218,12 @@ fn batched_wave_lanes_match_solo_runs_including_mixed_eager_lanes() {
                     .iter()
                     .map(|mask| sim.run(wave_fleet(g, mask)).unwrap())
                     .collect();
-                let sequential = sim.batch(lane_masks.len()).run(fleets(g)).unwrap();
+                let sequential =
+                    MaskedWave.execute_batch(&sim.batch(lane_masks.len()), lane_masks.to_vec());
                 for threads in [1usize, 2, 3] {
-                    let results = sim
-                        .threads(threads)
-                        .batch(lane_masks.len())
-                        .run(fleets(g))
-                        .unwrap();
+                    let batch = sim.threads(threads).batch(lane_masks.len());
+                    let results = MaskedWave.execute_batch(&batch, lane_masks.to_vec());
+                    assert_eq!(results.len(), lane_masks.len());
                     for (l, (solo, lane)) in solos.iter().zip(results).enumerate() {
                         let lane = lane.unwrap();
                         let what = format!(
@@ -177,7 +234,7 @@ fn batched_wave_lanes_match_solo_runs_including_mixed_eager_lanes() {
                         assert_eq!(
                             lane.stats.per_round_sparse,
                             sequential[l].as_ref().unwrap().stats.per_round_sparse,
-                            "{what}: per-round sparse decisions diverged from the sequential batch"
+                            "{what}: per-round sparse decisions diverged from the one-thread batch"
                         );
                     }
                 }
@@ -254,22 +311,9 @@ fn malformed_outbox_mid_wave_fails_identically_under_every_schedule() {
                     "backing {backing:?} mode {} threads {threads}",
                     mode.label()
                 );
-                // Batched: the rogue lane alone fails; a clean lane completes.
-                let results = sim.batch(2).run(vec![mk(), wave_rogueless(&g)]).unwrap();
-                assert_eq!(results[0].as_ref().unwrap_err(), &want);
-                assert!(results[1].is_ok());
             }
         }
     }
-}
-
-fn wave_rogueless(g: &WeightedGraph) -> Vec<RogueWave> {
-    g.nodes()
-        .map(|u| RogueWave {
-            inner: WaveFlood::new(u == 0),
-            rogue: false,
-        })
-        .collect()
 }
 
 /// The auto heuristic actually engages: a ring wave touches at most 4 nodes
@@ -340,7 +384,7 @@ proptest! {
 
     /// Random G(n, p) graphs, thread counts, backings and eager mixes: the
     /// sparse, dense and auto schedules agree bit-for-bit with each other
-    /// and across the sequential, sharded and batch executors.
+    /// and across the sequential and sharded executors.
     #[test]
     fn frontier_schedules_agree_on_random_graphs(
         n in 8usize..40,
@@ -360,14 +404,6 @@ proptest! {
             let sim = base.frontier(mode).threads(threads);
             let run = sim.run(wave_fleet(&g, eager)).unwrap();
             assert_identical(&dense, &run, &format!("solo {}", mode.label()));
-            let lanes = 3;
-            let results = sim
-                .batch(lanes)
-                .run((0..lanes).map(|_| wave_fleet(&g, eager)).collect())
-                .unwrap();
-            for (l, lane) in results.into_iter().enumerate() {
-                assert_identical(&dense, &lane.unwrap(), &format!("lane {l} {}", mode.label()));
-            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The round executor was rewritten from push-based routing (per-round inbox
 //! vectors, per-node hash sets, clone-on-delivery) to a pull-based,
-//! double-buffered flat message plane, run as a lockstep batch kernel on
+//! double-buffered flat message plane, run as one plane kernel on
 //! one thread or shard-parallel ([`lma_sim::Engine::Threads`]).  These
 //! tests pin the contract of those rewrites:
 //!
@@ -17,15 +17,9 @@
 //!    every error path (malformed outbox, round limit, CONGEST enforcement);
 //! 4. the `sync_boruvka` baseline (the most protocol-heavy consumer of the
 //!    simulator) reproduces identical results across runs and models;
-//! 5. **batch equivalence** — the lockstep fleet executor
-//!    ([`lma_sim::BatchSim`]) at widths 1, 2 and 8 produces, lane for lane,
-//!    bit-identical outputs, stats and traces to sequential runs of the same
-//!    programs, on both plane backings, sequential and sharded, including
-//!    the malformed-outbox error path (the failing lane alone reports the
-//!    sequential run's exact error; every other lane completes);
-//! 6. **trace order** — a program that sends through its ports in
+//! 5. **trace order** — a program that sends through its ports in
 //!    descending order gets the push reference's `(round, from, to)` trace
-//!    from every thread count, batch width and backing.
+//!    from every thread count and backing.
 
 use lma_baselines::{FloodCollectMst, NoAdviceMst, SyncBoruvkaMst};
 use lma_graph::generators::{barabasi_albert, connected_random, gnp_connected, grid, ring};
@@ -346,23 +340,17 @@ fn descending_port_sends_trace_in_reference_order() {
         assert!(out_of_order, "{name}: descending ports are already sorted");
         for backing in Backing::ALL {
             for threads in [1usize, 2, 3] {
-                for lanes in [1usize, 3] {
-                    let fleets = (0..lanes).map(|_| mk()).collect();
-                    let results = Sim::on(g)
-                        .trace(true)
-                        .backing(backing)
-                        .threads(threads)
-                        .batch(lanes)
-                        .run(fleets)
-                        .unwrap();
-                    for (lane, result) in results.into_iter().enumerate() {
-                        assert_identical(
-                            &reference,
-                            &result.unwrap(),
-                            &format!("{name}/{backing:?}/threads={threads}/W={lanes}/lane={lane}"),
-                        );
-                    }
-                }
+                let result = Sim::on(g)
+                    .trace(true)
+                    .backing(backing)
+                    .threads(threads)
+                    .run(mk())
+                    .unwrap();
+                assert_identical(
+                    &reference,
+                    &result,
+                    &format!("{name}/{backing:?}/threads={threads}"),
+                );
             }
         }
     }
@@ -591,109 +579,6 @@ fn flood_collect_is_bit_identical_across_backings_shards_and_push() {
 fn sync_boruvka_is_bit_identical_across_backings_shards_and_push() {
     let g = connected_random(30, 75, 43, WeightStrategy::DistinctRandom { seed: 43 });
     assert_baseline_backing_equivalence(SyncBoruvkaMst, &g);
-}
-
-/// The batch widths every fleet-equivalence test sweeps (1 pins the
-/// degenerate single-lane batch; 8 exercises multi-lane striping).
-const BATCH_WIDTHS: [usize; 3] = [1, 2, 8];
-
-#[test]
-fn batched_fleets_match_sequential_lane_for_lane() {
-    for (name, g) in graphs() {
-        for sim in sims(&g) {
-            let solo = sim
-                .run(g.nodes().map(|_| MaxIdFlood::new()).collect::<Vec<_>>())
-                .unwrap();
-            for lanes in BATCH_WIDTHS {
-                for threads in [1usize, 3] {
-                    let fleets = (0..lanes)
-                        .map(|_| g.nodes().map(|_| MaxIdFlood::new()).collect::<Vec<_>>())
-                        .collect();
-                    let results = sim.threads(threads).batch(lanes).run(fleets).unwrap();
-                    assert_eq!(results.len(), lanes);
-                    for (lane, result) in results.into_iter().enumerate() {
-                        assert_identical(
-                            &solo,
-                            &result.unwrap(),
-                            &format!("{name}/W={lanes}/threads={threads}/lane={lane}"),
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn batched_sparse_traffic_matches_sequential_lane_for_lane() {
-    for (name, g) in graphs() {
-        for sim in sims(&g) {
-            let mk = || {
-                g.nodes()
-                    .map(|_| MinForward {
-                        best: 0,
-                        rounds_left: 40,
-                    })
-                    .collect::<Vec<_>>()
-            };
-            let solo = sim.run(mk()).unwrap();
-            for lanes in BATCH_WIDTHS {
-                let fleets = (0..lanes).map(|_| mk()).collect();
-                let results = sim.batch(lanes).run(fleets).unwrap();
-                for (lane, result) in results.into_iter().enumerate() {
-                    assert_identical(
-                        &solo,
-                        &result.unwrap(),
-                        &format!("{name}/W={lanes}/lane={lane}"),
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn batched_lane_with_malformed_outbox_fails_alone() {
-    let g = ring(24, WeightStrategy::Unit);
-    // `usize::MAX` never matches a node, so that fleet runs clean; planting
-    // the culprit in exactly one lane must reproduce the sequential error in
-    // that lane — and only there.
-    let mk = |culprit: usize| {
-        g.nodes()
-            .map(|_| DuplicatePort {
-                me: 0,
-                culprit,
-                at_round: 2,
-                done: false,
-            })
-            .collect::<Vec<_>>()
-    };
-    let solo_ok = Sim::on(&g).run(mk(usize::MAX)).unwrap();
-    let solo_err = Sim::on(&g).run(mk(13)).unwrap_err();
-    assert!(matches!(solo_err, RunError::MalformedOutbox { .. }));
-    let lanes = 4;
-    let rogue = 2;
-    for backing in Backing::ALL {
-        for threads in [1usize, 3] {
-            let sim = Sim::on(&g).backing(backing).threads(threads);
-            let fleets = (0..lanes)
-                .map(|l| mk(if l == rogue { 13 } else { usize::MAX }))
-                .collect();
-            let results = sim.batch(lanes).run(fleets).unwrap();
-            assert_eq!(results.len(), lanes);
-            for (lane, result) in results.into_iter().enumerate() {
-                let what = format!("backing {backing:?} threads {threads} lane {lane}");
-                if lane == rogue {
-                    assert_eq!(result.unwrap_err(), solo_err, "{what}");
-                } else {
-                    let clean =
-                        result.unwrap_or_else(|e| panic!("{what}: a clean lane failed with {e}"));
-                    assert_eq!(clean.outputs, solo_ok.outputs, "{what}: outputs diverged");
-                    assert_eq!(clean.stats, solo_ok.stats, "{what}: stats diverged");
-                }
-            }
-        }
-    }
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! End-to-end tests for the `lma-serve` server over real loopback TCP:
-//! digest parity with the committed goldens, typed admission failures,
-//! malformed-frame isolation, deadline budgets, and drain semantics.
+//! digest parity with the committed goldens, one run per coalesced group,
+//! typed admission failures, malformed-frame isolation, deadline budgets,
+//! and drain semantics.
 
 use lma_bench::scenarios::LockFile;
 use lma_serve::proto::{code, write_frame, RequestBody, ResponseBody, RunSpec};
 use lma_serve::replay::Client;
 use lma_serve::server::{ServerConfig, TcpServer};
 use std::net::TcpStream;
+use std::time::Duration;
 
 fn boot(config: ServerConfig) -> (TcpServer, Client) {
     let tcp = TcpServer::bind("127.0.0.1:0", config).expect("bind loopback");
@@ -95,19 +97,82 @@ fn coalesced_batches_reproduce_the_solo_digest() {
     for _ in 0..depth {
         match client.recv().expect("recv").body {
             ResponseBody::Done(report) => {
-                assert_eq!(report.digest, golden, "batched digest must match the lock");
+                assert_eq!(
+                    report.digest, golden,
+                    "coalesced digest must match the lock"
+                );
                 widths.push(report.lanes);
             }
             other => panic!("expected Done, got {other:?}"),
         }
     }
     // The burst may be split across dispatch windows, but any request that
-    // rode a widened batch must still have folded the same bytes.
+    // rode a wider group must still have folded the same bytes.
     assert!(
         widths.iter().all(|&w| w >= 1 && w as usize <= depth),
-        "lane widths out of range: {widths:?}"
+        "group widths out of range: {widths:?}"
     );
     shutdown(client, tcp);
+}
+
+/// Pipelines `width` identical requests into a server whose dispatcher
+/// waits for the whole burst, and checks that one run answered them all:
+/// every reply carries the golden digest and the group width, and the
+/// group-width histogram records a single group.
+fn one_run_answers_a_pipelined_group(id: &str, spec: RunSpec) {
+    let width = 5;
+    let (tcp, mut client) = boot(ServerConfig {
+        max_batch: width,
+        // The door stays open until the burst is whole, so the group
+        // cannot split across dispatch windows.
+        coalesce_window: Duration::from_secs(30),
+        ..ServerConfig::default()
+    });
+    let golden = golden_digest(id);
+    for _ in 0..width {
+        client.send(RequestBody::Run(spec.clone())).expect("send");
+    }
+    for _ in 0..width {
+        match client.recv().expect("recv").body {
+            ResponseBody::Done(report) => {
+                assert_eq!(
+                    report.digest, golden,
+                    "{id}: served digest must match the lock"
+                );
+                assert_eq!(report.lanes as usize, width, "{id}: group width");
+            }
+            other => panic!("{id}: expected Done, got {other:?}"),
+        }
+    }
+    let stats = match client.call(RequestBody::Stats).expect("stats").body {
+        ResponseBody::Stats(stats) => stats,
+        other => panic!("expected Stats, got {other:?}"),
+    };
+    assert_eq!(stats.served, width as u64, "{id}");
+    assert_eq!(stats.coalesced, width as u64, "{id}");
+    assert_eq!(
+        stats.batch_widths,
+        vec![(width as u32, 1)],
+        "{id}: one group, hence one run"
+    );
+    assert_eq!(shutdown(client, tcp), width as u64);
+}
+
+#[test]
+fn one_run_answers_a_coalesced_ghs_group() {
+    // GHS is a multi-stage pipeline, not a single fleet run.
+    one_run_answers_a_pipelined_group(
+        "ghs-boruvka/ring/n16/s31",
+        run_spec("ghs-boruvka", "ring", 16, 31),
+    );
+}
+
+#[test]
+fn one_run_answers_a_coalesced_fleet_group() {
+    one_run_answers_a_pipelined_group(
+        "flood/preferential-attachment/n64/s12",
+        run_spec("flood", "preferential-attachment", 64, 12),
+    );
 }
 
 #[test]
