@@ -4,6 +4,9 @@
 //! the results is the difference between `Θ(log n)`, `Θ(log² n)` and `O(1)`
 //! bits — so advice is represented bit-by-bit, never rounded up to bytes.
 
+use lma_graph::heap::vec_bytes;
+use lma_graph::HeapSize;
+
 /// A growable string of bits.
 ///
 /// The representation is a plain `Vec<bool>`: advice strings are tiny (at
@@ -120,6 +123,12 @@ impl BitString {
             .iter()
             .map(|&b| if b { '1' } else { '0' })
             .collect()
+    }
+}
+
+impl HeapSize for BitString {
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.bits)
     }
 }
 

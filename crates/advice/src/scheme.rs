@@ -15,7 +15,8 @@
 
 use crate::accounting::AdviceStats;
 use crate::bits::BitString;
-use lma_graph::WeightedGraph;
+use lma_graph::heap::vec_bytes;
+use lma_graph::{HeapSize, WeightedGraph};
 use lma_mst::boruvka::BoruvkaError;
 use lma_mst::verify::{verify_upward_outputs, MstError, UpwardOutput};
 use lma_mst::RootedTree;
@@ -44,6 +45,17 @@ impl Advice {
     #[must_use]
     pub fn stats(&self) -> AdviceStats {
         AdviceStats::from_advice(self)
+    }
+}
+
+impl HeapSize for Advice {
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.per_node)
+            + self
+                .per_node
+                .iter()
+                .map(HeapSize::heap_bytes)
+                .sum::<usize>()
     }
 }
 
@@ -303,6 +315,15 @@ mod tests {
         assert_eq!(a.per_node.len(), 4);
         assert!(a.per_node.iter().all(BitString::is_empty));
         assert_eq!(a.stats().max_bits, 0);
+    }
+
+    #[test]
+    fn advice_heap_bytes_count_every_string() {
+        let mut a = Advice::empty(3);
+        let empty = a.heap_bytes();
+        assert_eq!(empty, 3 * std::mem::size_of::<BitString>());
+        a.per_node[1].push_uint(5, 4);
+        assert!(a.heap_bytes() >= empty + 4);
     }
 
     #[test]

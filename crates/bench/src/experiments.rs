@@ -712,6 +712,39 @@ pub fn run_a4_fault_detection(n: usize, trials: u64, opts: RunOpts) -> Table {
     t
 }
 
+/// Renders the tables `ids` exactly as the `experiments` binary prints them
+/// — a header line, then each table (as text or CSV) followed by a blank
+/// line.  Rendered in text form over [`ExperimentId::ALL`], this is the
+/// content `EXPERIMENTS.lock` pins.
+#[must_use]
+pub fn render_tables(ids: &[ExperimentId], csv: bool, opts: RunOpts) -> String {
+    let mut out = String::from("# mst-advice experiment tables (seeded, deterministic)\n\n");
+    for id in ids {
+        let table = id.run_with(opts);
+        out.push_str(&if csv { table.to_csv() } else { table.to_text() });
+        out.push('\n');
+    }
+    out
+}
+
+/// The first line where `actual` departs from `expected`: its 1-based
+/// number and the line on each side (`None` past the end of that side).
+#[must_use]
+pub fn first_difference<'a>(
+    expected: &'a str,
+    actual: &'a str,
+) -> Option<(usize, Option<&'a str>, Option<&'a str>)> {
+    let (mut want, mut got) = (expected.lines(), actual.lines());
+    for line in 1.. {
+        match (want.next(), got.next()) {
+            (None, None) => return None,
+            (w, g) if w != g => return Some((line, w, g)),
+            _ => {}
+        }
+    }
+    unreachable!("the loop runs until both sides end")
+}
+
 /// Runs every experiment with its default parameters.
 #[must_use]
 pub fn run_all_default() -> Vec<Table> {
@@ -724,6 +757,24 @@ pub fn run_all_default() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_difference_names_the_first_drifted_line() {
+        let lock = "# header\n\nrow 1\nrow 2\n";
+        assert_eq!(first_difference(lock, lock), None);
+        assert_eq!(
+            first_difference(lock, "# header\n\nrow 1\nrow 3\n"),
+            Some((4, Some("row 2"), Some("row 3")))
+        );
+        assert_eq!(
+            first_difference(lock, "# header\n\nrow 1\n"),
+            Some((4, Some("row 2"), None))
+        );
+        assert_eq!(
+            first_difference(lock, "# header\n\nrow 1\nrow 2\nrow 3\n"),
+            Some((5, None, Some("row 3")))
+        );
+    }
 
     #[test]
     fn experiment_id_parsing() {

@@ -15,6 +15,7 @@
 //!   outbox slots without touching edge records.
 
 use crate::graph::{EdgeRecord, IncidentEdge, NodeIdx, Port};
+use crate::heap::{vec_bytes, HeapSize};
 
 /// Compressed-sparse-row adjacency with a precomputed mirror-slot table.
 ///
@@ -32,6 +33,12 @@ pub struct CsrAdjacency {
     /// endpoint: if `s = slot(u, p)` describes edge `e = {u, v}`, then
     /// `mirror[s] = slot(v, q)` where `q` is `e`'s port at `v`.
     mirror: Vec<usize>,
+}
+
+impl HeapSize for CsrAdjacency {
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.offsets) + vec_bytes(&self.incident) + vec_bytes(&self.mirror)
+    }
 }
 
 impl CsrAdjacency {

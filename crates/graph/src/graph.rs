@@ -14,6 +14,7 @@
 //! port structure is first-class here rather than an afterthought.
 
 use crate::csr::CsrAdjacency;
+use crate::heap::{vec_bytes, HeapSize};
 
 /// Dense node index in `0..n`.  This is the *simulator's* handle for a node;
 /// the (possibly non-distinct) application-level identifier is
@@ -131,6 +132,16 @@ pub struct WeightedGraph {
     adj: Vec<Vec<IncidentEdge>>,
     csr: CsrAdjacency,
     edges: Vec<EdgeRecord>,
+}
+
+impl HeapSize for WeightedGraph {
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.ids)
+            + vec_bytes(&self.adj)
+            + self.adj.iter().map(vec_bytes).sum::<usize>()
+            + self.csr.heap_bytes()
+            + vec_bytes(&self.edges)
+    }
 }
 
 impl WeightedGraph {

@@ -21,6 +21,8 @@
 //! * [`prng`] — a tiny, dependency-free, seedable PRNG so that every
 //!   experiment is exactly reproducible from its seed.
 //! * [`dot`] — Graphviz DOT rendering (used to regenerate the paper's figures).
+//! * [`heap`] — [`HeapSize`], the retained-bytes accounting byte-bounded
+//!   caches charge graphs, partitions and oracle products by.
 //! * [`validate`] — structural checks (simple, connected, ports well-formed).
 //!
 //! The graph representation is deliberately immutable after construction: the
@@ -35,6 +37,7 @@ pub mod csr;
 pub mod dot;
 pub mod generators;
 pub mod graph;
+pub mod heap;
 pub mod index;
 pub mod partition;
 pub mod prng;
@@ -44,6 +47,7 @@ pub mod weights;
 pub use builder::GraphBuilder;
 pub use csr::CsrAdjacency;
 pub use graph::{EdgeId, EdgeRecord, IncidentEdge, NodeIdx, Port, Weight, WeightedGraph};
+pub use heap::HeapSize;
 pub use index::EdgeIndex;
 pub use partition::Partition;
 pub use prng::SplitMix64;

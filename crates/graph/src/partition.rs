@@ -17,6 +17,7 @@
 //! shard pair — no hashing, no searching, and no shared mutable plane.
 
 use crate::csr::CsrAdjacency;
+use crate::heap::{vec_bytes, HeapSize};
 use std::ops::Range;
 
 /// Sentinel in the cross-reference table for intra-shard slots.
@@ -38,6 +39,16 @@ pub struct Partition {
     /// Per-slot `(owner << 32) | position-in-boundary-list`, or [`INTRA`]
     /// for slots whose edge stays inside one shard.
     cross_ref: Vec<u64>,
+}
+
+impl HeapSize for Partition {
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.node_starts)
+            + vec_bytes(&self.slot_starts)
+            + vec_bytes(&self.boundary)
+            + self.boundary.iter().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.cross_ref)
+    }
 }
 
 impl Partition {

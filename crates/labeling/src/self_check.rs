@@ -15,7 +15,7 @@ use crate::report::VerificationReport;
 use lma_advice::scheme::{to_workload_error, Advice, AdvisingScheme, SchemeError};
 use lma_advice::AdviceStats;
 use lma_graph::WeightedGraph;
-use lma_mst::boruvka::{run_boruvka, BoruvkaConfig};
+use lma_mst::boruvka::{boruvka_tree, BoruvkaConfig};
 use lma_mst::digest::fold_upward_outputs;
 use lma_mst::verify::UpwardOutput;
 use lma_mst::RootedTree;
@@ -63,8 +63,8 @@ pub fn certify_outputs(
     reference: &BoruvkaConfig,
     outputs: &[Option<UpwardOutput>],
 ) -> Result<VerificationReport, SchemeError> {
-    let run = run_boruvka(sim.graph(), reference)?;
-    certify_against_tree(sim, &run.tree, outputs)
+    let tree = boruvka_tree(sim.graph(), reference)?;
+    certify_against_tree(sim, &tree, outputs)
 }
 
 /// Certifies an output vector against an explicit reference tree.
@@ -107,8 +107,8 @@ pub fn certified_run_with_advice<S: AdvisingScheme + ?Sized>(
 ) -> Result<CertifiedRun, SchemeError> {
     let advice_stats = advice.stats();
     let outcome = scheme.decode(sim, advice)?;
-    let reference_run = run_boruvka(sim.graph(), reference)?;
-    let report = MstCertificate::certify_and_verify(sim, &reference_run.tree, &outcome.outputs)
+    let reference = boruvka_tree(sim.graph(), reference)?;
+    let report = MstCertificate::certify_and_verify(sim, &reference, &outcome.outputs)
         .map_err(SchemeError::Run)?;
     Ok(CertifiedRun {
         advice: advice_stats,
@@ -188,6 +188,7 @@ mod tests {
     use lma_advice::{ConstantScheme, OneRoundScheme, TrivialScheme};
     use lma_graph::generators::{connected_random, grid};
     use lma_graph::weights::WeightStrategy;
+    use lma_mst::boruvka::run_boruvka;
     use lma_mst::verify::verify_upward_outputs;
 
     fn schemes() -> Vec<Box<dyn AdvisingScheme>> {

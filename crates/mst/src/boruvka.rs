@@ -90,7 +90,61 @@ struct RawPhase {
 
 /// Runs the paper's Borůvka variant, returning the MST together with the full
 /// per-phase decomposition.
+///
+/// Complexity: `O((n + m) log n)` after one `O(m log Δ)` sort.  There are
+/// at most `⌈log₂ n⌉ + 1` merge phases, each `O(n + m)`: the selection
+/// scan reads each incident edge once and [`UnionFind::groups`] is one
+/// bucket pass.  Each recorded phase is then `O(n)`: every node's MST
+/// children are sorted by `(weight, port)` once, and each fragment's BFS
+/// expands every member once through that list.
 pub fn run_boruvka(g: &WeightedGraph, config: &BoruvkaConfig) -> Result<BoruvkaRun, BoruvkaError> {
+    let Merged {
+        root,
+        raw_phases,
+        selected_edges,
+        tree,
+    } = merge(g, config)?;
+
+    // Post-process every raw phase into a full PhaseRecord, then append the
+    // terminal single-fragment record.
+    let children = OrderedChildren::new(g, &tree);
+    let merge_phases = raw_phases.len();
+    let mut phases: Vec<PhaseRecord> = raw_phases
+        .into_iter()
+        .enumerate()
+        .map(|(i, raw)| finish_phase(g, &tree, &children, root, i + 1, raw))
+        .collect();
+    phases.push(terminal_phase(g, &children, root, merge_phases + 1));
+
+    Ok(BoruvkaRun {
+        root,
+        mst_edges: selected_edges,
+        tree,
+        phases,
+    })
+}
+
+/// The rooted MST of [`run_boruvka`] without the per-phase records: the
+/// same tree and the same errors, for callers that read only
+/// [`BoruvkaRun::tree`] (the labeling certificate's reference run).
+///
+/// # Errors
+/// Exactly [`run_boruvka`]'s.
+pub fn boruvka_tree(g: &WeightedGraph, config: &BoruvkaConfig) -> Result<RootedTree, BoruvkaError> {
+    merge(g, config).map(|merged| merged.tree)
+}
+
+/// What the merging loop produces.
+struct Merged {
+    root: NodeIdx,
+    raw_phases: Vec<RawPhase>,
+    /// MST edges in selection order.
+    selected_edges: Vec<EdgeId>,
+    tree: RootedTree,
+}
+
+/// The merging loop: every phase's raw record and the rooted MST.
+fn merge(g: &WeightedGraph, config: &BoruvkaConfig) -> Result<Merged, BoruvkaError> {
     let n = g.node_count();
     if n == 0 {
         return Err(BoruvkaError::EmptyGraph);
@@ -171,21 +225,11 @@ pub fn run_boruvka(g: &WeightedGraph, config: &BoruvkaConfig) -> Result<BoruvkaR
     debug_assert_eq!(selected_edges.len(), n - 1);
     let tree = RootedTree::from_edges(g, root, &selected_edges)
         .expect("selected edges form a spanning tree");
-
-    // Post-process every raw phase into a full PhaseRecord, then append the
-    // terminal single-fragment record.
-    let mut phases: Vec<PhaseRecord> = raw_phases
-        .iter()
-        .enumerate()
-        .map(|(i, raw)| finish_phase(g, &tree, root, i + 1, raw))
-        .collect();
-    phases.push(terminal_phase(g, &tree, root, raw_phases.len() + 1));
-
-    Ok(BoruvkaRun {
+    Ok(Merged {
         root,
-        mst_edges: selected_edges,
+        raw_phases,
+        selected_edges,
         tree,
-        phases,
     })
 }
 
@@ -215,9 +259,10 @@ fn selection_key(
 fn finish_phase(
     g: &WeightedGraph,
     tree: &RootedTree,
+    children: &OrderedChildren,
     root: NodeIdx,
     phase: usize,
-    raw: &RawPhase,
+    raw: RawPhase,
 ) -> PhaseRecord {
     let frag_count = raw.fragments.len();
 
@@ -262,11 +307,11 @@ fn finish_phase(
 
     let fragments: Vec<FragmentRecord> = raw
         .fragments
-        .iter()
+        .into_iter()
         .enumerate()
         .map(|(fid, nodes)| {
             let r_f = frag_roots[fid];
-            let bfs_order = fragment_bfs(g, tree, nodes, r_f);
+            let bfs_order = fragment_bfs(children, &raw.fragment_of, fid, r_f, nodes.len());
             let selection = raw.selections[fid].map(|(edge, chooser)| {
                 let port = g.port_of_edge(chooser, edge);
                 Selection {
@@ -283,7 +328,7 @@ fn finish_phase(
             });
             FragmentRecord {
                 id: fid,
-                nodes: nodes.clone(),
+                nodes,
                 root: r_f,
                 bfs_order,
                 depth_in_ti: depth_in_ti[fid],
@@ -298,19 +343,20 @@ fn finish_phase(
     PhaseRecord {
         phase,
         fragments,
-        fragment_of: raw.fragment_of.clone(),
+        fragment_of: raw.fragment_of,
     }
 }
 
 /// The terminal record: a single fragment covering the whole graph.
 fn terminal_phase(
     g: &WeightedGraph,
-    tree: &RootedTree,
+    children: &OrderedChildren,
     root: NodeIdx,
     phase: usize,
 ) -> PhaseRecord {
     let nodes: Vec<NodeIdx> = g.nodes().collect();
-    let bfs_order = fragment_bfs(g, tree, &nodes, root);
+    let fragment_of = vec![0; g.node_count()];
+    let bfs_order = fragment_bfs(children, &fragment_of, 0, root, nodes.len());
     PhaseRecord {
         phase,
         fragments: vec![FragmentRecord {
@@ -324,50 +370,78 @@ fn terminal_phase(
             active: false,
             selection: None,
         }],
-        fragment_of: vec![0; g.node_count()],
+        fragment_of,
     }
 }
 
-/// BFS order of the subtree `T_F` induced by `nodes` in the MST, starting at
-/// `start`, visiting children in order of increasing edge index at the parent
-/// (i.e. increasing `(weight, port)`), as the paper prescribes.
-fn fragment_bfs(
-    g: &WeightedGraph,
-    tree: &RootedTree,
-    nodes: &[NodeIdx],
-    start: NodeIdx,
-) -> Vec<NodeIdx> {
-    let member: std::collections::BTreeSet<NodeIdx> = nodes.iter().copied().collect();
-    let tree_edges: std::collections::BTreeSet<EdgeId> = tree.edges.iter().copied().collect();
-    let mut visited: std::collections::BTreeSet<NodeIdx> = std::collections::BTreeSet::new();
-    let mut order = Vec::with_capacity(nodes.len());
-    let mut queue = std::collections::VecDeque::new();
-    visited.insert(start);
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        // Neighbours of u inside the fragment through MST edges, sorted by
-        // the local (weight, port) order at u.
-        let mut next: Vec<(u64, usize, NodeIdx)> = g
-            .incident(u)
-            .iter()
-            .filter(|ie| {
-                tree_edges.contains(&ie.edge)
-                    && member.contains(&ie.neighbor)
-                    && !visited.contains(&ie.neighbor)
-            })
-            .map(|ie| (ie.weight, ie.port, ie.neighbor))
-            .collect();
-        next.sort_unstable();
-        for (_, _, v) in next {
-            if visited.insert(v) {
-                queue.push_back(v);
-            }
+/// Every node's MST children in the paper's BFS visiting order — by
+/// increasing edge index at the parent, i.e. increasing `(weight, port)` —
+/// as one flat list with per-node offsets.
+struct OrderedChildren {
+    offsets: Vec<usize>,
+    nodes: Vec<NodeIdx>,
+}
+
+impl OrderedChildren {
+    fn new(g: &WeightedGraph, tree: &RootedTree) -> Self {
+        let mut offsets = Vec::with_capacity(g.node_count() + 1);
+        let mut nodes = Vec::with_capacity(g.node_count().saturating_sub(1));
+        let mut scratch: Vec<(u64, usize, NodeIdx)> = Vec::new();
+        offsets.push(0);
+        for u in g.nodes() {
+            // A child's parent edge is the tree edge joining it to `u`.
+            scratch.clear();
+            scratch.extend(
+                g.incident(u)
+                    .iter()
+                    .filter(|ie| tree.parent_edge[ie.neighbor] == Some(ie.edge))
+                    .map(|ie| (ie.weight, ie.port, ie.neighbor)),
+            );
+            scratch.sort_unstable();
+            nodes.extend(scratch.iter().map(|&(_, _, v)| v));
+            offsets.push(nodes.len());
         }
+        Self { offsets, nodes }
+    }
+
+    fn of(&self, u: NodeIdx) -> &[NodeIdx] {
+        &self.nodes[self.offsets[u]..self.offsets[u + 1]]
+    }
+}
+
+/// BFS order of fragment `fid`'s subtree `T_F` of the MST, starting at its
+/// root `start` (`r_F`), visiting children in order of increasing edge
+/// index at the parent (i.e. increasing `(weight, port)`), as the paper
+/// prescribes.
+///
+/// `r_F` is the fragment's unique topmost node, so every other member's
+/// `T_F` parent is its MST parent and a member's unvisited fragment
+/// neighbours are exactly its MST children in the fragment.  Each member is
+/// expanded once and the order doubles as the queue: `O(|F|)` work, no
+/// visited set.
+fn fragment_bfs(
+    children: &OrderedChildren,
+    fragment_of: &[FragId],
+    fid: FragId,
+    start: NodeIdx,
+    size: usize,
+) -> Vec<NodeIdx> {
+    let mut order = Vec::with_capacity(size);
+    order.push(start);
+    let mut head = 0;
+    while let Some(&u) = order.get(head) {
+        head += 1;
+        order.extend(
+            children
+                .of(u)
+                .iter()
+                .copied()
+                .filter(|&v| fragment_of[v] == fid),
+        );
     }
     debug_assert_eq!(
         order.len(),
-        nodes.len(),
+        size,
         "fragment must induce a connected subtree"
     );
     order
@@ -378,9 +452,163 @@ mod tests {
     use super::*;
     use crate::kruskal::mst_weight;
     use crate::verify::verify_mst_edges;
-    use lma_graph::generators::{complete, connected_random, grid, path, ring, star};
+    use lma_graph::generators::{complete, connected_random, grid, path, ring, star, Family};
     use lma_graph::weights::WeightStrategy;
     use lma_graph::GraphBuilder;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+    /// The set-based BFS `run_boruvka` used before the linear-time
+    /// expansion: every fragment copies the MST edges, its members and a
+    /// visited set into ordered sets.  Kept as the order's reference.
+    fn reference_fragment_bfs(
+        g: &WeightedGraph,
+        tree: &RootedTree,
+        nodes: &[NodeIdx],
+        start: NodeIdx,
+    ) -> Vec<NodeIdx> {
+        let member: BTreeSet<NodeIdx> = nodes.iter().copied().collect();
+        let tree_edges: BTreeSet<EdgeId> = tree.edges.iter().copied().collect();
+        let mut visited: BTreeSet<NodeIdx> = BTreeSet::new();
+        let mut order = Vec::with_capacity(nodes.len());
+        let mut queue = VecDeque::new();
+        visited.insert(start);
+        queue.push_back(start);
+        while let Some(u) = queue.pop_front() {
+            order.push(u);
+            let mut next: Vec<(u64, usize, NodeIdx)> = g
+                .incident(u)
+                .iter()
+                .filter(|ie| {
+                    tree_edges.contains(&ie.edge)
+                        && member.contains(&ie.neighbor)
+                        && !visited.contains(&ie.neighbor)
+                })
+                .map(|ie| (ie.weight, ie.port, ie.neighbor))
+                .collect();
+            next.sort_unstable();
+            for (_, _, v) in next {
+                if visited.insert(v) {
+                    queue.push_back(v);
+                }
+            }
+        }
+        order
+    }
+
+    /// An independent replay of the merge loop on the reference pieces
+    /// (`BTreeMap` grouping, set-based BFS): every phase's fragment BFS
+    /// orders, terminal record included, or the phase whose selections
+    /// close a cycle.
+    fn reference_bfs_orders(
+        g: &WeightedGraph,
+        config: &BoruvkaConfig,
+    ) -> Result<Vec<Vec<Vec<NodeIdx>>>, BoruvkaError> {
+        let n = g.node_count();
+        let root = config.root.unwrap_or(0);
+        let mut uf = UnionFind::new(n);
+        let mut phases: Vec<Vec<Vec<NodeIdx>>> = Vec::new();
+        let mut selected = Vec::new();
+        while uf.components() > 1 {
+            let phase = phases.len() + 1;
+            let mut by_root: BTreeMap<usize, Vec<NodeIdx>> = BTreeMap::new();
+            for u in 0..n {
+                let r = uf.find(u);
+                by_root.entry(r).or_default().push(u);
+            }
+            let groups: Vec<Vec<NodeIdx>> = by_root.into_values().collect();
+            let threshold = 1usize.checked_shl(phase as u32).unwrap_or(usize::MAX);
+            let mut chosen = BTreeSet::new();
+            for group in groups.iter().filter(|f| f.len() < threshold) {
+                let member: BTreeSet<NodeIdx> = group.iter().copied().collect();
+                let best = group
+                    .iter()
+                    .flat_map(|&u| g.incident(u).iter().map(move |ie| (u, ie)))
+                    .filter(|(_, ie)| !member.contains(&ie.neighbor))
+                    .map(|(u, ie)| {
+                        (
+                            selection_key(g, config.tie_break, u, ie.port, ie.edge),
+                            ie.edge,
+                        )
+                    })
+                    .min()
+                    .expect("active fragment must have an outgoing edge");
+                chosen.insert(best.1);
+            }
+            for &e in &chosen {
+                let rec = g.edge(e);
+                if !uf.union(rec.u, rec.v) {
+                    return Err(BoruvkaError::SelectionCycle { phase });
+                }
+                selected.push(e);
+            }
+            phases.push(groups);
+        }
+        let tree = RootedTree::from_edges(g, root, &selected).expect("spanning tree");
+        phases.push(vec![g.nodes().collect()]);
+        Ok(phases
+            .iter()
+            .map(|groups| {
+                groups
+                    .iter()
+                    .map(|nodes| {
+                        let r_f = *nodes.iter().min_by_key(|&&u| (tree.depth[u], u)).unwrap();
+                        reference_fragment_bfs(g, &tree, nodes, r_f)
+                    })
+                    .collect()
+            })
+            .collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every phase's linear-time BFS order equals the set-based
+        /// reference's, and a selection cycle surfaces in the same phase,
+        /// over every family, both tie-breaks and both distinct and
+        /// duplicate-heavy weights.  `boruvka_tree` returns the run's tree
+        /// or its error.
+        #[test]
+        fn bfs_orders_match_the_set_based_reference(
+            family in 0usize..Family::ALL.len(),
+            n in 2usize..301,
+            seed in any::<u64>(),
+        ) {
+            let family = Family::ALL[family];
+            for weights in [
+                WeightStrategy::DistinctRandom { seed },
+                WeightStrategy::UniformRandom { seed, max: 4 },
+            ] {
+                let g = family.instantiate(n, weights, seed);
+                for tie_break in [TieBreak::PaperPortOrder, TieBreak::CanonicalGlobal] {
+                    let config = BoruvkaConfig {
+                        root: Some(seed as usize % g.node_count()),
+                        tie_break,
+                    };
+                    let run = run_boruvka(&g, &config);
+                    prop_assert_eq!(
+                        boruvka_tree(&g, &config),
+                        run.as_ref().map(|run| run.tree.clone()).map_err(Clone::clone)
+                    );
+                    let got = run.map(|run| {
+                        run.phases
+                            .iter()
+                            .map(|rec| rec.fragments.iter().map(|f| f.bfs_order.clone()).collect())
+                            .collect::<Vec<Vec<_>>>()
+                    });
+                    prop_assert_eq!(
+                        got,
+                        reference_bfs_orders(&g, &config),
+                        "{} n={} {:?} {:?}",
+                        family.name(),
+                        g.node_count(),
+                        weights,
+                        tie_break
+                    );
+                }
+            }
+        }
+    }
 
     fn check_run(g: &WeightedGraph, run: &BoruvkaRun) {
         // The produced edge set is a genuine MST.

@@ -37,7 +37,7 @@ pub mod tree;
 pub mod union_find;
 pub mod verify;
 
-pub use boruvka::{run_boruvka, BoruvkaConfig, BoruvkaError, TieBreak};
+pub use boruvka::{boruvka_tree, run_boruvka, BoruvkaConfig, BoruvkaError, TieBreak};
 pub use decomposition::{BoruvkaRun, FragId, FragmentRecord, PhaseRecord, Selection};
 pub use kruskal::{kruskal_mst, mst_weight};
 pub use prim::prim_mst;

@@ -92,15 +92,28 @@ impl UnionFind {
 
     /// Groups all elements by representative, in ascending element order
     /// within each group.  Representative order is ascending as well.
+    ///
+    /// One bucket pass indexed by representative: the representatives are
+    /// the self-parented elements, numbered in ascending order.
     pub fn groups(&mut self) -> Vec<Vec<usize>> {
         let n = self.len();
-        let mut by_root: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for x in 0..n {
-            let r = self.find(x);
-            by_root.entry(r).or_default().push(x);
+        let roots: Vec<usize> = (0..n).map(|x| self.find(x)).collect();
+        let mut sizes = vec![0usize; n];
+        for &r in &roots {
+            sizes[r] += 1;
         }
-        by_root.into_values().collect()
+        let mut slot = vec![usize::MAX; n];
+        let mut groups: Vec<Vec<usize>> = Vec::with_capacity(self.components);
+        for (x, &r) in roots.iter().enumerate() {
+            if x == r {
+                slot[x] = groups.len();
+                groups.push(Vec::with_capacity(sizes[x]));
+            }
+        }
+        for (x, &r) in roots.iter().enumerate() {
+            groups[slot[r]].push(x);
+        }
+        groups
     }
 }
 
@@ -177,6 +190,28 @@ mod tests {
             }
             let distinct: std::collections::HashSet<usize> = labels.iter().copied().collect();
             prop_assert_eq!(uf.components(), distinct.len());
+        }
+
+        /// The bucket-pass `groups` equals a `BTreeMap` keyed by
+        /// representative: same groups, same ascending orders.
+        #[test]
+        fn groups_match_a_btreemap_model(
+            n in 0usize..40,
+            ops in proptest::collection::vec((0usize..40, 0usize..40), 0..80),
+        ) {
+            let mut uf = UnionFind::new(n);
+            for (a, b) in ops.into_iter().filter(|&(a, b)| a < n && b < n) {
+                uf.union(a, b);
+            }
+            let mut model: std::collections::BTreeMap<usize, Vec<usize>> =
+                std::collections::BTreeMap::new();
+            for x in 0..n {
+                let r = uf.find(x);
+                model.entry(r).or_default().push(x);
+            }
+            let groups = uf.groups();
+            prop_assert_eq!(groups.len(), uf.components());
+            prop_assert_eq!(groups, model.into_values().collect::<Vec<_>>());
         }
     }
 }

@@ -9,12 +9,13 @@
 //!   codec underneath) with a total, never-panicking decoder for untrusted
 //!   bytes.
 //! * [`cache`] — interned graphs, partitions and prepared oracles keyed by
-//!   topology identity.
+//!   topology identity, under a byte budget that evicts whole
+//!   least-recently-used topologies.
 //! * [`server`] — admission queue, the coalescing dispatcher (queued
 //!   same-identity requests are answered from one run), per-request
 //!   deadline budgets and error isolation, graceful drain.
 //! * [`metrics`] — queue/total latency percentiles, group-width histogram,
-//!   cache hit rates; served on the wire as `Stats`.
+//!   cache hit rates and size gauges; served on the wire as `Stats`.
 //! * [`replay`] — a client that replays registry mixes against an
 //!   in-process server: digest verification against `SCENARIOS.lock` and
 //!   the coalescing-on/off throughput trajectory behind `BENCH_serve.json`.

@@ -7,6 +7,7 @@
 //! sample at "push into a `VecDeque`" and bounds memory no matter how long
 //! the server lives.
 
+use crate::cache::HotCache;
 use crate::proto::StatsReport;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,15 +100,16 @@ impl Metrics {
         self.failed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshots everything into a wire-ready [`StatsReport`].  The cache
-    /// hit/miss fields are supplied by the caller (they live on the cache).
+    /// Snapshots everything into a wire-ready [`StatsReport`], reading the
+    /// hit/miss counters and size gauges off `cache`.
     #[must_use]
-    pub fn snapshot(
-        &self,
-        graph_stats: (u64, u64),
-        partition_stats: (u64, u64),
-        oracle_stats: (u64, u64),
-    ) -> StatsReport {
+    pub fn snapshot(&self, cache: &HotCache) -> StatsReport {
+        let (graph_stats, partition_stats, oracle_stats) = (
+            cache.graph_stats(),
+            cache.partition_stats(),
+            cache.oracle_stats(),
+        );
+        let gauges = cache.gauges();
         let (queue_p50_ns, queue_p99_ns) = self
             .queue_ns
             .lock()
@@ -139,6 +141,9 @@ impl Metrics {
             queue_p99_ns,
             total_p50_ns,
             total_p99_ns,
+            cache_entries: gauges.entries,
+            cache_bytes: gauges.bytes,
+            cache_evictions: gauges.evictions,
         }
     }
 }
@@ -167,12 +172,18 @@ mod tests {
             m.record_served(100 + i, 1000 + i);
         }
         m.record_failed();
-        let s = m.snapshot((5, 1), (4, 2), (3, 3));
+        let cache = HotCache::new();
+        let ring = lma_graph::generators::Family::from_name("ring").unwrap();
+        cache.graph(ring, 12, 1);
+        cache.graph(ring, 12, 1);
+        let s = m.snapshot(&cache);
         assert_eq!(s.served, 17);
         assert_eq!(s.failed, 1);
         assert_eq!(s.coalesced, 16);
         assert_eq!(s.batch_widths, vec![(1, 1), (8, 2)]);
-        assert_eq!((s.graph_hits, s.graph_misses), (5, 1));
+        assert_eq!((s.graph_hits, s.graph_misses), (1, 1));
+        assert_eq!((s.cache_entries, s.cache_evictions), (1, 0));
+        assert_eq!(s.cache_bytes, cache.gauges().bytes);
         assert!(s.queue_p50_ns >= 100 && s.queue_p99_ns <= 116);
         assert!(s.total_p50_ns >= 1000);
     }

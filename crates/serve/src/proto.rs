@@ -261,6 +261,12 @@ pub struct StatsReport {
     pub total_p50_ns: u64,
     /// p99 of per-request total nanoseconds.
     pub total_p99_ns: u64,
+    /// Topologies the hot cache retains.
+    pub cache_entries: u64,
+    /// Bytes the hot cache charges for them (bounded by its budget).
+    pub cache_bytes: u64,
+    /// Topologies the hot cache has evicted over the server's lifetime.
+    pub cache_evictions: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -330,6 +336,9 @@ impl Wire for StatsReport {
         self.queue_p99_ns.encode(out);
         self.total_p50_ns.encode(out);
         self.total_p99_ns.encode(out);
+        self.cache_entries.encode(out);
+        self.cache_bytes.encode(out);
+        self.cache_evictions.encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Self {
@@ -348,6 +357,9 @@ impl Wire for StatsReport {
             queue_p99_ns: u64::decode(r),
             total_p50_ns: u64::decode(r),
             total_p99_ns: u64::decode(r),
+            cache_entries: u64::decode(r),
+            cache_bytes: u64::decode(r),
+            cache_evictions: u64::decode(r),
         }
     }
 }
@@ -650,6 +662,9 @@ impl<'a> CheckedReader<'a> {
             queue_p99_ns: self.varint()?,
             total_p50_ns: self.varint()?,
             total_p99_ns: self.varint()?,
+            cache_entries: self.varint()?,
+            cache_bytes: self.varint()?,
+            cache_evictions: self.varint()?,
         })
     }
 
@@ -751,6 +766,9 @@ mod tests {
             ResponseBody::Stats(StatsReport {
                 served: 3,
                 batch_widths: vec![(1, 2), (8, 1)],
+                cache_entries: 2,
+                cache_bytes: 64 << 20,
+                cache_evictions: 5,
                 ..StatsReport::default()
             }),
             ResponseBody::Bye(41),

@@ -221,13 +221,17 @@ pub fn verify_lock(opts: &ReplayOpts) -> Result<(), String> {
     drain_server(&mut client, tcp)?;
     println!(
         "ok: {total} served runs over {} scenarios matched SCENARIOS.lock \
-         (coalesced {}, graph cache {}/{}, oracle cache {}/{})",
+         (coalesced {}, graph cache {}/{}, oracle cache {}/{}, \
+         cache {} topologies / {} bytes / {} evictions)",
         scenarios.len(),
         stats.coalesced,
         stats.graph_hits,
         stats.graph_hits + stats.graph_misses,
         stats.oracle_hits,
         stats.oracle_hits + stats.oracle_misses,
+        stats.cache_entries,
+        stats.cache_bytes,
+        stats.cache_evictions,
     );
     Ok(())
 }

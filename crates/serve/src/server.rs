@@ -176,11 +176,7 @@ struct Shared {
 
 impl Shared {
     fn stats(&self) -> StatsReport {
-        self.metrics.snapshot(
-            self.cache.graph_stats(),
-            self.cache.partition_stats(),
-            self.cache.oracle_stats(),
-        )
+        self.metrics.snapshot(&self.cache)
     }
 }
 

@@ -54,7 +54,7 @@ use crate::frontier::FrontierMode;
 use crate::model::Model;
 use crate::plane::Backing;
 use crate::runtime::{RunConfig, RunError, RunResult};
-use lma_graph::{Partition, WeightedGraph};
+use lma_graph::{HeapSize, Partition, WeightedGraph};
 use std::any::Any;
 use std::num::NonZeroUsize;
 
@@ -290,7 +290,10 @@ pub trait Workload: Send + Sync {
     /// `Clone` because prepare is deterministic per graph and its product is
     /// pure data: a cached oracle (see [`DynWorkload::prepare_oracle`]) is
     /// cloned per run rather than recomputed.  `'static + Send + Sync`
-    /// so erased oracles can live in cross-request caches.
+    /// so erased oracles can live in cross-request caches.  The erased
+    /// form ([`DynWorkload`]) also needs it to be [`HeapSize`], so a
+    /// byte-bounded cache can charge what it retains (see
+    /// [`DynWorkload::oracle_bytes`]).
     type Prep: Clone + Send + Sync + 'static;
     /// The typed outcome of the full pipeline.
     type Outcome: Send;
@@ -528,6 +531,11 @@ pub trait DynWorkload: Send + Sync {
     /// [`WorkloadError::Prepare`] when the oracle cannot handle the graph.
     fn prepare_oracle(&self, graph: &WeightedGraph) -> Result<PreparedOracle, WorkloadError>;
 
+    /// The bytes an oracle of this workload retains behind its box: the
+    /// prep's inline size plus its [`HeapSize::heap_bytes`].  An oracle
+    /// produced by a different workload type reports 0.
+    fn oracle_bytes(&self, oracle: &PreparedOracle) -> usize;
+
     /// [`run_fold`](DynWorkload::run_fold) with a cached oracle in place of
     /// a fresh prepare.  Because prepare is deterministic per graph, the
     /// digest and summary are exactly those of `run_fold` on the same `sim`.
@@ -557,7 +565,10 @@ fn downcast_prep<'a, W: Workload + ?Sized>(
     })
 }
 
-impl<W: Workload> DynWorkload for W {
+impl<W: Workload> DynWorkload for W
+where
+    W::Prep: HeapSize,
+{
     fn name(&self) -> &'static str {
         Workload::name(self)
     }
@@ -576,6 +587,11 @@ impl<W: Workload> DynWorkload for W {
 
     fn prepare_oracle(&self, graph: &WeightedGraph) -> Result<PreparedOracle, WorkloadError> {
         Ok(Box::new(Workload::prepare(self, graph)?))
+    }
+
+    fn oracle_bytes(&self, oracle: &PreparedOracle) -> usize {
+        downcast_prep(self, oracle)
+            .map_or(0, |prep| std::mem::size_of::<W::Prep>() + prep.heap_bytes())
     }
 
     fn run_fold_prepared(
@@ -877,6 +893,11 @@ mod tests {
         let g = ring(9, WeightStrategy::Unit);
         let workload: &dyn DynWorkload = &EchoWorkload { round_limit: None };
         let alien: PreparedOracle = Box::new(42u64);
+        assert_eq!(workload.oracle_bytes(&alien), 0);
+        assert_eq!(
+            workload.oracle_bytes(&workload.prepare_oracle(&g).unwrap()),
+            0
+        );
         let mut w = DigestWriter::new();
         match workload.run_fold_prepared(&workload.tune(Sim::on(&g)), &alien, &mut w) {
             Err(WorkloadError::Prepare(msg)) => assert!(msg.contains("echo"), "{msg}"),

@@ -87,6 +87,9 @@ fn response(tag: u64, id: u64, words: &[Vec<u8>], nums: &[u64]) -> Response {
             queue_p99_ns: at(10),
             total_p50_ns: at(11),
             total_p99_ns: at(12),
+            cache_entries: at(13),
+            cache_bytes: at(14),
+            cache_evictions: at(15),
         }),
         _ => ResponseBody::Bye(at(0)),
     };
@@ -154,7 +157,7 @@ proptest! {
         tag in any::<u64>(),
         id in any::<u64>(),
         words in collection::vec(collection::vec(any::<u8>(), 0..48), 0..3),
-        nums in collection::vec(any::<u64>(), 0..14),
+        nums in collection::vec(any::<u64>(), 0..17),
     ) {
         pin_response(&response(tag, id, &words, &nums));
     }
