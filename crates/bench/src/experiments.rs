@@ -1,7 +1,8 @@
 //! The experiment implementations (tables E1–E6, ablations A1–A4).
 //!
 //! Every function returns a [`Table`]; the `experiments` binary prints them
-//! and `EXPERIMENTS.md` records a snapshot together with the paper's claims.
+//! (`--table <id>` for one), and `EXPERIMENTS.lock` pins the printed tables
+//! byte for byte (`--verify` checks them).
 //! All randomness is seeded, so tables are exactly reproducible — including
 //! under parallelism: every sweep goes through the [`RunHarness`] (per-graph
 //! state reuse) and [`fan_out`] (deterministic, index-ordered cell

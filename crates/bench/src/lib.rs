@@ -2,14 +2,16 @@
 //!
 //! The paper is a theory paper: its "results" are theorems, not measurement
 //! tables.  This crate turns every theorem (and both figures) into a
-//! regenerable experiment, as catalogued in `DESIGN.md` §6 and recorded in
-//! `EXPERIMENTS.md`:
+//! regenerable experiment whose tables are pinned byte for byte in
+//! `EXPERIMENTS.lock` at the workspace root:
 //!
 //! * `cargo run -p lma-bench --release --bin experiments` regenerates every
 //!   table (E1–E6, A1–A4), printing aligned text and machine-readable CSV;
-//!   `--threads N` runs every simulated run on the sharded executor and
-//!   `--cell-threads N` fans independent sweep cells out across threads —
-//!   the tables are bit-identical under any knob setting (see [`harness`]);
+//!   `--table <id>` (e.g. `a3`) prints one and `--verify` checks the text
+//!   against the lock; `--threads N` runs every simulated run on the
+//!   sharded executor and `--cell-threads N` fans independent sweep cells
+//!   out across threads — the tables are bit-identical under any knob
+//!   setting (see [`harness`]);
 //! * `cargo run -p lma-bench --release --bin figures` regenerates the figure
 //!   data series (rounds vs `n`, advice vs `n`) and the DOT reproductions of
 //!   the paper's Figure 1 and Figure 2;

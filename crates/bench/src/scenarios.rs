@@ -44,23 +44,32 @@ use lma_labeling::CertifiedWorkload;
 use lma_sim::digest::{Digest, DigestWriter, RunSummary};
 use lma_sim::driver::{DynWorkload, Engine, FleetWorkload, Sim, WorkloadError};
 use lma_sim::{Backing, LocalView, NodeAlgorithm, Outbox, RunResult};
-use std::num::NonZeroUsize;
 
 /// One (executor × plane backing) combination of a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Variant {
-    /// The execution engine (never [`Engine::Auto`] — registry cells pin
-    /// the engine explicitly).
+    /// The execution engine: the plane kernel ([`Engine::Auto`]) or the
+    /// push oracle ([`Engine::Reference`]).
     pub engine: Engine,
+    /// The plane kernel's thread count ([`Sim::threads`]); the push oracle
+    /// ignores it.
+    pub threads: usize,
     /// The plane's slot-storage backend.
     pub backing: Backing,
 }
 
 impl Variant {
-    /// Stable label: `engine/backing` (e.g. `sharded2/arena`).
+    /// Stable label: `executor/backing`, where the executor is `seq` for
+    /// one thread, `sharded<t>` for `t` threads and `push` for the oracle
+    /// (e.g. `sharded2/arena`).
     #[must_use]
     pub fn label(&self) -> String {
-        format!("{}/{}", self.engine.label(), self.backing.as_str())
+        let executor = match (self.engine, self.threads) {
+            (Engine::Reference, _) => "push".to_string(),
+            (Engine::Auto, 0 | 1) => "seq".to_string(),
+            (Engine::Auto, t) => format!("sharded{t}"),
+        };
+        format!("{executor}/{}", self.backing.as_str())
     }
 }
 
@@ -236,16 +245,12 @@ impl Scenario {
     /// engine.
     #[must_use]
     pub fn variants(&self) -> Vec<Variant> {
-        let threads = |t: usize| Engine::Threads(NonZeroUsize::new(t).expect("t >= 1"));
         let mut variants = Vec::new();
         for backing in Backing::ALL {
-            variants.push(Variant {
-                engine: threads(1),
-                backing,
-            });
-            for t in SHARD_COUNTS {
+            for threads in std::iter::once(1).chain(SHARD_COUNTS) {
                 variants.push(Variant {
-                    engine: threads(t),
+                    engine: Engine::Auto,
+                    threads,
                     backing,
                 });
             }
@@ -253,6 +258,7 @@ impl Scenario {
         if self.workload.supports_reference() {
             variants.push(Variant {
                 engine: Engine::Reference,
+                threads: 1,
                 backing: Backing::Inline,
             });
         }
@@ -292,6 +298,7 @@ impl Scenario {
         let sim = workload
             .tune(Sim::on(graph))
             .executor(variant.engine)
+            .threads(variant.threads)
             .backing(variant.backing);
         let mut w = self.fold_header();
         let summary = workload
@@ -728,14 +735,13 @@ mod tests {
         let mut backings = std::collections::BTreeSet::new();
         for s in &scenarios {
             for v in s.variants() {
-                engines.insert(v.engine.label());
+                let label = v.label();
+                engines.insert(label.split_once('/').unwrap().0.to_string());
                 backings.insert(format!("{:?}", v.backing));
             }
         }
-        assert!(engines.contains("seq"));
-        assert!(engines.contains("sharded2"));
-        assert!(engines.contains("sharded4"));
-        assert!(engines.contains("push"));
+        let engines: Vec<&str> = engines.iter().map(String::as_str).collect();
+        assert_eq!(engines, ["push", "seq", "sharded2", "sharded4"]);
         assert_eq!(backings.len(), Backing::ALL.len());
         // At least one advice-scheme workload and two of the new families.
         assert!(scenarios.iter().any(|s| !s.workload.supports_reference()));
@@ -746,6 +752,38 @@ mod tests {
         // The smoke subset is non-trivial but not everything.
         let smoke = scenarios.iter().filter(|s| s.smoke).count();
         assert!(smoke >= 5 && smoke < scenarios.len());
+    }
+
+    #[test]
+    fn variant_labels_are_stable_and_distinct() {
+        // Scenario cell ids and `SCENARIOS.lock` key on these labels.
+        let cell = |engine, threads, backing| Variant {
+            engine,
+            threads,
+            backing,
+        };
+        assert_eq!(cell(Engine::Auto, 1, Backing::Inline).label(), "seq/inline");
+        assert_eq!(
+            cell(Engine::Auto, 2, Backing::Arena).label(),
+            "sharded2/arena"
+        );
+        assert_eq!(
+            cell(Engine::Reference, 1, Backing::Inline).label(),
+            "push/inline"
+        );
+        let mut labels = Vec::new();
+        for backing in Backing::ALL {
+            for t in 2..=64 {
+                let label = cell(Engine::Auto, t, backing).label();
+                assert_eq!(label, format!("sharded{t}/{backing}"));
+            }
+            labels.extend((1..=64).map(|t| cell(Engine::Auto, t, backing).label()));
+            labels.push(cell(Engine::Reference, 1, backing).label());
+        }
+        let count = labels.len();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), count, "cell labels must be distinct");
     }
 
     #[test]

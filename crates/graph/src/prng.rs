@@ -4,7 +4,8 @@
 //! assignments, experiment sweeps) draws its randomness from [`SplitMix64`],
 //! a tiny 64-bit PRNG with excellent statistical behaviour for this purpose
 //! and — crucially — a one-word state that makes every experiment exactly
-//! reproducible from a single `u64` seed recorded in `EXPERIMENTS.md`.
+//! reproducible from a single `u64` seed: the tables those seeds produce
+//! are pinned byte for byte in `EXPERIMENTS.lock`.
 //!
 //! The `rand` crate is still used by `proptest` in the test suites; this
 //! module exists so that *library* behaviour never depends on `rand`'s

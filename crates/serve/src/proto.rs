@@ -8,20 +8,17 @@
 //! varints, length-prefixed strings) so the server speaks the same byte
 //! language as every plane backing.
 //!
-//! Two decoding disciplines, deliberately:
-//!
-//! * [`Wire::decode`] (via the panicking `WireReader`) is the *in-process*
-//!   contract — the replay client decoding responses from a server it
-//!   started itself uses it, exactly like plane slots do.
-//! * [`Request::decode_checked`] / [`Response::decode_checked`] (via
-//!   [`CheckedReader`]) are **total**: every malformed, truncated or
-//!   oversized input returns a typed [`FrameError`], never a panic — this
-//!   is the only decode path the server runs on bytes from a socket.
-//!   Claimed lengths are capped against the bytes actually present before
-//!   any allocation, so a hostile 4 GiB length prefix cannot balloon
-//!   memory.
+//! One encoder and one decoder per frame: [`Request::to_bytes`] /
+//! [`Response::to_bytes`] write the fields in declaration order through
+//! the [`Wire`] primitives, and [`Request::decode_checked`] /
+//! [`Response::decode_checked`] (via [`CheckedReader`]) read them back
+//! **totally**: every malformed, truncated or oversized input returns a
+//! typed [`FrameError`], never a panic.  The server, the `replay` client
+//! and every other reader decode through them.  Claimed lengths are capped
+//! against the bytes actually present before any allocation, so a hostile
+//! 4 GiB length prefix cannot balloon memory.
 
-use lma_sim::wire::{Wire, WireReader};
+use lma_sim::wire::Wire;
 use std::io::{Read, Write};
 
 /// Hard cap on a frame payload (1 MiB) — far above any legitimate request
@@ -270,8 +267,7 @@ pub struct StatsReport {
 }
 
 // ---------------------------------------------------------------------------
-// Wire encodings (the in-process contract: encode is total, decode panics
-// on malformed bytes — the server decodes sockets via CheckedReader only)
+// The encoder
 // ---------------------------------------------------------------------------
 
 const TAG_PING: u8 = 0;
@@ -285,156 +281,62 @@ const TAG_FAILED: u8 = 2;
 const TAG_STATS_REPLY: u8 = 3;
 const TAG_BYE: u8 = 4;
 
-lma_sim::wire_struct!(RunSpec {
-    workload,
-    family,
-    n,
-    seed,
-    backing,
-    threads,
-    round_limit,
-    deadline_ms,
-});
-
-lma_sim::wire_struct!(RunReport {
-    digest,
-    rounds,
-    messages,
-    bits,
-    queue_ns,
-    run_ns,
-    lanes,
-});
-
-impl Wire for ErrorReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.code.encode(out);
-        self.message.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Self {
-        Self {
-            code: u8::decode(r),
-            message: String::decode(r),
-        }
-    }
+fn encode_run_spec(spec: &RunSpec, out: &mut Vec<u8>) {
+    spec.workload.encode(out);
+    spec.family.encode(out);
+    spec.n.encode(out);
+    spec.seed.encode(out);
+    spec.backing.encode(out);
+    spec.threads.encode(out);
+    spec.round_limit.encode(out);
+    spec.deadline_ms.encode(out);
 }
 
-impl Wire for StatsReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.served.encode(out);
-        self.failed.encode(out);
-        self.coalesced.encode(out);
-        self.graph_hits.encode(out);
-        self.graph_misses.encode(out);
-        self.partition_hits.encode(out);
-        self.partition_misses.encode(out);
-        self.oracle_hits.encode(out);
-        self.oracle_misses.encode(out);
-        self.batch_widths.encode(out);
-        self.queue_p50_ns.encode(out);
-        self.queue_p99_ns.encode(out);
-        self.total_p50_ns.encode(out);
-        self.total_p99_ns.encode(out);
-        self.cache_entries.encode(out);
-        self.cache_bytes.encode(out);
-        self.cache_evictions.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Self {
-        Self {
-            served: u64::decode(r),
-            failed: u64::decode(r),
-            coalesced: u64::decode(r),
-            graph_hits: u64::decode(r),
-            graph_misses: u64::decode(r),
-            partition_hits: u64::decode(r),
-            partition_misses: u64::decode(r),
-            oracle_hits: u64::decode(r),
-            oracle_misses: u64::decode(r),
-            batch_widths: Vec::decode(r),
-            queue_p50_ns: u64::decode(r),
-            queue_p99_ns: u64::decode(r),
-            total_p50_ns: u64::decode(r),
-            total_p99_ns: u64::decode(r),
-            cache_entries: u64::decode(r),
-            cache_bytes: u64::decode(r),
-            cache_evictions: u64::decode(r),
-        }
-    }
+fn encode_run_report(report: &RunReport, out: &mut Vec<u8>) {
+    report.digest.encode(out);
+    report.rounds.encode(out);
+    report.messages.encode(out);
+    report.bits.encode(out);
+    report.queue_ns.encode(out);
+    report.run_ns.encode(out);
+    report.lanes.encode(out);
 }
 
-impl Wire for RequestBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RequestBody::Ping => out.push(TAG_PING),
-            RequestBody::Run(spec) => {
-                out.push(TAG_RUN);
-                spec.encode(out);
-            }
-            RequestBody::Stats => out.push(TAG_STATS),
-            RequestBody::Shutdown => out.push(TAG_SHUTDOWN),
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Self {
-        match r.byte() {
-            TAG_PING => RequestBody::Ping,
-            TAG_RUN => RequestBody::Run(RunSpec::decode(r)),
-            TAG_STATS => RequestBody::Stats,
-            TAG_SHUTDOWN => RequestBody::Shutdown,
-            // lint: allow(codec-panic) — trusted Wire path; socket bytes are decoded by CheckedReader
-            tag => panic!("unknown request tag {tag}"),
-        }
-    }
+fn encode_stats_report(stats: &StatsReport, out: &mut Vec<u8>) {
+    stats.served.encode(out);
+    stats.failed.encode(out);
+    stats.coalesced.encode(out);
+    stats.graph_hits.encode(out);
+    stats.graph_misses.encode(out);
+    stats.partition_hits.encode(out);
+    stats.partition_misses.encode(out);
+    stats.oracle_hits.encode(out);
+    stats.oracle_misses.encode(out);
+    stats.batch_widths.encode(out);
+    stats.queue_p50_ns.encode(out);
+    stats.queue_p99_ns.encode(out);
+    stats.total_p50_ns.encode(out);
+    stats.total_p99_ns.encode(out);
+    stats.cache_entries.encode(out);
+    stats.cache_bytes.encode(out);
+    stats.cache_evictions.encode(out);
 }
-
-impl Wire for ResponseBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ResponseBody::Pong => out.push(TAG_PONG),
-            ResponseBody::Done(report) => {
-                out.push(TAG_DONE);
-                report.encode(out);
-            }
-            ResponseBody::Failed(report) => {
-                out.push(TAG_FAILED);
-                report.encode(out);
-            }
-            ResponseBody::Stats(stats) => {
-                out.push(TAG_STATS_REPLY);
-                stats.encode(out);
-            }
-            ResponseBody::Bye(drained) => {
-                out.push(TAG_BYE);
-                drained.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Self {
-        match r.byte() {
-            TAG_PONG => ResponseBody::Pong,
-            TAG_DONE => ResponseBody::Done(RunReport::decode(r)),
-            TAG_FAILED => ResponseBody::Failed(ErrorReport::decode(r)),
-            TAG_STATS_REPLY => ResponseBody::Stats(StatsReport::decode(r)),
-            TAG_BYE => ResponseBody::Bye(u64::decode(r)),
-            // lint: allow(codec-panic) — trusted Wire path; socket bytes are decoded by CheckedReader
-            tag => panic!("unknown response tag {tag}"),
-        }
-    }
-}
-
-lma_sim::wire_struct!(Request { id, body });
-
-lma_sim::wire_struct!(Response { id, body });
 
 impl Request {
     /// Encodes the request as one frame payload.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.encode(&mut out);
+        self.id.encode(&mut out);
+        match &self.body {
+            RequestBody::Ping => out.push(TAG_PING),
+            RequestBody::Run(spec) => {
+                out.push(TAG_RUN);
+                encode_run_spec(spec, &mut out);
+            }
+            RequestBody::Stats => out.push(TAG_STATS),
+            RequestBody::Shutdown => out.push(TAG_SHUTDOWN),
+        }
         out
     }
 
@@ -456,7 +358,27 @@ impl Response {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.encode(&mut out);
+        self.id.encode(&mut out);
+        match &self.body {
+            ResponseBody::Pong => out.push(TAG_PONG),
+            ResponseBody::Done(report) => {
+                out.push(TAG_DONE);
+                encode_run_report(report, &mut out);
+            }
+            ResponseBody::Failed(report) => {
+                out.push(TAG_FAILED);
+                report.code.encode(&mut out);
+                report.message.encode(&mut out);
+            }
+            ResponseBody::Stats(stats) => {
+                out.push(TAG_STATS_REPLY);
+                encode_stats_report(stats, &mut out);
+            }
+            ResponseBody::Bye(drained) => {
+                out.push(TAG_BYE);
+                drained.encode(&mut out);
+            }
+        }
         out
     }
 
@@ -730,7 +652,7 @@ mod tests {
     }
 
     #[test]
-    fn request_round_trips_through_both_decoders() {
+    fn request_round_trips_through_the_checked_decoder() {
         for body in [
             RequestBody::Ping,
             RequestBody::Run(spec()),
@@ -738,16 +660,12 @@ mod tests {
             RequestBody::Shutdown,
         ] {
             let request = Request { id: 7, body };
-            let bytes = request.to_bytes();
-            let mut r = WireReader::new(&bytes);
-            assert_eq!(Request::decode(&mut r), request);
-            assert!(r.is_exhausted());
-            assert_eq!(Request::decode_checked(&bytes), Ok(request));
+            assert_eq!(Request::decode_checked(&request.to_bytes()), Ok(request));
         }
     }
 
     #[test]
-    fn response_round_trips_through_both_decoders() {
+    fn response_round_trips_through_the_checked_decoder() {
         for body in [
             ResponseBody::Pong,
             ResponseBody::Done(RunReport {
@@ -774,11 +692,7 @@ mod tests {
             ResponseBody::Bye(41),
         ] {
             let response = Response { id: 9, body };
-            let bytes = response.to_bytes();
-            let mut r = WireReader::new(&bytes);
-            assert_eq!(Response::decode(&mut r), response);
-            assert!(r.is_exhausted());
-            assert_eq!(Response::decode_checked(&bytes), Ok(response));
+            assert_eq!(Response::decode_checked(&response.to_bytes()), Ok(response));
         }
     }
 

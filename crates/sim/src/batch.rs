@@ -1,34 +1,47 @@
-//! The plane kernel on one thread: every ordinary run, and the shared
-//! scatter path of both plane engines.
+//! The plane kernel: the round body and the commit order both plane
+//! engines run, and the one-thread engine built from them.
 //!
-//! [`Sim::run`] lands here when it runs on the calling thread (and on the
-//! shard-parallel `batch_sharded` loop with two or more threads).  Each
-//! round the loop walks the CSR once: every node gathers its traffic by
-//! pulling from the mirror slot of each of its ports — delivery order is
-//! port-ascending by construction — steps its program, and scatters what
-//! the program sends straight into the next round's plane through
-//! `BatchScatter`.  The plane pair, the gather buffer and the spare pool
-//! come from the per-thread [`pool`], so back-to-back runs allocate nothing
-//! after the first.
+//! A round of the model is gather → step → scatter at every node, then a
+//! commit.  Each half is written once:
+//!
+//! * `Shard` is one contiguous node range: its programs, its plane pair
+//!   and buffers (a [`pool`] set over the range's slots), the traffic it has
+//!   scattered for the next round, its done delta and its frontier marks.
+//!   `Shard::init` and `Shard::visit` are the only per-node code: a visited
+//!   node gathers by pulling from the mirror slot of each of its ports —
+//!   delivery order is port-ascending by construction — steps its program,
+//!   and scatters what the program sends straight into the next round's
+//!   plane through `BatchScatter`.
+//! * `Ledger` is what a run accumulates across rounds (rounds, done count,
+//!   stats, trace, frontier, dense↔sparse decision), and `Ledger::commit`
+//!   is the only copy of the order a round commits in.
+//!
+//! The one-thread engine ([`Sim::run`] unless it shards) is one whole-graph
+//! shard whose plane pair, gather buffer and spare pool come from the
+//! per-thread [`pool`], so back-to-back runs allocate nothing after the
+//! first; it commits inline after every step.  The shard-parallel engine
+//! (`batch_sharded`) steps one shard per worker thread and commits the
+//! shards' merged reports through the same ledger.
 //!
 //! Programs that opt into [`NodeAlgorithm::MESSAGE_DRIVEN`] get the sparse
 //! frontier (see [`crate::frontier`]): scatters mark their destinations,
-//! and a round whose frontier is small gathers only the marked nodes.
+//! and a round whose frontier is small visits only the marked nodes.
 //!
 //! [`Sim::batch`] is a loop of solo runs: a [`BatchSim`] is a sim plus a
 //! width, and [`Workload::execute_batch`](crate::Workload::execute_batch)
 //! runs one [`Sim::run`] per prep.
 
-use crate::algorithm::{local_views, MsgSink, NodeAlgorithm, SendSlot};
+use crate::algorithm::{local_views, LocalView, MsgSink, NodeAlgorithm, SendSlot};
 use crate::driver::Sim;
 use crate::frontier::WordMerge;
 use crate::message::BitSized;
 use crate::plane::{ArenaPlane, Backing, MessagePlane, PlaneStore, SlotOccupied};
 use crate::pool;
-use crate::runtime::{PendingError, PendingRound, RunConfig, RunError, RunResult};
+use crate::runtime::{PendingRound, RunConfig, RunError, RunResult};
 use crate::stats::RunStats;
 use crate::trace::{order_sender_groups, TraceEvent};
 use lma_graph::{IncidentEdge, Port, WeightedGraph};
+use std::ops::Range;
 
 /// A [`Sim`] plus a width `W`: the shape of `W` solo runs of one workload
 /// on one graph.  Built with [`Sim::batch`];
@@ -63,21 +76,20 @@ impl<'g> Sim<'g> {
     }
 }
 
-/// The live scatter path behind every [`MsgSink`](crate::MsgSink) the plane
-/// engines hand to node programs: validates each sent message, stores it
-/// into its slot of the plane, and accumulates the accounting for the round
-/// the messages will be delivered in (`delivery_round`).  Constructed fresh
-/// per node per round (it is only borrows).
+/// The live scatter path behind every [`MsgSink`](crate::MsgSink) a shard
+/// hands to node programs: validates each sent message, stores it into its
+/// slot of the plane, and accumulates the accounting for the round the
+/// messages will be delivered in (`delivery_round`).  Constructed fresh per
+/// node per step (it is only borrows).
 ///
-/// `plane` may cover only a window of the global slot space (a shard's
-/// contiguous slot range): `plane_offset` is the global index of the
-/// plane's slot 0, so the one-thread loop passes 0 and a shard worker
-/// passes its shard's first slot.
+/// `plane` covers only the shard's contiguous slot range: `plane_offset` is
+/// the global index of the plane's slot 0 (0 for the one-thread engine's
+/// whole-graph shard).
 ///
 /// Error semantics match the historical outbox validation exactly: the
 /// first fatal event wins (in send order within a node, in node order
 /// across nodes), later sends are ignored, and the error surfaces when the
-/// offending message would have been *delivered* (see [`PendingError`]).
+/// offending message would have been *delivered* (see `PendingRound`).
 pub(crate) struct BatchScatter<'a, M, S: PlaneStore<M>> {
     pub node: usize,
     /// First slot of `node` in the global slot space (`offsets[node]`).
@@ -108,7 +120,7 @@ impl<M: BitSized, S: PlaneStore<M>> BatchScatter<'_, M, S> {
             return None;
         }
         if port >= self.degree {
-            self.pending.error = Some(PendingError::Malformed {
+            self.pending.error = Some(RunError::MalformedOutbox {
                 node: self.node,
                 port,
             });
@@ -120,7 +132,7 @@ impl<M: BitSized, S: PlaneStore<M>> BatchScatter<'_, M, S> {
     /// Maps a store rejection (in the plane's slot space) back to the
     /// duplicated port — never a silent drop.
     fn reject(&mut self, occupied: SlotOccupied) {
-        self.pending.error = Some(PendingError::Malformed {
+        self.pending.error = Some(RunError::MalformedOutbox {
             node: self.node,
             port: occupied.slot + self.plane_offset - self.base,
         });
@@ -137,7 +149,11 @@ impl<M: BitSized, S: PlaneStore<M>> BatchScatter<'_, M, S> {
         if let Some(b) = self.budget {
             if size > b {
                 if self.enforce_congest {
-                    self.pending.error = Some(PendingError::Congest { bits: size });
+                    self.pending.error = Some(RunError::CongestViolation {
+                        round: self.delivery_round,
+                        bits: size,
+                        budget: b,
+                    });
                     return;
                 }
                 self.pending.violations += 1;
@@ -178,39 +194,282 @@ impl<M: BitSized, S: PlaneStore<M>> SendSlot<M> for BatchScatter<'_, M, S> {
     }
 }
 
-/// The run's error for a committed pending error in round `round`.
-pub(crate) fn commit_error(error: PendingError, round: usize, budget: Option<usize>) -> RunError {
-    match error {
-        PendingError::Malformed { node, port } => RunError::MalformedOutbox { node, port },
-        PendingError::Congest { bits } => RunError::CongestViolation {
-            round,
-            bits,
-            budget: budget.expect("congest error implies a budget"),
-        },
-    }
-}
-
-/// The finished result of a run: its outputs, stats and trace.  The events
-/// were committed round by round, each round's in the order its senders
-/// were stepped — ascending node order, dense scan or sparse walk — so only
-/// each sender's group needs ordering by `to` (see [`crate::trace`]).
-pub(crate) fn finish<O>(
-    outputs: Vec<Option<O>>,
-    stats: RunStats,
-    mut events: Vec<TraceEvent>,
+/// One contiguous node range of a run and everything it steps with (see
+/// the [module docs](self)).  Its plane pair covers exactly the range's
+/// slots; a gathered sender slot outside them belongs to another shard and
+/// is read through the caller's `remote` source.
+pub(crate) struct Shard<'g, A: NodeAlgorithm, S: PlaneStore<A::Msg>> {
+    offsets: &'g [usize],
+    mirror: &'g [usize],
+    incident: &'g [IncidentEdge],
+    views: &'g [LocalView],
+    budget: Option<usize>,
+    enforce_congest: bool,
     trace: bool,
-) -> RunResult<O> {
-    RunResult {
-        outputs,
-        stats,
-        trace: trace.then(|| {
-            order_sender_groups(&mut events);
-            events
-        }),
+    /// The shard's nodes; `programs[i]` is node `nodes.start + i`'s.
+    nodes: Range<usize>,
+    /// The shard's slots, the plane pair's slot space.
+    slots: Range<usize>,
+    pub(crate) programs: Vec<A>,
+    /// `cur` is gathered from, `next` scattered into.
+    pub(crate) set: pool::BatchSet<A::Msg, S>,
+    /// The traffic scattered for the next round, not yet committed.
+    pub(crate) pending: PendingRound,
+    /// Programs that finished since the last commit.
+    pub(crate) done_delta: usize,
+    /// The shard's instances that are not message-driven: the template the
+    /// marks reset to, so eager instances never leave the frontier.
+    pub(crate) eager: WordMerge,
+    /// Scatter marks for the next round over all `n` nodes (remote
+    /// destinations too), on top of `eager`.  Both stay empty unless the
+    /// program opts into `MESSAGE_DRIVEN`.
+    pub(crate) marks: WordMerge,
+}
+
+impl<'g, A: NodeAlgorithm, S: PlaneStore<A::Msg>> Shard<'g, A, S> {
+    /// The shard over `nodes` (whose slots are `slots`) of a run of
+    /// `programs` — one per node of the range — on `graph`, stepping on the
+    /// planes and buffers of `set`.
+    pub(crate) fn new(
+        graph: &'g WeightedGraph,
+        views: &'g [LocalView],
+        config: RunConfig,
+        nodes: Range<usize>,
+        slots: Range<usize>,
+        programs: Vec<A>,
+        set: pool::BatchSet<A::Msg, S>,
+    ) -> Self {
+        let csr = graph.csr();
+        let mut eager = WordMerge::default();
+        if A::MESSAGE_DRIVEN {
+            eager = WordMerge::for_nodes(graph.node_count());
+            for (v, program) in nodes.clone().zip(&programs) {
+                if !program.message_driven() {
+                    eager.mark(v);
+                }
+            }
+        }
+        Self {
+            offsets: csr.offsets(),
+            mirror: csr.mirror_table(),
+            incident: csr.incident_flat(),
+            views,
+            budget: config.model.budget(),
+            enforce_congest: config.enforce_congest,
+            trace: config.trace,
+            nodes,
+            slots,
+            programs,
+            set,
+            pending: PendingRound::default(),
+            done_delta: 0,
+            marks: eager.clone(),
+            eager,
+        }
+    }
+
+    /// Round 0: every node's local computation, scattering round-1 traffic.
+    pub(crate) fn init(&mut self) {
+        for v in self.nodes.clone() {
+            self.step(v, 1, |program, view, _, out| program.init_into(view, out));
+        }
+    }
+
+    /// Node `v`'s part of round `round`.  It gathers in port order — a
+    /// sender slot in the shard from its plane, any other through `remote`
+    /// — and moves (inline) or decodes into a recycled value (arena) each
+    /// message out of its slot.  Gathering is unconditional, so done nodes
+    /// still drain their slots and the plane is empty when the planes swap;
+    /// then, unless it is done, the node's program steps on the inbox.
+    #[inline]
+    pub(crate) fn visit(
+        &mut self,
+        v: usize,
+        round: usize,
+        remote: &mut impl FnMut(usize, &mut Vec<A::Msg>) -> Option<A::Msg>,
+    ) {
+        let pool::BatchSet {
+            cur, inbox, spare, ..
+        } = &mut self.set;
+        if S::RECYCLES {
+            spare.extend(inbox.drain(..).map(|(_, m)| m));
+        } else {
+            inbox.clear();
+        }
+        for (p, &sender) in self.mirror[self.offsets[v]..self.offsets[v + 1]]
+            .iter()
+            .enumerate()
+        {
+            let msg = if self.slots.contains(&sender) {
+                cur.fetch(sender - self.slots.start, spare)
+            } else {
+                remote(sender, spare)
+            };
+            if let Some(msg) = msg {
+                inbox.push((p, msg));
+            }
+        }
+        if !self.programs[v - self.nodes.start].is_done() {
+            self.step(v, round + 1, |program, view, inbox, out| {
+                program.round_into(view, round, inbox, out);
+            });
+        }
+    }
+
+    /// Runs `program_step` on node `v`'s program and view, the gathered
+    /// inbox and a sink scattering into the next plane for
+    /// `delivery_round`, and counts the program if that finished it.
+    #[inline]
+    fn step(
+        &mut self,
+        v: usize,
+        delivery_round: usize,
+        program_step: impl FnOnce(&mut A, &LocalView, &[(Port, A::Msg)], &mut MsgSink<'_, A::Msg>),
+    ) {
+        let pool::BatchSet {
+            next, inbox, spare, ..
+        } = &mut self.set;
+        let base = self.offsets[v];
+        let mut scatter = BatchScatter {
+            node: v,
+            base,
+            degree: self.offsets[v + 1] - base,
+            delivery_round,
+            plane: next,
+            plane_offset: self.slots.start,
+            spare,
+            pending: &mut self.pending,
+            incident: self.incident,
+            budget: self.budget,
+            enforce_congest: self.enforce_congest,
+            trace: self.trace,
+            frontier: A::MESSAGE_DRIVEN.then_some(&mut self.marks),
+        };
+        let program = &mut self.programs[v - self.nodes.start];
+        program_step(
+            program,
+            &self.views[v],
+            inbox,
+            &mut MsgSink::new(&mut scatter),
+        );
+        if program.is_done() {
+            self.done_delta += 1;
+        }
+    }
+
+    /// Ends a step: the plane just scattered becomes the one the next round
+    /// gathers from, and the drained one the empty scatter target.
+    pub(crate) fn swap_planes(&mut self) {
+        std::mem::swap(&mut self.set.cur, &mut self.set.next);
+        self.set.next.reset_round();
     }
 }
 
-/// The one-thread loop, dispatched on the configured backing.
+/// What a run accumulates across rounds, and the order each round commits
+/// in (see [`Ledger::commit`]).
+pub(crate) struct Ledger {
+    config: RunConfig,
+    n: usize,
+    /// Rounds committed so far.
+    round: usize,
+    done: usize,
+    stats: RunStats,
+    events: Vec<TraceEvent>,
+    /// Whether the program opted into `MESSAGE_DRIVEN`; gates all frontier
+    /// work.
+    track_frontier: bool,
+    /// The marks of the step being committed, over all nodes: the frontier
+    /// of the round it starts.
+    pub(crate) frontier: WordMerge,
+    /// Whether the committed round gathers only `frontier`.
+    pub(crate) sparse: bool,
+}
+
+impl Ledger {
+    /// The ledger of a run of `n` programs under `config`; `track_frontier`
+    /// is the program's `MESSAGE_DRIVEN`.
+    pub(crate) fn new(n: usize, config: RunConfig, track_frontier: bool) -> Self {
+        Self {
+            config,
+            n,
+            round: 0,
+            done: 0,
+            stats: RunStats::default(),
+            events: Vec::new(),
+            track_frontier,
+            frontier: if track_frontier {
+                WordMerge::for_nodes(n)
+            } else {
+                WordMerge::default()
+            },
+            sparse: false,
+        }
+    }
+
+    /// Commits the step that just ended — `done_delta` more programs
+    /// finished, `pending` is its traffic (reset on a clean commit) and
+    /// `frontier` its marks — and returns the round to run next, `None` once
+    /// every program is done, or the error that ends the run.
+    ///
+    /// The order is part of the run's contract: the done-check first (a
+    /// fully done run completes, and its final-step traffic is dropped,
+    /// never counted), then the round limit (which shadows a pending
+    /// error), then the pending error (the first in node order), then stats
+    /// and trace, then the dense↔sparse pick.
+    pub(crate) fn commit(
+        &mut self,
+        pending: &mut PendingRound,
+        done_delta: usize,
+    ) -> Result<Option<usize>, RunError> {
+        self.done += done_delta;
+        if self.done >= self.n {
+            return Ok(None);
+        }
+        if self.round >= self.config.max_rounds {
+            return Err(RunError::RoundLimitExceeded {
+                limit: self.config.max_rounds,
+            });
+        }
+        self.round += 1;
+        if let Some(error) = pending.error.take() {
+            return Err(error);
+        }
+        self.stats.record_round(
+            pending.messages,
+            pending.bits,
+            pending.max_bits,
+            pending.violations,
+        );
+        if self.config.trace {
+            self.events.append(&mut pending.events);
+        }
+        pending.reset();
+        if self.track_frontier {
+            let active = self.frontier.count();
+            self.sparse = self.config.frontier.use_sparse(active, self.n);
+            self.stats.record_frontier(active as u64, self.sparse);
+        }
+        Ok(Some(self.round))
+    }
+
+    /// The result of a completed run with these `outputs`.  The events
+    /// were committed round by round, each round's in the order its senders
+    /// were stepped — ascending node order, dense scan or sparse walk — so
+    /// only each sender's group needs ordering by `to` (see
+    /// [`crate::trace`]).
+    pub(crate) fn finish<O>(mut self, outputs: Vec<Option<O>>) -> RunResult<O> {
+        RunResult {
+            outputs,
+            stats: self.stats,
+            trace: self.config.trace.then(|| {
+                order_sender_groups(&mut self.events);
+                self.events
+            }),
+        }
+    }
+}
+
+/// The one-thread engine, dispatched on the configured backing.
 pub(crate) fn run_batch_sequential<A: NodeAlgorithm>(
     graph: &WeightedGraph,
     config: RunConfig,
@@ -224,196 +483,52 @@ pub(crate) fn run_batch_sequential<A: NodeAlgorithm>(
     }
 }
 
+/// One whole-graph shard, committed inline after every step: the planes
+/// swap, the shard's marks swap into the ledger's frontier (and reset to
+/// the eager template), and the ledger commits.  An early return leaves the
+/// planes as they are; the pool's checkout clears them for the next run.
 fn run_batch_sequential_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     graph: &WeightedGraph,
     config: RunConfig,
     programs: Vec<A>,
 ) -> Result<RunResult<A::Output>, RunError> {
-    // All steady-state storage comes from the per-thread pool: allocated
-    // at most once, then reused by every later run on this thread.
-    let mut set = pool::checkout_batch::<A::Msg, S>(graph.csr().slot_count());
-    let result = batch_loop(graph, config, &mut set, programs);
-    pool::give_back_batch(set);
-    result
-}
-
-/// The core round loop.
-///
-/// Per round: the done-check (a fully done run completes *before* the
-/// round-limit check, and its final-step traffic is dropped, never
-/// counted), the round-limit check, the commit of the scattered traffic
-/// (errors first, then stats and trace), the dense↔sparse pick, then
-/// deliver and step.  Each message is *moved* (inline) or decoded into a
-/// recycled value (arena) out of the sender's slot.  Gathering is
-/// unconditional, so done nodes still drain their slots and the plane is
-/// empty when the buffers swap; an early return leaves the planes as they
-/// are, and the pool's checkout clears them for the next run.
-fn batch_loop<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
-    graph: &WeightedGraph,
-    config: RunConfig,
-    set: &mut pool::BatchSet<A::Msg, S>,
-    mut programs: Vec<A>,
-) -> Result<RunResult<A::Output>, RunError> {
     let n = graph.node_count();
     assert_eq!(programs.len(), n, "one program per node is required");
     let views = local_views(graph);
-    let budget = config.model.budget();
-    let csr = graph.csr();
-    let offsets = csr.offsets();
-    let mirror = csr.mirror_table();
-    let incident = csr.incident_flat();
-
-    let pool::BatchSet {
-        cur,
-        next,
-        inbox,
-        spare,
-    } = set;
-    let mut pending = PendingRound::default();
-    let mut events: Vec<TraceEvent> = Vec::new();
-    let mut stats = RunStats::default();
-    let mut done_count = 0usize;
-
-    // Sparse frontier state (see `crate::frontier`): `cur_front` holds the
-    // nodes active in the round being gathered, `next_front` collects
-    // scatter marks for the round after, and `eager_front` is the constant
-    // template of instances that are not message-driven, which re-seeds
-    // `next_front` each round.  Compiled away unless the program opts in via
-    // `MESSAGE_DRIVEN` (an associated const).
-    let mut cur_front = WordMerge::default();
-    let mut next_front = WordMerge::default();
-    let mut eager_front = WordMerge::default();
-    if A::MESSAGE_DRIVEN {
-        eager_front = WordMerge::for_nodes(n);
-        for (v, program) in programs.iter().enumerate() {
-            if !program.message_driven() {
-                eager_front.mark(v);
-            }
-        }
-        cur_front = eager_front.clone();
-        next_front = WordMerge::for_nodes(n);
-    }
-
-    // Initialization: round-0 local computation producing round-1 traffic,
-    // emitted straight into the plane (marking the round-1 frontier).
-    for (u, program) in programs.iter_mut().enumerate() {
-        let mut scatter = BatchScatter {
-            node: u,
-            base: offsets[u],
-            degree: offsets[u + 1] - offsets[u],
-            delivery_round: 1,
-            plane: &mut *cur,
-            plane_offset: 0,
-            spare: &mut *spare,
-            pending: &mut pending,
-            incident,
-            budget,
-            enforce_congest: config.enforce_congest,
-            trace: config.trace,
-            frontier: A::MESSAGE_DRIVEN.then_some(&mut cur_front),
-        };
-        program.init_into(&views[u], &mut MsgSink::new(&mut scatter));
-        if program.is_done() {
-            done_count += 1;
-        }
-    }
-
-    let mut round = 0usize;
-    while done_count < n {
-        if round >= config.max_rounds {
-            // Pending errors are shadowed by the round limit.
-            return Err(RunError::RoundLimitExceeded {
-                limit: config.max_rounds,
-            });
-        }
-        round += 1;
-
-        // Commit the scattered traffic: errors first, then stats and trace.
-        if let Some(error) = pending.error {
-            return Err(commit_error(error, round, budget));
-        }
-        stats.record_round(
-            pending.messages,
-            pending.bits,
-            pending.max_bits,
-            pending.violations,
-        );
-        if config.trace {
-            events.append(&mut pending.events);
-        }
-        pending.reset();
-
-        // `next` is re-seeded from the eager template so eager instances
-        // never leave the frontier.
-        let use_sparse = if A::MESSAGE_DRIVEN {
-            let active = cur_front.count();
-            let use_sparse = config.frontier.use_sparse(active, n);
-            stats.record_frontier(active as u64, use_sparse);
-            next_front.reset_to(&eager_front);
-            use_sparse
-        } else {
-            false
-        };
-
-        // Deliver and step.  Every visited node gathers (unconditionally —
-        // done nodes still drain their slots).  The sparse branch walks
-        // only frontier nodes: by the marking invariant a skipped node's
-        // slots are empty, so skipping its gather is a pure no-op.
-        let gather_step = |v: usize| {
-            let base = offsets[v];
-            let degree = offsets[v + 1] - base;
-            if S::RECYCLES {
-                spare.extend(inbox.drain(..).map(|(_, m)| m));
-            } else {
-                inbox.clear();
-            }
-            for (p, &sender_slot) in mirror[base..base + degree].iter().enumerate() {
-                if let Some(msg) = cur.fetch(sender_slot, spare) {
-                    inbox.push((p, msg));
-                }
-            }
-            let program = &mut programs[v];
-            if program.is_done() {
-                return;
-            }
-            let mut scatter = BatchScatter {
-                node: v,
-                base,
-                degree,
-                delivery_round: round + 1,
-                plane: &mut *next,
-                plane_offset: 0,
-                spare: &mut *spare,
-                pending: &mut pending,
-                incident,
-                budget,
-                enforce_congest: config.enforce_congest,
-                trace: config.trace,
-                frontier: A::MESSAGE_DRIVEN.then_some(&mut next_front),
-            };
-            program.round_into(&views[v], round, inbox, &mut MsgSink::new(&mut scatter));
-            if program.is_done() {
-                done_count += 1;
-            }
-        };
-        if use_sparse {
-            cur_front.for_each_one(gather_step);
-        } else {
-            (0..n).for_each(gather_step);
-        }
-
-        // The current plane was fully drained by the gather pass; it
-        // becomes the (empty) scatter target of the next round.  The
-        // frontiers swap in lockstep with the planes.
-        std::mem::swap(cur, next);
-        next.reset_round();
+    let slots = graph.csr().slot_count();
+    // All steady-state storage comes from the per-thread pool: allocated
+    // at most once, then reused by every later run on this thread.
+    let set = pool::checkout_batch::<A::Msg, S>(slots);
+    let mut shard = Shard::new(graph, &views, config, 0..n, 0..slots, programs, set);
+    let mut ledger = Ledger::new(n, config, A::MESSAGE_DRIVEN);
+    shard.init();
+    let verdict = loop {
+        shard.swap_planes();
         if A::MESSAGE_DRIVEN {
-            std::mem::swap(&mut cur_front, &mut next_front);
+            std::mem::swap(&mut shard.marks, &mut ledger.frontier);
+            shard.marks.reset_to(&shard.eager);
         }
-    }
-
+        let round = match ledger.commit(&mut shard.pending, std::mem::take(&mut shard.done_delta)) {
+            Ok(Some(round)) => round,
+            end => break end,
+        };
+        // The whole-graph shard owns every slot: nothing is remote.  The
+        // sparse walk skips only nodes whose slots are empty by the marking
+        // invariant, so skipping them is a pure no-op; testing
+        // `MESSAGE_DRIVEN` first compiles it away for other programs, which
+        // keeps `visit` inlined into one loop.
+        let visit = |v| shard.visit(v, round, &mut |_, _| None);
+        if A::MESSAGE_DRIVEN && ledger.sparse {
+            ledger.frontier.for_each_one(visit);
+        } else {
+            (0..n).for_each(visit);
+        }
+    };
+    let Shard { programs, set, .. } = shard;
+    pool::give_back_batch(set);
+    verdict?;
     let outputs = programs.iter().map(NodeAlgorithm::output).collect();
-    Ok(finish(outputs, stats, events, config.trace))
+    Ok(ledger.finish(outputs))
 }
 
 #[cfg(test)]
@@ -575,6 +690,52 @@ mod tests {
                 sim.run(flood_fleet(9)).unwrap_err(),
                 RunError::RoundLimitExceeded { limit: 2 }
             );
+        }
+    }
+
+    /// A flood whose node 0 panics in round 2, while every other node of
+    /// its shard still has undelivered mail.
+    struct Bomb(MaxIdFlood);
+
+    impl NodeAlgorithm for Bomb {
+        type Msg = u64;
+        type Output = u64;
+
+        fn init(&mut self, view: &LocalView) -> Outbox<u64> {
+            self.0.init(view)
+        }
+
+        fn round(&mut self, view: &LocalView, round: usize, inbox: &[(Port, u64)]) -> Outbox<u64> {
+            if view.node == 0 && round == 2 {
+                panic!("boom");
+            }
+            self.0.round(view, round, inbox)
+        }
+
+        fn is_done(&self) -> bool {
+            self.0.is_done()
+        }
+
+        fn output(&self) -> Option<u64> {
+            self.0.output()
+        }
+    }
+
+    #[test]
+    fn a_program_panic_reaches_the_caller_on_every_engine() {
+        let g = ring(12, WeightStrategy::DistinctRandom { seed: 6 });
+        for backing in Backing::ALL {
+            for threads in [1, 3] {
+                let sim = Sim::on(&g).backing(backing).threads(threads);
+                let fleet = flood_fleet(12).into_iter().map(Bomb).collect();
+                let payload = std::panic::catch_unwind(|| sim.run(fleet))
+                    .expect_err("the program panic must reach the caller");
+                assert_eq!(
+                    payload.downcast_ref::<&str>(),
+                    Some(&"boom"),
+                    "{backing} threads={threads}"
+                );
+            }
         }
     }
 }

@@ -7,8 +7,8 @@
 //! entry point**:
 //!
 //! * [`Sim`] — a zero-cost builder pinning a graph plus every run knob
-//!   (model, round limit, trace, thread count, plane backing, execution
-//!   engine).  It resolves to a [`RunConfig`] internally; `RunConfig`
+//!   (model, round limit, trace, thread count, plane backing, and the push
+//!   oracle as an alternative engine).  It resolves to a [`RunConfig`] internally; `RunConfig`
 //!   literals and the round loops are implementation details of this
 //!   crate.
 //!
@@ -117,9 +117,9 @@ impl<'g> Sim<'g> {
         self
     }
 
-    /// Sets the worker-thread count for [`Engine::Auto`] dispatch: `0` and
-    /// `1` run on the calling thread, `t >= 2` shard-parallel on `t` scoped
-    /// threads.  Results are bit-identical either way.
+    /// Sets the worker-thread count of the plane kernel — the only thread
+    /// knob: `0` and `1` run on the calling thread, `t >= 2` shard-parallel
+    /// on `t` scoped threads.  Results are bit-identical either way.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = NonZeroUsize::new(threads).filter(|t| t.get() > 1);
@@ -169,10 +169,8 @@ impl<'g> Sim<'g> {
         self.partition
     }
 
-    /// Pins an explicit execution engine.  The thread knob of the resolved
-    /// config is *derived* from the pinned engine at [`Sim::config`] time
-    /// (see there), so engine and config can never contradict each other,
-    /// in any builder-call order.
+    /// Pins an execution engine: [`Engine::Reference`] swaps in the push
+    /// oracle, which ignores the thread knob.
     #[must_use]
     pub fn executor(mut self, engine: Engine) -> Self {
         self.engine = engine;
@@ -188,23 +186,9 @@ impl<'g> Sim<'g> {
     /// The resolved low-level run configuration.  Exposed for code that
     /// hands the simulator to a nested pipeline; everything else should
     /// stay on the builder.
-    ///
-    /// The thread knob is resolved against the pinned [`Engine`] —
-    /// [`Engine::Threads`] reports its worker count (none for one thread),
-    /// [`Engine::Reference`] reports none, [`Engine::Auto`] reports
-    /// whatever [`Sim::threads`] set — so config-driven re-entry (e.g. a
-    /// harness precomputing a partition from this value) always dispatches
-    /// onto the same engine as [`Sim::run`], regardless of builder-call
-    /// order.
     #[must_use]
     pub fn config(&self) -> RunConfig {
-        let mut config = self.config;
-        config.threads = match self.engine {
-            Engine::Auto => config.threads,
-            Engine::Threads(t) => Some(t).filter(|t| t.get() > 1),
-            Engine::Reference => None,
-        };
-        config
+        self.config
     }
 
     /// The pinned execution engine.
@@ -689,41 +673,18 @@ mod tests {
         assert_eq!(sim.engine(), Engine::Auto);
     }
 
-    fn threads(t: usize) -> Engine {
-        Engine::Threads(NonZeroUsize::new(t).unwrap())
-    }
-
     #[test]
     fn one_thread_resolves_to_sequential_dispatch() {
         let g = ring(6, WeightStrategy::Unit);
         assert_eq!(Sim::on(&g).threads(1).config().threads, None);
         assert_eq!(Sim::on(&g).threads(0).config().threads, None);
-        let pinned = Sim::on(&g).threads(4).executor(threads(1));
-        assert_eq!(pinned.config().threads, None);
-        // A one-thread pin runs exactly what the default does.
+        let last = Sim::on(&g).threads(4).threads(1);
+        assert_eq!(last.config().threads, None);
+        // One thread set last runs exactly what the default does.
         let expected = Sim::on(&g).run(fleet(6)).unwrap();
-        let got = pinned.run(fleet(6)).unwrap();
+        let got = last.run(fleet(6)).unwrap();
         assert_eq!(expected.outputs, got.outputs);
         assert_eq!(expected.stats, got.stats);
-    }
-
-    #[test]
-    fn resolved_config_threads_always_match_the_pinned_engine() {
-        let g = ring(6, WeightStrategy::Unit);
-        let sim = Sim::on(&g).executor(threads(4));
-        assert_eq!(sim.config().threads, NonZeroUsize::new(4));
-        // A one-thread or push engine overrides the thread knob in the
-        // resolved view — in either builder-call order — so config-driven
-        // re-entry cannot contradict the pinned engine.
-        for engine in [threads(1), Engine::Reference] {
-            let before = Sim::on(&g).threads(4).executor(engine);
-            let after = Sim::on(&g).executor(engine).threads(4);
-            assert_eq!(before.config().threads, None, "{engine:?}");
-            assert_eq!(after.config().threads, None, "{engine:?}");
-        }
-        // Auto keeps whatever the threads knob said.
-        let sim = Sim::on(&g).threads(4).executor(Engine::Auto);
-        assert_eq!(sim.config().threads, NonZeroUsize::new(4));
     }
 
     #[test]
@@ -731,21 +692,17 @@ mod tests {
         let g = ring(12, WeightStrategy::DistinctRandom { seed: 3 });
         let base = Sim::on(&g).trace(true);
         let auto = base.run(fleet(12)).unwrap();
-        for engine in [threads(1), threads(2), threads(3), Engine::Reference] {
-            let got = base.executor(engine).run(fleet(12)).unwrap();
-            assert_eq!(auto.outputs, got.outputs, "{engine:?}");
-            assert_eq!(auto.stats, got.stats, "{engine:?}");
-            assert_eq!(auto.trace, got.trace, "{engine:?}");
+        let engines = [1, 2, 3].map(|t| base.threads(t));
+        for sim in engines
+            .into_iter()
+            .chain([base.executor(Engine::Reference)])
+        {
+            let got = sim.run(fleet(12)).unwrap();
+            let what = format!("{:?} {:?}", sim.engine(), sim.config().threads);
+            assert_eq!(auto.outputs, got.outputs, "{what}");
+            assert_eq!(auto.stats, got.stats, "{what}");
+            assert_eq!(auto.trace, got.trace, "{what}");
         }
-    }
-
-    #[test]
-    fn engine_labels_are_stable() {
-        assert_eq!(Engine::Auto.label(), "auto");
-        assert_eq!(threads(1).label(), "seq");
-        assert_eq!(threads(2).label(), "sharded2");
-        assert_eq!(threads(4).label(), "sharded4");
-        assert_eq!(Engine::Reference.label(), "push");
     }
 
     /// A minimal fleet workload covering the blanket impl and the erased

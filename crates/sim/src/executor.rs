@@ -3,21 +3,21 @@
 //!
 //! | engine | executes on | use it for |
 //! |---|---|---|
-//! | one thread ([`Engine::Auto`] by default, [`Engine::Threads`]`(1)`) | the plane kernel ([`crate::batch`]) on the calling thread | the default: small graphs, debugging |
-//! | `t >= 2` threads ([`Engine::Threads`]`(t)`, or [`Engine::Auto`] with [`Sim::threads`]) | the shard-parallel plane kernel on `t` scoped threads | large graphs (≳10⁴ nodes) on multi-core hosts |
+//! | one thread ([`Engine::Auto`], the default) | the plane kernel ([`crate::batch`]) on the calling thread | the default: small graphs, debugging |
+//! | `t >= 2` threads ([`Engine::Auto`] with [`Sim::threads`]`(t)`) | the same kernel, one shard per scoped thread | large graphs (≳10⁴ nodes) on multi-core hosts |
 //! | [`Engine::Reference`] | the push-based oracle ([`crate::reference`]) | differential testing and benchmark baselines only |
 //!
 //! All three produce **bit-identical** outputs, [`crate::RunStats`],
 //! traces and errors for the same `(graph, config, programs)` — the
 //! `runtime_equivalence` integration suite pins this — so callers choose
-//! purely on performance grounds.  Callers pin an [`Engine`] on a [`Sim`]
-//! (most never do: [`Engine::Auto`] plus [`Sim::threads`] is the ordinary
-//! path); the crate-internal `Executor::of` resolves it against the thread
-//! knob and the graph, and `Executor::run` runs one program fleet on the
-//! result.
+//! purely on performance grounds.  The thread count is set only by
+//! [`Sim::threads`]; callers pin [`Engine::Reference`] on a [`Sim`] to
+//! swap in the oracle.  The crate-internal `Executor::of` resolves a `Sim`
+//! against its thread knob and its graph, and `Executor::run` runs one
+//! program fleet on the result.
 //!
 //! Orthogonally to the engine, [`crate::RunConfig::backing`] selects the
-//! plane's slot-storage backend; both plane loops honor it, while the
+//! plane's slot-storage backend; both plane engines honor it, while the
 //! reference oracle has no plane at all and ignores it.
 
 use crate::algorithm::{local_views, NodeAlgorithm};
@@ -26,41 +26,20 @@ use crate::runtime::{RunError, RunResult};
 use lma_graph::Partition;
 use std::num::NonZeroUsize;
 
-/// The execution engine a [`Sim`] dispatches a run to.
-///
-/// Every plane run — one thread or many — goes through the plane kernel
-/// ([`crate::batch`]); the engine only fixes its thread count, or swaps in
-/// the push-based oracle.  All engines produce bit-identical outputs,
-/// stats, traces and errors for the same `(graph, config, programs)` —
-/// pinned by the `runtime_equivalence` suite — so the choice is purely
-/// about performance (and, for [`Engine::Reference`], differential
-/// testing).
+/// The execution engine a [`Sim`] dispatches a run to: the plane kernel
+/// ([`crate::batch`]) on [`Sim::threads`] threads, or the push-based oracle.
+/// Both produce bit-identical outputs, stats, traces and errors for the
+/// same `(graph, config, programs)` — pinned by the `runtime_equivalence`
+/// suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// Dispatch on the configured thread count ([`Sim::threads`]): the
-    /// calling thread by default, shard-parallel when two or more threads
-    /// are requested.  The right choice for all ordinary callers.
+    /// The plane kernel on the configured thread count: the calling thread
+    /// by default, shard-parallel when two or more threads are requested.
+    /// The right choice for all ordinary callers.
     Auto,
-    /// The plane kernel on exactly this many threads, ignoring the thread
-    /// knob: `1` runs on the calling thread, `t >= 2` shard-parallel.
-    Threads(NonZeroUsize),
     /// The preserved push-based oracle (plane-free, allocating) — for
     /// differential testing and benchmark baselines only.
     Reference,
-}
-
-impl Engine {
-    /// Stable short label used in scenario cell ids and lock files
-    /// (`"auto"`, `"seq"` for one thread, `"sharded<t>"`, `"push"`).
-    #[must_use]
-    pub fn label(self) -> String {
-        match self {
-            Engine::Auto => "auto".to_string(),
-            Engine::Threads(t) if t.get() == 1 => "seq".to_string(),
-            Engine::Threads(t) => format!("sharded{t}"),
-            Engine::Reference => "push".to_string(),
-        }
-    }
 }
 
 /// The loop one run executes on: a [`Sim`]'s pinned [`Engine`] resolved
@@ -166,17 +145,13 @@ mod tests {
             .collect()
     }
 
-    fn threads(t: usize) -> Engine {
-        Engine::Threads(NonZeroUsize::new(t).unwrap())
-    }
-
     #[test]
     fn all_three_executors_agree() {
         let g = ring(24, WeightStrategy::DistinctRandom { seed: 4 });
         for backing in [Backing::Inline, Backing::Arena] {
             let base = Sim::on(&g).trace(true).backing(backing);
-            let seq = base.executor(threads(1));
-            let sharded = base.executor(threads(3));
+            let seq = base.threads(1);
+            let sharded = base.threads(3);
             let push = base.executor(Engine::Reference);
             assert_eq!(Executor::of(&seq), Executor::Sequential);
             assert_eq!(
@@ -197,50 +172,48 @@ mod tests {
     }
 
     #[test]
+    fn the_push_oracle_ignores_the_thread_knob() {
+        // `Sim::threads` is the only thread count: the resolved config keeps
+        // it whatever the engine, and a pinned oracle runs as the oracle in
+        // either builder-call order.
+        let g = ring(8, WeightStrategy::Unit);
+        let expected = Sim::on(&g).run(count_down(8, 3)).unwrap();
+        for sim in [
+            Sim::on(&g).threads(4).executor(Engine::Reference),
+            Sim::on(&g).executor(Engine::Reference).threads(4),
+        ] {
+            assert_eq!(sim.config().threads, NonZeroUsize::new(4));
+            assert_eq!(Executor::of(&sim), Executor::Reference);
+            let got = sim.run(count_down(8, 3)).unwrap();
+            assert_eq!(expected.outputs, got.outputs);
+            assert_eq!(expected.stats, got.stats);
+        }
+    }
+
+    #[test]
     fn sharded_with_one_thread_falls_back_to_sequential() {
         let g = ring(8, WeightStrategy::Unit);
-        // A one-thread pin, or one thread through the knob, stays on the
-        // calling thread whatever the knob says.
+        // One thread, zero threads, or one thread set last stays on the
+        // calling thread.
         for sim in [
-            Sim::on(&g).executor(threads(1)),
-            Sim::on(&g).threads(4).executor(threads(1)),
             Sim::on(&g).threads(1),
             Sim::on(&g).threads(0),
+            Sim::on(&g).threads(4).threads(1),
         ] {
             assert_eq!(
                 Executor::of(&sim),
                 Executor::Sequential,
                 "{:?}",
-                sim.engine()
+                sim.config().threads
             );
             let result = sim.run(count_down(8, 2)).unwrap();
             assert_eq!(result.outputs.len(), 8);
         }
-        // So does a shard-parallel pin on a graph too small to shard.
+        // So do several threads on a graph too small to shard.
         let single = GraphBuilder::new(1).build().unwrap();
-        let sim = Sim::on(&single).executor(threads(3));
+        let sim = Sim::on(&single).threads(3);
         assert_eq!(Executor::of(&sim), Executor::Sequential);
         let result = sim.run(count_down(1, 2)).unwrap();
         assert_eq!(result.outputs, vec![Some(0)]);
-    }
-
-    #[test]
-    fn executor_names_are_stable() {
-        // Scenario cell ids and lock files key on these labels.
-        assert_eq!(Engine::Auto.label(), "auto");
-        assert_eq!(threads(1).label(), "seq");
-        assert_eq!(Engine::Reference.label(), "push");
-        for t in 2..=64 {
-            assert_eq!(threads(t).label(), format!("sharded{t}"));
-        }
-        let mut labels: Vec<String> = [Engine::Auto, Engine::Reference]
-            .into_iter()
-            .chain((1..=64).map(threads))
-            .map(Engine::label)
-            .collect();
-        let count = labels.len();
-        labels.sort();
-        labels.dedup();
-        assert_eq!(labels.len(), count, "engine labels must be distinct");
     }
 }

@@ -194,9 +194,10 @@ pub(crate) fn pair_ones(
 /// counting, listing and clearing all cost the number of non-zero words
 /// plus a scan of `n / 4096` occupancy words, never `n`.
 ///
-/// It is the frontier of a run: the one-thread engine's current, next and
-/// eager sets, each shard worker's scatter marks, and the sharded leader's
-/// merge of the workers' mark words.
+/// It is the frontier of a run: every shard's scatter marks and eager
+/// template, and the ledger's frontier — into which the one-thread engine
+/// swaps its whole-graph shard's marks each round, and the sharded leader
+/// merges the workers' mark words.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WordMerge {
     words: Vec<u64>,

@@ -30,18 +30,17 @@
 //! baseline.
 //!
 //! **One round kernel.**  Every plane run goes through one kernel
-//! ([`batch`]): each round walks the CSR once, gathering, stepping and
-//! scattering node by node.  The kernel runs on the calling thread, or —
-//! with [`Sim::threads`] `>= 2` — shard-parallel:
-//! the slot space is split into contiguous shards (see
-//! `lma_graph::Partition`), each shard's gather → step → scatter runs on
-//! its own scoped thread, cross-shard traffic moves through
+//! ([`batch`]): one round body, in which every node of a shard gathers,
+//! steps and scatters, and one commit order.  On the calling thread the
+//! whole graph is one shard.  With [`Sim::threads`] `>= 2` the slot space
+//! is split into contiguous shards (see `lma_graph::Partition`), each
+//! stepped on its own scoped thread, cross-shard traffic moves through
 //! backend-specific exchange buffers, and a round ends with one arrival per
 //! shard at a spin-then-park barrier whose last arriver merges the shard
-//! reports in shard order.  [`Engine`] picks between these and the push
-//! oracle; all of them produce bit-identical results.  [`Sim::batch`] is a
-//! loop of solo runs: a sim plus a width, for
-//! [`Workload::execute_batch`].
+//! reports in shard order and commits them.  [`Sim::threads`] is the only
+//! thread knob; [`Engine::Reference`] swaps in the push oracle instead, and
+//! every choice produces bit-identical results.  [`Sim::batch`] is a loop
+//! of solo runs: a sim plus a width, for [`Workload::execute_batch`].
 //!
 //! The plane is generic over its **slot-storage backend**
 //! ([`plane::PlaneStore`], selected by [`plane::Backing`] on [`RunConfig`]):
@@ -64,7 +63,7 @@
 //!
 //! Every run is wired through the [`driver`] module: the zero-cost
 //! [`Sim`] builder (graph + model + round limit + trace +
-//! threads + backing + engine, resolved to a [`RunConfig`] internally) is
+//! threads + backing, resolved to a [`RunConfig`] internally) is
 //! the single run entry point of the workspace, and the
 //! [`Workload`] trait packages whole experiment
 //! pipelines — oracle `prepare`, distributed `execute`, independent

@@ -44,9 +44,10 @@ pub fn stats() -> PoolStats {
     STATS.get()
 }
 
-/// The one-thread engine's reusable buffers: the plane pair plus the
-/// gather buffer and spare pool — one entry per `(message type, backing)`
-/// pair, resized to the run's slot count on checkout.
+/// A shard's plane pair plus its gather buffer and spare pool.  The
+/// one-thread engine's whole-graph set is pooled — one entry per
+/// `(message type, backing)` pair, resized to the run's slot count on
+/// checkout.
 pub(crate) struct BatchSet<M, S: PlaneStore<M>> {
     /// Gather source (delivery) plane.
     pub cur: S,
@@ -59,7 +60,9 @@ pub(crate) struct BatchSet<M, S: PlaneStore<M>> {
 }
 
 impl<M, S: PlaneStore<M>> BatchSet<M, S> {
-    fn new(slots: usize) -> Self {
+    /// A fresh set over `slots` slots (a shard worker's own, sized per
+    /// run).
+    pub(crate) fn new(slots: usize) -> Self {
         Self {
             cur: S::with_len(slots),
             next: S::with_len(slots),

@@ -1,10 +1,10 @@
 //! Run configuration, results and errors.
 //!
-//! The round loops themselves live in [`crate::batch`] (one thread) and
-//! `batch_sharded` (shard-parallel).  This module holds what every run
-//! shares: the run knobs ([`RunConfig`]), the outcome ([`RunResult`],
-//! [`RunError`]) and the per-round accounting a run accumulates while
-//! scattering (`PendingRound`).
+//! The round kernel itself lives in [`crate::batch`], run on one thread
+//! there and shard-parallel in `batch_sharded`.  This module holds what
+//! every run shares: the run knobs ([`RunConfig`]), the outcome
+//! ([`RunResult`], [`RunError`]) and the per-round accounting a run
+//! accumulates while scattering (`PendingRound`).
 //!
 //! The observable semantics (outputs, [`RunStats`], trace, error cases) are
 //! identical to the original push-based executor, which is preserved in
@@ -131,20 +131,6 @@ pub struct RunResult<O> {
     pub trace: Option<Vec<TraceEvent>>,
 }
 
-/// The first fatal event observed while scattering a round's outboxes.
-///
-/// Errors surface one half-step later than they are detected: messages are
-/// validated as the senders produce them, but — matching the original
-/// executor, which validated at delivery time — the error is returned when
-/// the offending messages would have been *delivered*.  In particular,
-/// messages produced in the very step in which every node finished are
-/// never delivered, never counted, and never raise errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PendingError {
-    Malformed { node: usize, port: usize },
-    Congest { bits: usize },
-}
-
 /// Per-round accounting accumulated at scatter time and committed when the
 /// round the messages are delivered in actually begins.
 #[derive(Debug, Default)]
@@ -153,7 +139,16 @@ pub(crate) struct PendingRound {
     pub(crate) bits: u64,
     pub(crate) max_bits: usize,
     pub(crate) violations: u64,
-    pub(crate) error: Option<PendingError>,
+    /// The first fatal event observed while scattering.
+    ///
+    /// Errors surface one half-step later than they are detected: messages
+    /// are validated as the senders produce them, but — matching the
+    /// original executor, which validated at delivery time — the error is
+    /// returned when the offending messages would have been *delivered*.
+    /// In particular, messages produced in the very step in which every
+    /// node finished are never delivered, never counted, and never raise
+    /// errors.
+    pub(crate) error: Option<RunError>,
     /// Trace events for the upcoming delivery round (reused buffer).
     pub(crate) events: Vec<TraceEvent>,
 }
@@ -166,6 +161,20 @@ impl PendingRound {
         self.violations = 0;
         self.error = None;
         self.events.clear();
+    }
+
+    /// Folds in the traffic of the next shard in node order: sums and
+    /// maxima, the first error, and its events appended (which empties
+    /// `other.events` but keeps its buffer).
+    pub(crate) fn absorb(&mut self, other: &mut PendingRound) {
+        self.messages += other.messages;
+        self.bits += other.bits;
+        self.max_bits = self.max_bits.max(other.max_bits);
+        self.violations += other.violations;
+        if self.error.is_none() {
+            self.error = other.error.take();
+        }
+        self.events.append(&mut other.events);
     }
 }
 

@@ -61,5 +61,6 @@ fn main() {
     println!("Note: the Theorem 3 decoder's structured convergecast reports grow to");
     println!("O(log n) entries of a few bits each, so they exceed a *strict* 4·log n + 16");
     println!("budget by a constant factor while remaining polylogarithmic — the audit");
-    println!("reports the exact measured sizes (see experiment A3 in EXPERIMENTS.md).");
+    println!("reports the exact measured sizes (see table A3, pinned in EXPERIMENTS.lock:");
+    println!("cargo run --release -p lma-bench --bin experiments -- --table a3).");
 }

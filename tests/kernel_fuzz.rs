@@ -21,7 +21,7 @@
 //!
 //! The property: on `Family::ALL` at 2–200 nodes, with the trace on, the
 //! whole [`RunResult`] — outputs, stats and trace — or the [`RunError`] of
-//! every plane engine (`Threads(1..=3)` × `Backing::ALL` × every
+//! every plane engine (`Sim::threads(1..=3)` × `Backing::ALL` × every
 //! [`FrontierMode`]) equals [`Engine::Reference`]'s.  The plane engines
 //! must also agree with each other on the per-round frontier sizes, which
 //! the reference does not record.
@@ -38,7 +38,6 @@ use lma_sim::{
     Outbox, RunError, RunResult, Sim,
 };
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 
 /// The largest payload, in words.
 const MAX_WORDS: usize = 8;
@@ -297,7 +296,6 @@ fn check<const MD: bool>(graph: &WeightedGraph, sim: Sim<'_>, case: Case, label:
     let expected = sim.executor(Engine::Reference).run(fleet());
     let mut frontier: Option<Vec<u64>> = None;
     for threads in 1..=3 {
-        let engine = Engine::Threads(NonZeroUsize::new(threads).unwrap());
         for backing in Backing::ALL {
             for mode in [
                 FrontierMode::Auto,
@@ -309,7 +307,7 @@ fn check<const MD: bool>(graph: &WeightedGraph, sim: Sim<'_>, case: Case, label:
                     mode.label()
                 );
                 let got = sim
-                    .executor(engine)
+                    .threads(threads)
                     .backing(backing)
                     .frontier(mode)
                     .run(fleet());

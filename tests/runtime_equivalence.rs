@@ -3,7 +3,7 @@
 //! The round executor was rewritten from push-based routing (per-round inbox
 //! vectors, per-node hash sets, clone-on-delivery) to a pull-based,
 //! double-buffered flat message plane, run as one plane kernel on
-//! one thread or shard-parallel ([`lma_sim::Engine::Threads`]).  These
+//! one thread or shard-parallel ([`lma_sim::Sim::threads`]).  These
 //! tests pin the contract of those rewrites:
 //!
 //! 1. **determinism** — running the same program set on the same seeded
@@ -26,7 +26,6 @@ use lma_graph::generators::{barabasi_albert, connected_random, gnp_connected, gr
 use lma_graph::weights::WeightStrategy;
 use lma_graph::{Port, WeightedGraph};
 use lma_sim::{Backing, Engine, LocalView, Model, NodeAlgorithm, Outbox, RunError, RunResult, Sim};
-use std::num::NonZeroUsize;
 
 /// Flood the maximum identifier (the canonical LOCAL warm-up algorithm).
 struct MaxIdFlood {
@@ -397,10 +396,6 @@ impl NodeAlgorithm for DuplicatePort {
     }
 }
 
-fn shard_engine(threads: usize) -> Engine {
-    Engine::Threads(NonZeroUsize::new(threads).unwrap())
-}
-
 #[test]
 fn sharded_matches_sequential_exactly_on_all_graph_families() {
     for (name, g) in graphs() {
@@ -410,7 +405,7 @@ fn sharded_matches_sequential_exactly_on_all_graph_families() {
                 .unwrap();
             for shards in SHARD_COUNTS {
                 let par = sim
-                    .executor(shard_engine(shards))
+                    .threads(shards)
                     .run(g.nodes().map(|_| MaxIdFlood::new()).collect::<Vec<_>>())
                     .unwrap();
                 assert_identical(&seq, &par, &format!("{name}/shards={shards}"));
@@ -433,7 +428,7 @@ fn sharded_matches_sequential_on_sparse_traffic() {
             };
             let seq = sim.run(mk()).unwrap();
             for shards in SHARD_COUNTS {
-                let par = sim.executor(shard_engine(shards)).run(mk()).unwrap();
+                let par = sim.threads(shards).run(mk()).unwrap();
                 assert_identical(&seq, &par, &format!("{name}/shards={shards}"));
             }
         }
@@ -485,7 +480,7 @@ fn sharded_reports_the_same_malformed_outbox_error() {
                 "culprit {culprit} round {at_round} backing {backing:?}"
             );
             for shards in SHARD_COUNTS {
-                let par = sim.executor(shard_engine(shards)).run(mk()).unwrap_err();
+                let par = sim.threads(shards).run(mk()).unwrap_err();
                 assert_eq!(
                     seq, par,
                     "culprit {culprit} round {at_round} shards {shards} backing {backing:?}"
@@ -502,7 +497,7 @@ fn sharded_reports_the_same_round_limit_error() {
     let mk = || g.nodes().map(|_| MaxIdFlood::new()).collect::<Vec<_>>();
     let seq = sim.run(mk()).unwrap_err();
     for shards in SHARD_COUNTS {
-        let par = sim.executor(shard_engine(shards)).run(mk()).unwrap_err();
+        let par = sim.threads(shards).run(mk()).unwrap_err();
         assert_eq!(seq, par, "shards {shards}");
     }
 }
@@ -517,7 +512,7 @@ fn sharded_reports_the_same_congest_violation_error() {
     let seq = sim.run(mk()).unwrap_err();
     assert!(matches!(seq, RunError::CongestViolation { .. }));
     for shards in SHARD_COUNTS {
-        let par = sim.executor(shard_engine(shards)).run(mk()).unwrap_err();
+        let par = sim.threads(shards).run(mk()).unwrap_err();
         assert_eq!(seq, par, "shards {shards}");
     }
 }
@@ -535,7 +530,7 @@ fn assert_baseline_backing_equivalence<B: NoAdviceMst>(baseline: B, g: &Weighted
     for backing in Backing::ALL {
         let sim = Sim::on(g).backing(backing);
         let seq = baseline
-            .run(&sim.executor(shard_engine(1)))
+            .run(&sim.threads(1))
             .unwrap_or_else(|e| panic!("{}: sequential failed: {e}", baseline.name()));
         assert_eq!(
             reference.0,
@@ -551,7 +546,7 @@ fn assert_baseline_backing_equivalence<B: NoAdviceMst>(baseline: B, g: &Weighted
         );
         for shards in SHARD_COUNTS {
             let par = baseline
-                .run(&sim.executor(shard_engine(shards)))
+                .run(&sim.threads(shards))
                 .unwrap_or_else(|e| panic!("{}: sharded({shards}) failed: {e}", baseline.name()));
             assert_eq!(
                 reference.0,

@@ -2,9 +2,8 @@
 //! mold of `wire_roundtrip`:
 //!
 //! 1. **round trip** — every request/response the encoder can produce
-//!    decodes back to itself through *both* decoders: the panicking
-//!    in-process [`WireReader`] path and the total
-//!    [`Request::decode_checked`] / [`Response::decode_checked`] path, each
+//!    decodes back to itself through the total
+//!    [`Request::decode_checked`] / [`Response::decode_checked`] decoders,
 //!    consuming the payload exactly;
 //! 2. **truncation totality** — every strict prefix of a valid encoding is
 //!    a typed [`FrameError`], never a panic and never a bogus success (the
@@ -20,7 +19,6 @@ use lma_serve::proto::{
     read_frame, write_frame, ErrorReport, FrameError, Request, RequestBody, Response, ResponseBody,
     RunReport, RunSpec, StatsReport, MAX_FRAME,
 };
-use lma_sim::wire::{Wire, WireReader};
 use proptest::prelude::*;
 
 /// Arbitrary bytes → always-valid UTF-8 (lossy), exercising multi-byte
@@ -96,15 +94,10 @@ fn response(tag: u64, id: u64, words: &[Vec<u8>], nums: &[u64]) -> Response {
     Response { id, body }
 }
 
-/// Both decoders agree with the encoder and consume the payload exactly.
+/// The checked decoder agrees with the encoder, consumes the payload
+/// exactly, and rejects every strict prefix.
 fn pin_request(value: &Request) {
     let bytes = value.to_bytes();
-    let mut reader = WireReader::new(&bytes);
-    assert_eq!(&Request::decode(&mut reader), value, "in-process decode");
-    assert!(
-        reader.is_exhausted(),
-        "in-process decode must drain the span"
-    );
     assert_eq!(
         Request::decode_checked(&bytes).as_ref(),
         Ok(value),
@@ -119,12 +112,6 @@ fn pin_request(value: &Request) {
 
 fn pin_response(value: &Response) {
     let bytes = value.to_bytes();
-    let mut reader = WireReader::new(&bytes);
-    assert_eq!(&Response::decode(&mut reader), value, "in-process decode");
-    assert!(
-        reader.is_exhausted(),
-        "in-process decode must drain the span"
-    );
     assert_eq!(
         Response::decode_checked(&bytes).as_ref(),
         Ok(value),

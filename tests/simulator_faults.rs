@@ -8,7 +8,7 @@ use lma_graph::weights::WeightStrategy;
 use lma_graph::Port;
 use lma_sim::message::{bits_for_universe, BitSized};
 use lma_sim::runtime::RunError;
-use lma_sim::{LocalView, Model, NodeAlgorithm, Outbox, RunStats, Sim};
+use lma_sim::{Backing, Engine, LocalView, Model, NodeAlgorithm, Outbox, RunStats, Sim};
 
 /// A program that keeps chattering forever on every port.
 struct Chatterbox;
@@ -58,6 +58,41 @@ impl NodeAlgorithm for PortAbuser {
 
     fn output(&self) -> Option<()> {
         Some(())
+    }
+}
+
+/// Chatters on every port; in round `rogue_round` node 0 also sends
+/// through port `degree`, which it does not have, and every node finishes
+/// in round `finish_round`, if any.
+struct RogueChatter {
+    rogue_round: usize,
+    finish_round: Option<usize>,
+    done: bool,
+}
+
+impl NodeAlgorithm for RogueChatter {
+    type Msg = u64;
+    type Output = ();
+
+    fn init(&mut self, view: &LocalView) -> Outbox<u64> {
+        (0..view.degree()).map(|p| (p, 1)).collect()
+    }
+
+    fn round(&mut self, view: &LocalView, round: usize, _inbox: &[(Port, u64)]) -> Outbox<u64> {
+        let mut out: Outbox<u64> = (0..view.degree()).map(|p| (p, 1)).collect();
+        if view.node == 0 && round == self.rogue_round {
+            out.push((view.degree(), 1));
+        }
+        self.done = self.finish_round == Some(round);
+        out
+    }
+
+    fn is_done(&self) -> bool {
+        self.done
+    }
+
+    fn output(&self) -> Option<()> {
+        self.done.then_some(())
     }
 }
 
@@ -153,6 +188,51 @@ fn round_limit_is_enforced() {
     let programs: Vec<Chatterbox> = g.nodes().map(|_| Chatterbox).collect();
     let err = sim.run(programs).unwrap_err();
     assert_eq!(err, RunError::RoundLimitExceeded { limit: 25 });
+}
+
+/// The order a round commits in, on the push oracle and on one and three
+/// threads over both backings: the done-check first (traffic sent in the
+/// step that finishes every node is dropped, even at the round limit),
+/// then the round limit (which shadows a pending error), then the pending
+/// error, which surfaces in the round after the bad send.
+#[test]
+fn commit_order_is_done_check_then_round_limit_then_pending_error() {
+    let g = ring(9, WeightStrategy::Unit);
+    let base = Sim::on(&g).round_limit(4).trace(true);
+    let mut sims = vec![base.executor(Engine::Reference)];
+    for backing in Backing::ALL {
+        sims.extend([1, 3].map(|t| base.threads(t).backing(backing)));
+    }
+    for sim in sims {
+        let what = format!(
+            "{:?} {:?} {}",
+            sim.engine(),
+            sim.config().threads,
+            sim.config().backing
+        );
+        let run = |rogue_round, finish_round| {
+            let programs = g.nodes().map(|_| RogueChatter {
+                rogue_round,
+                finish_round,
+                done: false,
+            });
+            sim.run(programs.collect())
+        };
+        assert_eq!(
+            run(3, None).unwrap_err(),
+            RunError::MalformedOutbox { node: 0, port: 2 },
+            "{what}"
+        );
+        assert_eq!(
+            run(4, None).unwrap_err(),
+            RunError::RoundLimitExceeded { limit: 4 },
+            "{what}"
+        );
+        let finished = run(4, Some(4)).unwrap();
+        assert_eq!(finished.stats.rounds, 4, "{what}");
+        assert_eq!(finished.stats.total_messages, 4 * 18, "{what}");
+        assert_eq!(finished.trace.map(|t| t.len()), Some(4 * 18), "{what}");
+    }
 }
 
 #[test]
