@@ -59,16 +59,13 @@ pub struct Variant {
 }
 
 impl Variant {
-    /// Stable label: `executor/backing`, where the executor is `seq` for
-    /// one thread, `sharded<t>` for `t` threads and `push` for the oracle
-    /// (e.g. `sharded2/arena`).
+    /// Stable label: `executor/backing`, where the executor is
+    /// [`Engine::label`] of the thread count — `seq` for one thread,
+    /// `sharded<t>` for `t` threads and `push` for the oracle (e.g.
+    /// `sharded2/arena`).
     #[must_use]
     pub fn label(&self) -> String {
-        let executor = match (self.engine, self.threads) {
-            (Engine::Reference, _) => "push".to_string(),
-            (Engine::Auto, 0 | 1) => "seq".to_string(),
-            (Engine::Auto, t) => format!("sharded{t}"),
-        };
+        let executor = self.engine.label(self.threads);
         format!("{executor}/{}", self.backing.as_str())
     }
 }

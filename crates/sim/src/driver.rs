@@ -705,6 +705,17 @@ mod tests {
         }
     }
 
+    #[test]
+    fn engine_labels_are_stable() {
+        assert_eq!(Engine::Auto.label(0), "seq");
+        assert_eq!(Engine::Auto.label(1), "seq");
+        assert_eq!(Engine::Auto.label(2), "sharded2");
+        assert_eq!(Engine::Auto.label(4), "sharded4");
+        // The oracle ignores the thread knob, and so does its label.
+        assert_eq!(Engine::Reference.label(1), "push");
+        assert_eq!(Engine::Reference.label(4), "push");
+    }
+
     /// A minimal fleet workload covering the blanket impl and the erased
     /// error path.
     struct EchoWorkload {

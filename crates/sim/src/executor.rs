@@ -42,6 +42,21 @@ pub enum Engine {
     Reference,
 }
 
+impl Engine {
+    /// Stable short label of this engine on `threads` plane-kernel threads,
+    /// used in scenario cell ids and lock files: `"seq"` for zero or one
+    /// thread, `"sharded<t>"` for `t >= 2`, and `"push"` for the oracle,
+    /// which ignores the thread count.
+    #[must_use]
+    pub fn label(self, threads: usize) -> String {
+        match (self, threads) {
+            (Engine::Reference, _) => "push".to_string(),
+            (Engine::Auto, 0 | 1) => "seq".to_string(),
+            (Engine::Auto, t) => format!("sharded{t}"),
+        }
+    }
+}
+
 /// The loop one run executes on: a [`Sim`]'s pinned [`Engine`] resolved
 /// against its thread knob and its graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,5 +230,23 @@ mod tests {
         assert_eq!(Executor::of(&sim), Executor::Sequential);
         let result = sim.run(count_down(1, 2)).unwrap();
         assert_eq!(result.outputs, vec![Some(0)]);
+    }
+
+    #[test]
+    fn executor_names_are_stable() {
+        // Scenario cell ids and lock files key on these labels.
+        assert_eq!(Engine::Auto.label(1), "seq");
+        assert_eq!(Engine::Reference.label(1), "push");
+        for t in 2..=64 {
+            assert_eq!(Engine::Auto.label(t), format!("sharded{t}"));
+        }
+        let mut labels: Vec<String> = (1..=64)
+            .map(|t| Engine::Auto.label(t))
+            .chain([Engine::Reference.label(1)])
+            .collect();
+        let count = labels.len();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), count, "engine labels must be distinct");
     }
 }
