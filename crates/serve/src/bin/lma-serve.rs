@@ -8,9 +8,12 @@
 //! lma-serve replay --bench [--smoke] [--depth D] [--force]
 //! ```
 //!
-//! Server knobs (both `serve` forms): `--workers W`, `--no-coalesce`,
-//! `--max-queue N`, `--max-batch W`.  `replay --bench` exits non-zero when
-//! no scenario clears the 1.2× coalescing bar, so CI can hold the line.
+//! Server knobs (both `serve` forms): `--workers W` (threads executing a
+//! dispatch window's groups, the dispatcher included; defaults to the
+//! host's available parallelism, `--workers 1` runs every group on the
+//! dispatcher), `--no-coalesce`, `--max-queue N`, `--max-batch W`.
+//! `replay --bench` exits non-zero when no scenario clears the 1.2×
+//! coalescing bar, so CI can hold the line.
 
 #![forbid(unsafe_code)]
 // Binaries talk on stdio; the print lints guard library crates.
@@ -23,7 +26,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: lma-serve serve (--stdio | --tcp ADDR) [--workers W] [--no-coalesce] \
          [--max-queue N] [--max-batch W]\n       \
-         lma-serve replay [--verify-lock] [--bench] [--smoke] [--depth D] [--force]"
+         lma-serve replay [--verify-lock] [--bench] [--smoke] [--depth D] [--force]\n\
+         --workers W: threads executing a window's groups, the dispatcher included \
+         (default: available cores; 1 = serial)"
     );
     std::process::exit(2);
 }

@@ -12,10 +12,12 @@
 //!   topology identity, under a byte budget that evicts whole
 //!   least-recently-used topologies.
 //! * [`server`] — admission queue, the coalescing dispatcher (queued
-//!   same-identity requests are answered from one run), per-request
+//!   same-identity requests are answered from one run), the executor pool
+//!   that runs a dispatch window's groups on every core, per-request
 //!   deadline budgets and error isolation, graceful drain.
 //! * [`metrics`] — queue/total latency percentiles, group-width histogram,
-//!   cache hit rates and size gauges; served on the wire as `Stats`.
+//!   cache hit rates and size gauges, executor gauges; served on the wire
+//!   as `Stats`.
 //! * [`replay`] — a client that replays registry mixes against an
 //!   in-process server: digest verification against `SCENARIOS.lock` and
 //!   the coalescing-on/off throughput trajectory behind `BENCH_serve.json`.

@@ -1,5 +1,6 @@
 //! Server-side instrumentation: request counters, the group-width
-//! histogram, and queue/total latency percentiles.
+//! histogram, the executing-group gauge, and queue/total latency
+//! percentiles.
 //!
 //! Latencies are kept in a bounded ring of recent samples (the last
 //! [`SAMPLE_WINDOW`] requests); percentiles are computed over a sorted copy
@@ -56,6 +57,7 @@ pub struct Metrics {
     served: AtomicU64,
     failed: AtomicU64,
     coalesced: AtomicU64,
+    in_flight_groups: AtomicU64,
     batch_widths: Mutex<BTreeMap<u32, u64>>,
     queue_ns: Mutex<SampleRing>,
     total_ns: Mutex<SampleRing>,
@@ -82,6 +84,17 @@ impl Metrics {
         }
     }
 
+    /// Marks one group as executing (the `in_flight_groups` gauge).
+    pub fn group_started(&self) {
+        self.in_flight_groups.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Marks one group as answered; the server calls it before the group's
+    /// replies go out.
+    pub fn group_finished(&self) {
+        self.in_flight_groups.fetch_sub(1, Ordering::Relaxed);
+    }
+
     /// Records one successfully served request and its latencies.
     pub fn record_served(&self, queue_ns: u64, total_ns: u64) {
         self.served.fetch_add(1, Ordering::Relaxed);
@@ -101,9 +114,10 @@ impl Metrics {
     }
 
     /// Snapshots everything into a wire-ready [`StatsReport`], reading the
-    /// hit/miss counters and size gauges off `cache`.
+    /// hit/miss counters and size gauges off `cache`; the server passes its
+    /// executor-pool size and admission-queue length.
     #[must_use]
-    pub fn snapshot(&self, cache: &HotCache) -> StatsReport {
+    pub fn snapshot(&self, cache: &HotCache, executors: usize, queue_depth: usize) -> StatsReport {
         let (graph_stats, partition_stats, oracle_stats) = (
             cache.graph_stats(),
             cache.partition_stats(),
@@ -144,6 +158,9 @@ impl Metrics {
             cache_entries: gauges.entries,
             cache_bytes: gauges.bytes,
             cache_evictions: gauges.evictions,
+            executors: executors as u64,
+            queue_depth: queue_depth as u64,
+            in_flight_groups: self.in_flight_groups.load(Ordering::Relaxed),
         }
     }
 }
@@ -172,11 +189,14 @@ mod tests {
             m.record_served(100 + i, 1000 + i);
         }
         m.record_failed();
+        m.group_started();
+        m.group_started();
+        m.group_finished();
         let cache = HotCache::new();
         let ring = lma_graph::generators::Family::from_name("ring").unwrap();
         cache.graph(ring, 12, 1);
         cache.graph(ring, 12, 1);
-        let s = m.snapshot(&cache);
+        let s = m.snapshot(&cache, 2, 3);
         assert_eq!(s.served, 17);
         assert_eq!(s.failed, 1);
         assert_eq!(s.coalesced, 16);
@@ -184,6 +204,7 @@ mod tests {
         assert_eq!((s.graph_hits, s.graph_misses), (1, 1));
         assert_eq!((s.cache_entries, s.cache_evictions), (1, 0));
         assert_eq!(s.cache_bytes, cache.gauges().bytes);
+        assert_eq!((s.executors, s.queue_depth, s.in_flight_groups), (2, 3, 1));
         assert!(s.queue_p50_ns >= 100 && s.queue_p99_ns <= 116);
         assert!(s.total_p50_ns >= 1000);
     }

@@ -183,7 +183,10 @@ pub struct RunReport {
     pub messages: u64,
     /// Total message bits of the run.
     pub bits: u64,
-    /// Nanoseconds the request waited in the admission queue.
+    /// Nanoseconds from admission to the start of the group's run: the
+    /// coalescing window, earlier groups on the same executor (and the
+    /// window before, when the request arrived during it), cache lookups
+    /// and prepare.
     pub queue_ns: u64,
     /// Nanoseconds the run itself took (shared by every member of a
     /// coalesced group).
@@ -264,6 +267,13 @@ pub struct StatsReport {
     pub cache_bytes: u64,
     /// Topologies the hot cache has evicted over the server's lifetime.
     pub cache_evictions: u64,
+    /// Threads that execute a dispatch window's groups, the dispatcher
+    /// included (the configured pool size).
+    pub executors: u64,
+    /// Jobs waiting in the admission queue at snapshot time.
+    pub queue_depth: u64,
+    /// Groups executing at snapshot time.
+    pub in_flight_groups: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -320,6 +330,9 @@ fn encode_stats_report(stats: &StatsReport, out: &mut Vec<u8>) {
     stats.cache_entries.encode(out);
     stats.cache_bytes.encode(out);
     stats.cache_evictions.encode(out);
+    stats.executors.encode(out);
+    stats.queue_depth.encode(out);
+    stats.in_flight_groups.encode(out);
 }
 
 impl Request {
@@ -587,6 +600,9 @@ impl<'a> CheckedReader<'a> {
             cache_entries: self.varint()?,
             cache_bytes: self.varint()?,
             cache_evictions: self.varint()?,
+            executors: self.varint()?,
+            queue_depth: self.varint()?,
+            in_flight_groups: self.varint()?,
         })
     }
 

@@ -222,7 +222,8 @@ pub fn verify_lock(opts: &ReplayOpts) -> Result<(), String> {
     println!(
         "ok: {total} served runs over {} scenarios matched SCENARIOS.lock \
          (coalesced {}, graph cache {}/{}, oracle cache {}/{}, \
-         cache {} topologies / {} bytes / {} evictions)",
+         cache {} topologies / {} bytes / {} evictions, \
+         {} executors / {} queued / {} groups in flight)",
         scenarios.len(),
         stats.coalesced,
         stats.graph_hits,
@@ -232,6 +233,9 @@ pub fn verify_lock(opts: &ReplayOpts) -> Result<(), String> {
         stats.cache_entries,
         stats.cache_bytes,
         stats.cache_evictions,
+        stats.executors,
+        stats.queue_depth,
+        stats.in_flight_groups,
     );
     Ok(())
 }

@@ -20,7 +20,12 @@
 //!    cost one run.  The identity (workload, topology, seed and every run
 //!    knob) proves the members equivalent: a digest depends only on
 //!    (workload, family, n, seed), which `SCENARIOS.lock` pins across every
-//!    engine and backing.
+//!    engine and backing.  A one-group window runs inline on the
+//!    dispatcher.  A wider window's groups run on the executor pool: the
+//!    dispatcher plus [`ServerConfig::workers`]` − 1` long-lived helpers,
+//!    each claiming the next unclaimed group and keeping its thread-local
+//!    plane pool warm across windows.  The dispatcher takes the next
+//!    window only once every group of this one has answered.
 //! 4. Every job gets exactly one terminal response: `Done` with digest and
 //!    latencies, or a typed `Failed` (deadline expired in queue, prepare
 //!    failure, verification failure, or a panic caught at the group
@@ -37,7 +42,7 @@ use crate::proto::{
     code, read_frame, write_frame, ErrorReport, Request, RequestBody, Response, ResponseBody,
     RunReport, RunSpec, StatsReport,
 };
-use lma_bench::{fan_out, WorkloadCatalog};
+use lma_bench::WorkloadCatalog;
 use lma_graph::generators::Family;
 use lma_sim::{Backing, Sim, WorkloadError};
 use std::collections::{HashMap, VecDeque};
@@ -47,7 +52,7 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -62,9 +67,11 @@ pub const MAX_THREADS: usize = 64;
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads for group execution: `1` runs groups inline on the
-    /// dispatcher thread (best thread-local plane-pool reuse), `w ≥ 2`
-    /// fans independent groups out over the work-stealing pool.
+    /// Threads that execute a dispatch window's groups, the dispatcher
+    /// included: `1` runs every group inline on the dispatcher, `w ≥ 2`
+    /// adds `w − 1` long-lived helpers, spawned on the first window with
+    /// two or more groups and joined when the server drains.  Defaults to
+    /// the host's available parallelism (1 when unknown).
     pub workers: usize,
     /// Answer queued same-identity requests from one run.  Off, every
     /// request runs on its own — the uncoalesced baseline of the
@@ -82,7 +89,8 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            workers: 1,
+            // lint: allow(ambient-input) — sizes the executor pool only; a digest depends on (workload, family, n, seed) alone
+            workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             coalesce: true,
             coalesce_window: Duration::from_micros(500),
             max_queue: 1024,
@@ -103,7 +111,7 @@ struct Job {
     round_limit: Option<u64>,
     deadline: Option<Instant>,
     enqueued: Instant,
-    reply: ReplyTx,
+    reply: Sender<Response>,
 }
 
 impl Job {
@@ -136,20 +144,10 @@ type GroupKey = (
     Option<u64>,
 );
 
-/// A response channel usable from the fan-out pool (`mpsc::Sender` is not
-/// `Sync`; one mutex per job makes the whole `Job` shareable by reference).
-struct ReplyTx(Mutex<Sender<Response>>);
-
-impl ReplyTx {
-    fn new(tx: Sender<Response>) -> Self {
-        Self(Mutex::new(tx))
-    }
-
-    /// Delivery is best-effort: the peer may have hung up.
-    fn send(&self, response: Response) {
-        let sent = self.0.lock().expect("reply sender poisoned").send(response);
-        drop(sent);
-    }
+/// Sends one response.  Delivery is best-effort: the peer may have hung up.
+fn reply(tx: &Sender<Response>, id: u64, body: ResponseBody) {
+    let sent = tx.send(Response { id, body });
+    drop(sent);
 }
 
 /// Queue state guarded by the admission mutex.
@@ -158,10 +156,36 @@ struct QueueState {
     queue: VecDeque<Job>,
     draining: bool,
     /// `Shutdown` requesters awaiting their `Bye`.
-    byes: Vec<(u64, ReplyTx)>,
+    byes: Vec<(u64, Sender<Response>)>,
 }
 
-/// Everything shared between connections and the dispatcher.
+/// The executor pool's hand-off: a dispatch window's groups that no
+/// executor has claimed yet, and how many claimed ones are still running.
+#[derive(Default)]
+struct Board {
+    unclaimed: VecDeque<Vec<Job>>,
+    running: usize,
+    /// Set when the server drains: idle helpers exit.
+    closed: bool,
+}
+
+/// What the dispatcher shares with its helpers (see [`run_window`]).
+#[derive(Default)]
+struct Pool {
+    board: Mutex<Board>,
+    /// Helpers wait here for a window's groups, or for the close.
+    work: Condvar,
+    /// The dispatcher waits here for a window's last running group.
+    idle: Condvar,
+}
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, Board> {
+        self.board.lock().expect("executor board poisoned")
+    }
+}
+
+/// Everything shared between connections, the dispatcher and its helpers.
 struct Shared {
     config: ServerConfig,
     catalog: WorkloadCatalog,
@@ -169,14 +193,27 @@ struct Shared {
     metrics: Metrics,
     state: Mutex<QueueState>,
     wakeup: Condvar,
+    pool: Pool,
     /// Run requests answered (Done or Failed) over the server's lifetime;
     /// reported in `Bye`.
     completed: AtomicU64,
 }
 
 impl Shared {
+    /// Executing threads in the pool, the dispatcher included.
+    fn executors(&self) -> usize {
+        self.config.workers.max(1)
+    }
+
     fn stats(&self) -> StatsReport {
-        self.metrics.snapshot(&self.cache)
+        let queue_depth = self
+            .state
+            .lock()
+            .expect("server state poisoned")
+            .queue
+            .len();
+        self.metrics
+            .snapshot(&self.cache, self.executors(), queue_depth)
     }
 }
 
@@ -199,6 +236,7 @@ impl Server {
             metrics: Metrics::new(),
             state: Mutex::new(QueueState::default()),
             wakeup: Condvar::new(),
+            pool: Pool::default(),
             completed: AtomicU64::new(0),
         });
         let dispatcher = {
@@ -381,24 +419,12 @@ fn serve_connection<R: Read, W: Write + Send + 'static>(
 fn admit(shared: &Arc<Shared>, request: Request, tx: &Sender<Response>) {
     let Request { id, body } = request;
     match body {
-        RequestBody::Ping => {
-            let pong = tx.send(Response {
-                id,
-                body: ResponseBody::Pong,
-            });
-            drop(pong);
-        }
-        RequestBody::Stats => {
-            let stats = tx.send(Response {
-                id,
-                body: ResponseBody::Stats(shared.stats()),
-            });
-            drop(stats);
-        }
+        RequestBody::Ping => reply(tx, id, ResponseBody::Pong),
+        RequestBody::Stats => reply(tx, id, ResponseBody::Stats(shared.stats())),
         RequestBody::Shutdown => {
             let mut state = shared.state.lock().expect("server state poisoned");
             state.draining = true;
-            state.byes.push((id, ReplyTx::new(tx.clone())));
+            state.byes.push((id, tx.clone()));
             drop(state);
             shared.wakeup.notify_all();
         }
@@ -492,7 +518,7 @@ fn validate(
         round_limit: spec.round_limit,
         deadline: spec.deadline_ms.map(|ms| now + Duration::from_millis(ms)),
         enqueued: now,
-        reply: ReplyTx::new(tx.clone()),
+        reply: tx.clone(),
     })
 }
 
@@ -500,14 +526,14 @@ fn validate(
 fn refuse(shared: &Shared, id: u64, tx: &Sender<Response>, code: u8, message: &str) {
     shared.metrics.record_failed();
     shared.completed.fetch_add(1, Ordering::Relaxed);
-    let sent = tx.send(Response {
-        id,
-        body: ResponseBody::Failed(ErrorReport {
-            code,
-            message: message.to_string(),
-        }),
-    });
-    drop(sent);
+    reply(tx, id, ResponseBody::Failed(error(code, message)));
+}
+
+fn error(code: u8, message: &str) -> ErrorReport {
+    ErrorReport {
+        code,
+        message: message.to_string(),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -515,6 +541,7 @@ fn refuse(shared: &Shared, id: u64, tx: &Sender<Response>, code: u8, message: &s
 // ---------------------------------------------------------------------------
 
 fn dispatch_loop(shared: &Arc<Shared>) {
+    let mut helpers: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let jobs = {
             let mut state = shared.state.lock().expect("server state poisoned");
@@ -522,14 +549,12 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 state = shared.wakeup.wait(state).expect("server state poisoned");
             }
             if state.queue.is_empty() {
-                // Draining and nothing left: answer the shutdown
-                // requesters and stop.
+                // Draining and nothing left: retire the helpers, answer the
+                // shutdown requesters and stop.
+                close_pool(shared, std::mem::take(&mut helpers));
                 let completed = shared.completed.load(Ordering::Relaxed);
-                for (id, reply) in state.byes.drain(..) {
-                    reply.send(Response {
-                        id,
-                        body: ResponseBody::Bye(completed),
-                    });
+                for (id, tx) in state.byes.drain(..) {
+                    reply(&tx, id, ResponseBody::Bye(completed));
                 }
                 return;
             }
@@ -556,16 +581,95 @@ fn dispatch_loop(shared: &Arc<Shared>) {
             }
             std::mem::take(&mut state.queue)
         };
-        let groups = group(shared, jobs);
-        let workers = shared.config.workers.max(1);
-        if workers == 1 || groups.len() == 1 {
-            for jobs in &groups {
-                execute_group(shared, jobs);
-            }
+        let mut groups = group(shared, jobs);
+        if groups.len() == 1 {
+            execute_group(shared, groups.pop().expect("one group"));
         } else {
-            let threads = NonZeroUsize::new(workers).expect("workers >= 1");
-            fan_out(&groups, threads, |_, jobs| execute_group(shared, jobs));
+            spawn_helpers(shared, &mut helpers);
+            run_window(shared, groups);
         }
+    }
+}
+
+/// Tops the pool up to `workers − 1` helpers.  A failed spawn (out of
+/// threads or memory) leaves the pool short: the executors already running
+/// still answer every group, and the next wide window tries again.
+fn spawn_helpers(shared: &Arc<Shared>, helpers: &mut Vec<JoinHandle<()>>) {
+    while helpers.len() + 1 < shared.executors() {
+        let shared = Arc::clone(shared);
+        match std::thread::Builder::new()
+            .name("lma-serve-exec".to_string())
+            .spawn(move || helper_loop(&shared))
+        {
+            Ok(handle) => helpers.push(handle),
+            Err(_) => break,
+        }
+    }
+}
+
+/// Runs a window's groups on the dispatcher and every helper, and returns
+/// once each group has answered.
+fn run_window(shared: &Shared, groups: Vec<Vec<Job>>) {
+    let width = groups.len();
+    let mut board = shared.pool.lock();
+    board.unclaimed.extend(groups);
+    // The dispatcher claims a group itself; wake a helper for each other.
+    for _ in 1..width.min(shared.executors()) {
+        shared.pool.work.notify_one();
+    }
+    board = execute_unclaimed(shared, board);
+    while board.running > 0 {
+        board = shared
+            .pool
+            .idle
+            .wait(board)
+            .expect("executor board poisoned");
+    }
+}
+
+/// A helper's life: execute whatever the board holds, sleep until the next
+/// wide window, exit once the pool is closed.
+fn helper_loop(shared: &Shared) {
+    let mut board = shared.pool.lock();
+    loop {
+        board = execute_unclaimed(shared, board);
+        if board.running == 0 {
+            // The window is answered: wake the dispatcher if it waits.
+            shared.pool.idle.notify_one();
+        }
+        if board.closed {
+            return;
+        }
+        board = shared
+            .pool
+            .work
+            .wait(board)
+            .expect("executor board poisoned");
+    }
+}
+
+/// Claims and executes the window's unclaimed groups one at a time until
+/// none is left, and returns with the board locked again.
+fn execute_unclaimed<'a>(
+    shared: &'a Shared,
+    mut board: MutexGuard<'a, Board>,
+) -> MutexGuard<'a, Board> {
+    while let Some(jobs) = board.unclaimed.pop_front() {
+        board.running += 1;
+        drop(board);
+        execute_group(shared, jobs);
+        board = shared.pool.lock();
+        board.running -= 1;
+    }
+    board
+}
+
+/// Wakes every idle helper to exit, and joins them.
+fn close_pool(shared: &Shared, helpers: Vec<JoinHandle<()>>) {
+    shared.pool.lock().closed = true;
+    shared.pool.work.notify_all();
+    for helper in helpers {
+        helper.join().expect("executor panicked");
     }
 }
 
@@ -593,33 +697,78 @@ fn group(shared: &Shared, jobs: VecDeque<Job>) -> Vec<Vec<Job>> {
 }
 
 /// Runs one coalesced group end to end — one run for the whole group — and
-/// answers every member.
-fn execute_group(shared: &Shared, jobs: &[Job]) {
+/// answers every member.  Every answer is counted, and the group leaves the
+/// `in_flight_groups` gauge, before the first reply goes out, so a client
+/// that asks for `Stats` right after its reply always sees its run.
+fn execute_group(shared: &Shared, jobs: Vec<Job>) {
+    shared.metrics.group_started();
     let now = Instant::now();
     // Deadline is a queue-wait budget: a request whose deadline passed
     // while it sat in the queue fails instead of running.
     let (expired, live): (Vec<&Job>, Vec<&Job>) = jobs
         .iter()
         .partition(|job| job.deadline.is_some_and(|deadline| deadline < now));
-    for job in expired {
-        fail_job(shared, job, code::DEADLINE, "deadline expired in queue");
+    let mut answers: Vec<(&Job, ResponseBody)> = expired
+        .into_iter()
+        .map(|job| {
+            let failed = error(code::DEADLINE, "deadline expired in queue");
+            (job, ResponseBody::Failed(failed))
+        })
+        .collect();
+    if !live.is_empty() {
+        // A panic anywhere in the group — graph build, prepare or the run —
+        // is isolated here: its members answer `PANIC` and the executor
+        // lives on.
+        let ran =
+            catch_unwind(AssertUnwindSafe(|| run_group(shared, &live))).unwrap_or_else(|panic| {
+                let message = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("run panicked");
+                Err(error(code::PANIC, message))
+            });
+        answers.extend(live.into_iter().map(|job| {
+            let body = match &ran {
+                Ok((report, run_started)) => ResponseBody::Done(RunReport {
+                    queue_ns: duration_ns(run_started.saturating_duration_since(job.enqueued)),
+                    ..report.clone()
+                }),
+                Err(failed) => ResponseBody::Failed(failed.clone()),
+            };
+            (job, body)
+        }));
     }
-    if live.is_empty() {
-        return;
+    for (_, body) in &answers {
+        match body {
+            ResponseBody::Done(report) => shared
+                .metrics
+                .record_served(report.queue_ns, report.queue_ns + report.run_ns),
+            _ => shared.metrics.record_failed(),
+        }
     }
+    shared
+        .completed
+        .fetch_add(answers.len() as u64, Ordering::Relaxed);
+    shared.metrics.group_finished();
+    for (job, body) in answers {
+        reply(&job.reply, job.id, body);
+    }
+}
+
+/// Runs a group's live members as one run on the lead's cached graph,
+/// oracle and partition.  Returns the members' shared report — its
+/// `queue_ns` is each member's own, measured up to the returned run start —
+/// or the typed failure they all share.
+fn run_group(shared: &Shared, live: &[&Job]) -> Result<(RunReport, Instant), ErrorReport> {
     let lead = live[0];
     let topology = lead.topology_key();
     let graph = shared.cache.graph(lead.family, lead.n, lead.seed);
     let workload = lead.kind.workload();
-    let oracle = match shared.cache.oracle(workload.as_ref(), topology, &graph) {
-        Ok(oracle) => oracle,
-        Err(error) => {
-            for job in &live {
-                fail_job(shared, job, code::PREPARE, &error.to_string());
-            }
-            return;
-        }
-    };
+    let oracle = shared
+        .cache
+        .oracle(workload.as_ref(), topology, &graph)
+        .map_err(|e| error(code::PREPARE, &e.to_string()))?;
     let partition =
         (lead.threads >= 2).then(|| shared.cache.partition(topology, &graph, lead.threads));
     let mut sim = workload.tune(Sim::on(&graph)).backing(lead.backing);
@@ -629,75 +778,34 @@ fn execute_group(shared: &Shared, jobs: &[Job]) {
     if let Some(limit) = lead.round_limit {
         sim = sim.round_limit(usize::try_from(limit).unwrap_or(usize::MAX));
     }
-    let width = live.len();
+    let width = u32::try_from(live.len()).unwrap_or(u32::MAX);
     let mut writer =
         shared
             .catalog
             .fold_header(lead.kind.name(), lead.family.name(), lead.n, lead.seed);
+    shared.metrics.record_batch(width);
     let run_started = Instant::now();
-    let ran = catch_unwind(AssertUnwindSafe(|| {
-        workload.run_fold_prepared(&sim, &oracle, &mut writer)
-    }));
-    let run_ns = elapsed_ns(run_started);
-    shared
-        .metrics
-        .record_batch(u32::try_from(width).unwrap_or(u32::MAX));
-    match ran {
-        Ok(Ok(summary)) => {
-            let digest = writer.finish().to_string();
-            for job in &live {
-                let queue_ns = duration_ns(run_started.saturating_duration_since(job.enqueued));
-                // Count the run before replying, so a client that asks for
-                // `Stats` right after its reply always sees it.
-                shared.metrics.record_served(queue_ns, queue_ns + run_ns);
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-                job.reply.send(Response {
-                    id: job.id,
-                    body: ResponseBody::Done(RunReport {
-                        digest: digest.clone(),
-                        rounds: summary.rounds as u64,
-                        messages: summary.total_messages,
-                        bits: summary.total_bits,
-                        queue_ns,
-                        run_ns,
-                        lanes: u32::try_from(width).unwrap_or(u32::MAX),
-                    }),
-                });
-            }
-        }
-        Ok(Err(error)) => {
-            let code = match &error {
+    let summary = workload
+        .run_fold_prepared(&sim, &oracle, &mut writer)
+        .map_err(|e| {
+            let code = match &e {
                 WorkloadError::Prepare(_) => code::PREPARE,
                 WorkloadError::Invalid(_) => code::INVALID,
                 WorkloadError::Run(_) => code::INVALID,
             };
-            for job in &live {
-                fail_job(shared, job, code, &error.to_string());
-            }
-        }
-        Err(panic) => {
-            let message = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("run panicked");
-            for job in &live {
-                fail_job(shared, job, code::PANIC, message);
-            }
-        }
-    }
-}
-
-fn fail_job(shared: &Shared, job: &Job, code: u8, message: &str) {
-    shared.metrics.record_failed();
-    shared.completed.fetch_add(1, Ordering::Relaxed);
-    job.reply.send(Response {
-        id: job.id,
-        body: ResponseBody::Failed(ErrorReport {
-            code,
-            message: message.to_string(),
-        }),
-    });
+            error(code, &e.to_string())
+        })?;
+    let run_ns = elapsed_ns(run_started);
+    let report = RunReport {
+        digest: writer.finish().to_string(),
+        rounds: summary.rounds as u64,
+        messages: summary.total_messages,
+        bits: summary.total_bits,
+        queue_ns: 0,
+        run_ns,
+        lanes: width,
+    };
+    Ok((report, run_started))
 }
 
 fn elapsed_ns(since: Instant) -> u64 {

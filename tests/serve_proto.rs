@@ -88,6 +88,9 @@ fn response(tag: u64, id: u64, words: &[Vec<u8>], nums: &[u64]) -> Response {
             cache_entries: at(13),
             cache_bytes: at(14),
             cache_evictions: at(15),
+            executors: at(16),
+            queue_depth: at(17),
+            in_flight_groups: at(18),
         }),
         _ => ResponseBody::Bye(at(0)),
     };
@@ -144,7 +147,7 @@ proptest! {
         tag in any::<u64>(),
         id in any::<u64>(),
         words in collection::vec(collection::vec(any::<u8>(), 0..48), 0..3),
-        nums in collection::vec(any::<u64>(), 0..17),
+        nums in collection::vec(any::<u64>(), 0..20),
     ) {
         pin_response(&response(tag, id, &words, &nums));
     }

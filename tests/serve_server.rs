@@ -1,12 +1,14 @@
 //! End-to-end tests for the `lma-serve` server over real loopback TCP:
 //! digest parity with the committed goldens, one run per coalesced group,
-//! typed admission failures, malformed-frame isolation, deadline budgets,
-//! and drain semantics.
+//! multi-group windows on one executor and on the pool, typed admission
+//! failures, malformed-frame isolation, deadline budgets, and drain
+//! semantics.
 
 use lma_bench::scenarios::LockFile;
 use lma_serve::proto::{code, write_frame, RequestBody, ResponseBody, RunSpec};
 use lma_serve::replay::Client;
 use lma_serve::server::{ServerConfig, TcpServer};
+use std::collections::HashMap;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -173,6 +175,73 @@ fn one_run_answers_a_coalesced_fleet_group() {
         "flood/preferential-attachment/n64/s12",
         run_spec("flood", "preferential-attachment", 64, 12),
     );
+}
+
+/// Pipelines two copies each of four identities into a server whose
+/// dispatcher waits for all eight, so one window holds four groups of
+/// width 2.  With `workers` 1 the dispatcher runs them one after another;
+/// with `workers` 2 it runs them together with a helper.  Either way every
+/// reply carries its golden digest, the window costs four runs, and the
+/// executor gauges read idle once every reply is in.
+fn a_multi_group_window_answers_every_member(workers: usize) {
+    let identities = [
+        ("flood", "ring", 48, 11),
+        ("ghs-boruvka", "ring", 16, 31),
+        ("scheme-trivial", "ring", 32, 54),
+        ("wave", "ring", 48, 81),
+    ];
+    let (tcp, mut client) = boot(ServerConfig {
+        workers,
+        max_batch: 8,
+        // The door stays open until all eight requests are queued.
+        coalesce_window: Duration::from_secs(30),
+        ..ServerConfig::default()
+    });
+    let mut expected: HashMap<u64, (String, String)> = HashMap::new();
+    for _ in 0..2 {
+        for (workload, family, n, seed) in identities {
+            let id = format!("{workload}/{family}/n{n}/s{seed}");
+            let sent = client
+                .send(RequestBody::Run(run_spec(workload, family, n, seed)))
+                .expect("send");
+            expected.insert(sent, (golden_digest(&id), id));
+        }
+    }
+    while !expected.is_empty() {
+        let response = client.recv().expect("recv");
+        let (golden, id) = expected
+            .remove(&response.id)
+            .expect("one reply per request");
+        match response.body {
+            ResponseBody::Done(report) => {
+                assert_eq!(
+                    report.digest, golden,
+                    "{id}: served digest must match the lock"
+                );
+                assert_eq!(report.lanes, 2, "{id}: group width");
+            }
+            other => panic!("{id}: expected Done, got {other:?}"),
+        }
+    }
+    let stats = match client.call(RequestBody::Stats).expect("stats").body {
+        ResponseBody::Stats(stats) => stats,
+        other => panic!("expected Stats, got {other:?}"),
+    };
+    assert_eq!(stats.batch_widths, vec![(2, 4)], "four groups, four runs");
+    assert_eq!(stats.executors, workers as u64);
+    assert_eq!(stats.queue_depth, 0, "every request was answered");
+    assert_eq!(stats.in_flight_groups, 0, "every group was answered");
+    assert_eq!(shutdown(client, tcp), 8);
+}
+
+#[test]
+fn a_multi_group_window_on_one_executor() {
+    a_multi_group_window_answers_every_member(1);
+}
+
+#[test]
+fn a_multi_group_window_on_the_executor_pool() {
+    a_multi_group_window_answers_every_member(2);
 }
 
 #[test]
