@@ -6,19 +6,48 @@
 
 use crate::message::BitSized;
 use crate::wire::Wire;
-use lma_graph::{Port, Weight, WeightedGraph};
+use lma_graph::{IncidentEdge, NodeIdx, Port, Weight, WeightedGraph};
 
 /// What a node is allowed to know about the network a priori (the paper's
 /// model, §1): its identifier, the total number of nodes `n` (standard common
 /// knowledge, needed by the paper's round-padding argument), and the weight of
 /// each incident edge addressed by local port number.
 ///
-/// Deliberately absent: neighbour identifiers, neighbour degrees, global edge
-/// ids, topology.  Anything else a node learns must arrive in messages (or in
+/// A view borrows the node's slice of the graph's adjacency, so building one
+/// allocates nothing.  That slice is private: [`LocalView::degree`],
+/// [`LocalView::weight_at`], [`LocalView::incident`] and
+/// [`LocalView::ports_by_weight`] are the only ways to read it, and none of
+/// them yields more than a `(port, weight)` pair.  What the model leaves out
+/// — neighbour identifiers and indices, neighbour degrees, global edge ids,
+/// topology — is therefore out of a node program's reach by privacy, not by
+/// convention.  Anything else a node learns must arrive in messages (or in
 /// its advice string, which the `lma-advice` crate passes to the node program
 /// when constructing it).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LocalView {
+///
+/// ```
+/// use lma_graph::generators::ring;
+/// use lma_graph::weights::WeightStrategy;
+/// use lma_sim::LocalView;
+///
+/// let g = ring(4, WeightStrategy::ByEdgeId);
+/// let view = LocalView::of(&g, 0);
+/// assert_eq!(view.degree(), 2);
+/// assert!(view.incident().all(|(port, weight)| view.weight_at(port) == weight));
+/// ```
+///
+/// A neighbour's index (or edge id) is not reachable through a view:
+///
+/// ```compile_fail,E0616
+/// use lma_graph::generators::ring;
+/// use lma_graph::weights::WeightStrategy;
+/// use lma_sim::LocalView;
+///
+/// let g = ring(4, WeightStrategy::ByEdgeId);
+/// let view = LocalView::of(&g, 0);
+/// let _neighbour = view.edges[0].neighbor;
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LocalView<'g> {
     /// The simulator's dense index for this node.  Exposed so that outputs
     /// can be collated; node programs must not base decisions on it (use
     /// [`LocalView::id`] instead, which is the model's identifier).
@@ -27,21 +56,43 @@ pub struct LocalView {
     pub id: u64,
     /// Common knowledge: the number of nodes in the network.
     pub n: usize,
-    /// `(port, weight)` for each incident edge, indexed by port.
-    pub incident: Vec<(Port, Weight)>,
+    /// The node's incident edges, indexed by port (`graph.incident(node)`).
+    edges: &'g [IncidentEdge],
 }
 
-impl LocalView {
+impl<'g> LocalView<'g> {
+    /// The view node `u` of `graph` is allowed.
+    ///
+    /// # Panics
+    /// Panics if `u` is not a node of `graph`.
+    #[must_use]
+    pub fn of(graph: &'g WeightedGraph, u: NodeIdx) -> Self {
+        Self {
+            node: u,
+            id: graph.id(u),
+            n: graph.node_count(),
+            edges: graph.incident(u),
+        }
+    }
+
     /// The node's degree.
     #[must_use]
     pub fn degree(&self) -> usize {
-        self.incident.len()
+        self.edges.len()
     }
 
     /// Weight of the incident edge at `port`.
+    ///
+    /// # Panics
+    /// Panics if `port >= self.degree()`.
     #[must_use]
     pub fn weight_at(&self, port: Port) -> Weight {
-        self.incident[port].1
+        self.edges[port].weight
+    }
+
+    /// `(port, weight)` for each incident edge, in port order.
+    pub fn incident(&self) -> impl ExactSizeIterator<Item = (Port, Weight)> + 'g {
+        self.edges.iter().map(|ie| (ie.port, ie.weight))
     }
 
     /// Ports sorted by `(weight, port)` — the local tie-breaking order the
@@ -49,28 +100,16 @@ impl LocalView {
     #[must_use]
     pub fn ports_by_weight(&self) -> Vec<Port> {
         let mut ports: Vec<Port> = (0..self.degree()).collect();
-        ports.sort_by_key(|&p| (self.incident[p].1, p));
+        ports.sort_by_key(|&p| (self.edges[p].weight, p));
         ports
     }
 }
 
 /// Builds the [`LocalView`] each node program of `graph` is allowed to see,
-/// indexed by node.
+/// indexed by node (one allocation: the views borrow the graph).
 #[must_use]
-pub fn local_views(graph: &WeightedGraph) -> Vec<LocalView> {
-    graph
-        .nodes()
-        .map(|u| LocalView {
-            node: u,
-            id: graph.id(u),
-            n: graph.node_count(),
-            incident: graph
-                .incident(u)
-                .iter()
-                .map(|ie| (ie.port, ie.weight))
-                .collect(),
-        })
-        .collect()
+pub fn local_views(graph: &WeightedGraph) -> Vec<LocalView<'_>> {
+    graph.nodes().map(|u| LocalView::of(graph, u)).collect()
 }
 
 /// Messages put on the wire by one node in one round: `(port, message)`
@@ -208,7 +247,7 @@ pub trait NodeAlgorithm: Send {
     }
 
     /// One-time initialization; returns the messages to send in round 1.
-    fn init(&mut self, view: &LocalView) -> Outbox<Self::Msg>;
+    fn init(&mut self, view: &LocalView<'_>) -> Outbox<Self::Msg>;
 
     /// Executes one round: `inbox` holds the messages received this round as
     /// `(receiving port, message)` pairs sorted by port — a borrowed slice of
@@ -216,7 +255,7 @@ pub trait NodeAlgorithm: Send {
     /// call.  The return value holds the messages to send next round.
     fn round(
         &mut self,
-        view: &LocalView,
+        view: &LocalView<'_>,
         round: usize,
         inbox: &[(Port, Self::Msg)],
     ) -> Outbox<Self::Msg>;
@@ -234,7 +273,7 @@ pub trait NodeAlgorithm: Send {
     /// two forms must emit the same messages in the same order (the
     /// `runtime_equivalence` suite compares executors that call different
     /// forms).
-    fn init_into(&mut self, view: &LocalView, out: &mut MsgSink<'_, Self::Msg>) {
+    fn init_into(&mut self, view: &LocalView<'_>, out: &mut MsgSink<'_, Self::Msg>) {
         for (port, msg) in self.init(view) {
             out.send(port, msg);
         }
@@ -244,7 +283,7 @@ pub trait NodeAlgorithm: Send {
     /// [`NodeAlgorithm::init_into`] for the contract.
     fn round_into(
         &mut self,
-        view: &LocalView,
+        view: &LocalView<'_>,
         round: usize,
         inbox: &[(Port, Self::Msg)],
         out: &mut MsgSink<'_, Self::Msg>,
@@ -265,17 +304,24 @@ pub trait NodeAlgorithm: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lma_graph::GraphBuilder;
 
     #[test]
     fn local_view_helpers() {
-        let view = LocalView {
-            node: 3,
-            id: 30,
-            n: 8,
-            incident: vec![(0, 9), (1, 2), (2, 9), (3, 1)],
-        };
+        // Node 0 of a four-node star, whose ports carry weights 9, 2, 9, 1.
+        let mut b = GraphBuilder::new(5);
+        for (leaf, w) in [(1, 9), (2, 2), (3, 9), (4, 1)] {
+            b.add_edge(0, leaf, w);
+        }
+        let g = b.build().unwrap();
+        let view = LocalView::of(&g, 0);
+        assert_eq!((view.node, view.n), (0, 5));
         assert_eq!(view.degree(), 4);
         assert_eq!(view.weight_at(2), 9);
+        assert_eq!(
+            view.incident().collect::<Vec<_>>(),
+            vec![(0, 9), (1, 2), (2, 9), (3, 1)]
+        );
         assert_eq!(view.ports_by_weight(), vec![3, 1, 0, 2]);
     }
 }

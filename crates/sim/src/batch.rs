@@ -20,8 +20,11 @@
 //! shard whose plane pair, gather buffer and spare pool come from the
 //! per-thread [`pool`], so back-to-back runs allocate nothing after the
 //! first; it commits inline after every step.  The shard-parallel engine
-//! (`batch_sharded`) steps one shard per worker thread and commits the
-//! shards' merged reports through the same ledger.
+//! (`batch_sharded`) steps one shard per worker thread, each on a set from
+//! the calling thread's pool, and commits the shards' merged reports
+//! through the same ledger.  Either way a warm run allocates nothing per
+//! node: a node's [`LocalView`] borrows the graph, so a run's views are one
+//! slice.
 //!
 //! Programs that opt into [`NodeAlgorithm::MESSAGE_DRIVEN`] get the sparse
 //! frontier (see [`crate::frontier`]): scatters mark their destinations,
@@ -202,7 +205,7 @@ pub(crate) struct Shard<'g, A: NodeAlgorithm, S: PlaneStore<A::Msg>> {
     offsets: &'g [usize],
     mirror: &'g [usize],
     incident: &'g [IncidentEdge],
-    views: &'g [LocalView],
+    views: &'g [LocalView<'g>],
     budget: Option<usize>,
     enforce_congest: bool,
     trace: bool,
@@ -232,7 +235,7 @@ impl<'g, A: NodeAlgorithm, S: PlaneStore<A::Msg>> Shard<'g, A, S> {
     /// planes and buffers of `set`.
     pub(crate) fn new(
         graph: &'g WeightedGraph,
-        views: &'g [LocalView],
+        views: &'g [LocalView<'g>],
         config: RunConfig,
         nodes: Range<usize>,
         slots: Range<usize>,
@@ -324,7 +327,7 @@ impl<'g, A: NodeAlgorithm, S: PlaneStore<A::Msg>> Shard<'g, A, S> {
         &mut self,
         v: usize,
         delivery_round: usize,
-        program_step: impl FnOnce(&mut A, &LocalView, &[(Port, A::Msg)], &mut MsgSink<'_, A::Msg>),
+        program_step: impl FnOnce(&mut A, &LocalView<'_>, &[(Port, A::Msg)], &mut MsgSink<'_, A::Msg>),
     ) {
         let pool::BatchSet {
             next, inbox, spare, ..
@@ -735,6 +738,102 @@ mod tests {
                     Some(&"boom"),
                     "{backing} threads={threads}"
                 );
+            }
+        }
+    }
+
+    /// Sends a round-tagged value through port 0 only, for three rounds, and
+    /// outputs everything it heard with the receiving port: a stale message
+    /// gathered through any other port changes the output.
+    struct PortZero {
+        heard: Vec<(usize, Port, u64)>,
+        rounds_left: usize,
+    }
+
+    impl NodeAlgorithm for PortZero {
+        type Msg = u64;
+        type Output = Vec<(usize, Port, u64)>;
+
+        fn init(&mut self, view: &LocalView) -> Outbox<u64> {
+            vec![(0, view.id)]
+        }
+
+        fn round(&mut self, view: &LocalView, round: usize, inbox: &[(Port, u64)]) -> Outbox<u64> {
+            self.heard
+                .extend(inbox.iter().map(|&(port, msg)| (round, port, msg)));
+            self.rounds_left -= 1;
+            if self.rounds_left == 0 {
+                return Vec::new();
+            }
+            vec![(0, view.id * 100 + round as u64)]
+        }
+
+        fn is_done(&self) -> bool {
+            self.rounds_left == 0
+        }
+
+        fn output(&self) -> Option<Self::Output> {
+            self.is_done().then(|| self.heard.clone())
+        }
+    }
+
+    fn port_zero_fleet(n: usize) -> Vec<PortZero> {
+        (0..n)
+            .map(|_| PortZero {
+                heard: Vec::new(),
+                rounds_left: 3,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_aborted_sharded_run_leaves_no_stale_slots_for_the_next() {
+        let g = ring(12, WeightStrategy::DistinctRandom { seed: 6 });
+        for backing in Backing::ALL {
+            for threads in [2, 3] {
+                let sim = Sim::on(&g).trace(true).backing(backing).threads(threads);
+                // Every node floods every port each round, so the aborted
+                // run hands its shard sets back to the pool full.
+                assert_eq!(
+                    sim.round_limit(3).run(flood_fleet(12)).unwrap_err(),
+                    RunError::RoundLimitExceeded { limit: 3 }
+                );
+                let got = sim.run(port_zero_fleet(12)).unwrap();
+                let oracle = sim
+                    .executor(Engine::Reference)
+                    .run(port_zero_fleet(12))
+                    .unwrap();
+                assert_eq!(got.outputs, oracle.outputs, "{backing} threads={threads}");
+                assert_eq!(got.stats, oracle.stats, "{backing} threads={threads}");
+                assert_eq!(got.trace, oracle.trace, "{backing} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_after_a_caught_panic_reuses_the_shard_sets_scrubbed() {
+        let g = ring(12, WeightStrategy::DistinctRandom { seed: 6 });
+        for backing in Backing::ALL {
+            for threads in [2, 3] {
+                let sim = Sim::on(&g).trace(true).backing(backing).threads(threads);
+                let fleet = flood_fleet(12).into_iter().map(Bomb).collect();
+                std::panic::catch_unwind(|| sim.run(fleet))
+                    .expect_err("the program panic must reach the caller");
+                let before = pool::stats();
+                let got = sim.run(flood_fleet(12)).unwrap();
+                let after = pool::stats();
+                assert_eq!(
+                    (after.hits - before.hits, after.misses - before.misses),
+                    (threads as u64, 0),
+                    "every shard set must come from the pool: {backing} threads={threads}"
+                );
+                let oracle = sim
+                    .executor(Engine::Reference)
+                    .run(flood_fleet(12))
+                    .unwrap();
+                assert_eq!(got.outputs, oracle.outputs, "{backing} threads={threads}");
+                assert_eq!(got.stats, oracle.stats, "{backing} threads={threads}");
+                assert_eq!(got.trace, oracle.trace, "{backing} threads={threads}");
             }
         }
     }

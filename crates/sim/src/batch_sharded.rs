@@ -3,7 +3,8 @@
 //!
 //! **Shards.**  The graph's nodes are split into contiguous, slot-balanced
 //! shards by [`lma_graph::Partition`].  Each shard is a kernel `Shard` (see
-//! [`crate::batch`]) stepped by one scoped worker thread: it owns the
+//! [`crate::batch`]), built on the calling thread and moved into one scoped
+//! worker thread, which steps it and hands it back at join: it owns the
 //! shard's programs and a **private** pair of double-buffered planes
 //! covering only the shard's contiguous slot range, so the scatter and
 //! gather of different shards touch disjoint memory by construction — there
@@ -31,8 +32,14 @@
 //! its own outgoing buffers (both parities) before its first publish, so a
 //! buffer's pages are faulted in by the thread that writes it every round.
 //! This is race-free: a producer only writes its own `(s, t)` buffers and
-//! every consumer first reads after the first barrier.  Workers build their
-//! shards' planes inside their own threads for the same reason.
+//! every consumer first reads after the first barrier.  A shard's plane set
+//! (plane pair, gather buffer, spare pool) is instead checked out of the
+//! calling thread's [`pool`](crate::pool) and returned at join, also after
+//! a caught program panic, so the workers of a warm run fault in no plane
+//! pages.  A pooled set's pages were first touched by the first run on the
+//! calling thread that needed the set: the inline slots on the calling
+//! thread at checkout, zeroed tables and the buffers that grow (gather
+//! buffer, spare pool, arena bytes) by that run's worker for the shard.
 //!
 //! **One barrier arrival per round.**  Every worker publishes its report
 //! and arrives at the crate's `RoundBarrier`; the **last** to arrive runs
@@ -45,7 +52,7 @@
 //! word for a bounded number of iterations and then parks, so a quiet round
 //! pays one atomic arrival instead of two futex round-trips.  Steady-state
 //! rounds allocate nothing: reports and the leader's merge buffer are
-//! reused.
+//! reused, and so, across runs, are the shard sets.
 //!
 //! **Frontier hand-off** (programs that opt into
 //! [`NodeAlgorithm::MESSAGE_DRIVEN`]).  A shard's scatters mark their
@@ -61,7 +68,8 @@
 //! 8192 rounds of a 2–4-node frontier, two traced runs per side): 14.6–17.8
 //! µs per round with two waits at the standard barrier and full-`n`
 //! frontier words, 3.4–3.9 µs with the single arrival and the pair
-//! hand-off; one thread takes about 0.4 µs per round on the same run.
+//! hand-off (2.0–3.2 µs in three later traced runs); one thread takes
+//! 0.25–0.5 µs per round on the same run.
 //!
 //! A panic inside a node program is caught by the owning worker, reported
 //! through its report slot, and re-raised on the calling thread with the
@@ -74,7 +82,7 @@ use crate::barrier::RoundBarrier;
 use crate::batch::{run_batch_sequential, Ledger, Shard};
 use crate::frontier::{pair_ones, WordPair};
 use crate::plane::{ArenaPlane, Backing, MessagePlane, PlaneStore};
-use crate::pool::BatchSet;
+use crate::pool::{self, BatchSet};
 use crate::runtime::{PendingRound, RunConfig, RunError, RunResult};
 use lma_graph::{Partition, WeightedGraph};
 use std::any::Any;
@@ -138,7 +146,7 @@ pub(crate) fn run_batch_sharded<A: NodeAlgorithm>(
     graph: &WeightedGraph,
     config: RunConfig,
     partition: &Partition,
-    views: &[LocalView],
+    views: &[LocalView<'_>],
     programs: Vec<A>,
 ) -> Result<RunResult<A::Output>, RunError> {
     match config.backing {
@@ -155,7 +163,7 @@ fn run_batch_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     graph: &WeightedGraph,
     config: RunConfig,
     partition: &Partition,
-    views: &[LocalView],
+    views: &[LocalView<'_>],
     programs: Vec<A>,
 ) -> Result<RunResult<A::Output>, RunError> {
     let n = graph.node_count();
@@ -175,12 +183,23 @@ fn run_batch_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
         return run_batch_sequential(graph, config, programs);
     }
 
-    // Split the programs into the shards' contiguous node ranges (the
-    // drained vector is freed here, before the workers start).
-    let per_shard: Vec<Vec<A>> = {
+    // Split the programs into the shards' contiguous node ranges, each
+    // shard stepping on a plane set from this thread's pool (the drained
+    // vector is freed here, before the workers start).  The sets go back to
+    // the pool at join, so back-to-back runs on this thread reuse them.
+    let shards: Vec<Shard<'_, A, S>> = {
+        let sets = pool::checkout_shard_batches::<A::Msg, S>(
+            (0..k).map(|s| partition.slot_range(s).len()),
+        );
         let mut drain = programs.into_iter();
-        (0..k)
-            .map(|s| drain.by_ref().take(partition.node_range(s).len()).collect())
+        sets.into_iter()
+            .enumerate()
+            .map(|(s, set)| {
+                let nodes = partition.node_range(s);
+                let programs = drain.by_ref().take(nodes.len()).collect();
+                let slots = partition.slot_range(s);
+                Shard::new(graph, views, config, nodes, slots, programs, set)
+            })
             .collect()
     };
 
@@ -206,24 +225,31 @@ fn run_batch_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     };
 
     let mut shard_programs: Vec<Vec<A>> = Vec::with_capacity(k);
+    let mut sets: Vec<BatchSet<A::Msg, S>> = Vec::with_capacity(k);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = per_shard
+        let handles: Vec<_> = shards
             .into_iter()
             .enumerate()
-            .map(|(s, progs)| {
+            .map(|(s, shard)| {
                 let shared = &shared;
-                scope.spawn(move || worker(s, progs, graph, config, partition, views, shared))
+                scope.spawn(move || worker(s, shard, partition, shared))
             })
             .collect();
         for handle in handles {
             match handle.join() {
-                Ok(progs) => shard_programs.push(progs),
+                Ok(Shard { programs, set, .. }) => {
+                    shard_programs.push(programs);
+                    sets.push(set);
+                }
                 // A panic that escaped the worker's own catch (an executor
                 // bug, not a program bug): re-raise it here.
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
+    // After a caught program panic or a run error the sets still hold
+    // messages; the next checkout scrubs them.
+    pool::give_back_shard_batches(sets);
 
     let control = shared.control.into_inner().unwrap();
     if let Some(payload) = control.panic {
@@ -242,22 +268,16 @@ fn run_batch_sharded_on<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
 }
 
 /// The per-shard worker: init, then one barrier arrival per round until the
-/// leader's commit stops the run.  Returns the shard's programs so the
-/// caller can collate outputs.
-fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
+/// leader's commit stops the run.  Returns the shard, so the caller can
+/// collate outputs and pool its plane set.
+fn worker<'g, S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
     s: usize,
-    programs: Vec<A>,
-    graph: &WeightedGraph,
-    config: RunConfig,
+    mut shard: Shard<'g, A, S>,
     partition: &Partition,
-    views: &[LocalView],
     shared: &Shared<A::Msg, S>,
-) -> Vec<A> {
+) -> Shard<'g, A, S> {
     let k = partition.shard_count();
     let nodes = partition.node_range(s);
-    let slots = partition.slot_range(s);
-    let set = BatchSet::new(slots.len());
-    let mut shard = Shard::new(graph, views, config, nodes.clone(), slots, programs, set);
     let mut incoming: Vec<S::Boundary> = (0..k).map(|_| S::Boundary::default()).collect();
     // The leader's merged frontier words over this shard's node range.
     let mut gather: Vec<WordPair> = Vec::new();
@@ -340,7 +360,7 @@ fn worker<S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
             caught.err(),
         );
     }
-    shard.programs
+    shard
 }
 
 /// Ends the shard's step and publishes it: the planes swap and the freshly

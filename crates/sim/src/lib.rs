@@ -17,15 +17,17 @@
 //!
 //! Node code is written against [`algorithm::NodeAlgorithm`] and sees only a
 //! [`algorithm::LocalView`] — its identifier, `n`, and its incident
-//! `(port, weight)` pairs — so the locality restriction of the model is
-//! enforced by construction, not by convention.
+//! `(port, weight)` pairs, read through accessors over a private borrow of
+//! the graph — so the locality restriction of the model is enforced by the
+//! type system, not by convention.
 //!
 //! Message routing runs on a **pull-based, double-buffered flat message
 //! plane** over the graph's CSR slot space (see [`plane`]): all buffers are
 //! preallocated, delivery moves messages instead of cloning them, and the
-//! steady-state round loop allocates nothing.  The plane pair is checked
-//! out of a per-thread [`pool`], so repeated runs on the same graph reuse
-//! one allocation.  The original push-based executor survives in
+//! steady-state round loop allocates nothing.  Plane pairs are checked
+//! out of a per-thread [`pool`] — one for a one-thread run, one per shard
+//! for a shard-parallel run — so repeated runs on the same graph reuse one
+//! allocation.  The original push-based executor survives in
 //! [`crate::reference`] as a differential-testing oracle and benchmark
 //! baseline.
 //!

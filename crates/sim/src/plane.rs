@@ -23,10 +23,12 @@
 //!   freed) every round and grows to the high-water mark once.
 //!
 //! The engines call a backend directly, generic over `S: PlaneStore<M>`.
-//! Planes are also reused *across* runs: the one-thread engine checks its
-//! plane pair out of a per-thread pool (see [`crate::pool`]), and the
-//! shard-parallel engine sizes one plane per shard over the shard's
-//! contiguous slot range and ships cross-shard traffic through the
+//! Planes are also reused *across* runs: both engines check their plane
+//! pairs out of a per-thread pool (see [`crate::pool`]) — the one-thread
+//! engine one pair over the whole slot space, the shard-parallel engine one
+//! pair per shard over the shard's contiguous slot range — and
+//! [`PlaneStore::prepare`] resizes and clears a pooled plane on checkout.
+//! The shard-parallel engine ships cross-shard traffic through the
 //! backend's [`PlaneStore::Boundary`] exchange buffers (owned values for
 //! the inline backend, copied byte spans for the arena backend).
 //!

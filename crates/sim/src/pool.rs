@@ -5,17 +5,26 @@
 //! slots plus a gather buffer — and, on the arena backing, the byte arenas
 //! and the spare-message recycling pool, both of which take a few rounds to
 //! grow to their high-water mark.  Allocating and freeing all of that per
-//! run is pure overhead.  This module keeps one `BatchSet` per `(message
-//! type, plane backing)` pair in a thread-local pool: the one-thread engine
-//! (every [`Sim::run`](crate::Sim::run) that does not shard) checks the set
-//! out at the start of a run (resizing and clearing it — an aborted run may
-//! have left messages behind) and returns it at the end, so
-//! back-to-back runs on the same graph perform **zero** plane (and, for the
-//! arena, zero codec-side) allocations after the first.
+//! run is pure overhead.  This module keeps, per `(message type, plane
+//! backing)` pair, one `BatchSet` and beside it one shard-set list in a
+//! thread-local pool:
+//!
+//! * the one-thread engine (every [`Sim::run`](crate::Sim::run) that does
+//!   not shard) checks the whole-graph set out at the start of a run and
+//!   returns it at the end;
+//! * the shard-parallel engine checks out one set per shard, hands each to
+//!   its shard's worker, and returns the list at join — also after a caught
+//!   program panic.
+//!
+//! Checkout resizes and clears every set (an aborted run may have left
+//! messages behind), so back-to-back runs on the same thread perform
+//! **zero** plane (and, for the arena, zero codec-side) allocations after
+//! the first, at any thread count.
 //!
 //! The pool is deliberately invisible in the API: it changes no observable
 //! semantics, only the allocation profile.  [`stats`] exposes hit/miss
-//! counters so tests and benches can assert the reuse actually happens.
+//! counters, one per set checked out, so tests and benches can assert the
+//! reuse actually happens.
 
 use crate::plane::PlaneStore;
 use lma_graph::Port;
@@ -26,9 +35,9 @@ use std::collections::HashMap; // lint: allow(hash-iteration) — TypeId-keyed c
 /// Cumulative pool counters for the current thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Checkouts served from the pool (no allocation).
+    /// Sets checked out of the pool (no allocation).
     pub hits: u64,
-    /// Checkouts that had to allocate a fresh plane set.
+    /// Sets that had to be allocated fresh at checkout.
     pub misses: u64,
 }
 
@@ -44,9 +53,10 @@ pub fn stats() -> PoolStats {
     STATS.get()
 }
 
-/// A shard's plane pair plus its gather buffer and spare pool.  The
-/// one-thread engine's whole-graph set is pooled — one entry per
-/// `(message type, backing)` pair, resized to the run's slot count on
+/// A shard's plane pair plus its gather buffer and spare pool.  Every set
+/// is pooled: the one-thread engine's whole-graph set and the
+/// shard-parallel engine's per-shard list each have one entry per
+/// `(message type, backing)` pair, resized to the run's slot counts on
 /// checkout.
 pub(crate) struct BatchSet<M, S: PlaneStore<M>> {
     /// Gather source (delivery) plane.
@@ -60,9 +70,8 @@ pub(crate) struct BatchSet<M, S: PlaneStore<M>> {
 }
 
 impl<M, S: PlaneStore<M>> BatchSet<M, S> {
-    /// A fresh set over `slots` slots (a shard worker's own, sized per
-    /// run).
-    pub(crate) fn new(slots: usize) -> Self {
+    /// A fresh set over `slots` slots, built on a pool miss.
+    fn new(slots: usize) -> Self {
         Self {
             cur: S::with_len(slots),
             next: S::with_len(slots),
@@ -86,29 +95,67 @@ impl<M, S: PlaneStore<M>> BatchSet<M, S> {
 /// Checks a plane set out of this thread's pool, resized and cleared for
 /// `slots` slots.
 pub(crate) fn checkout_batch<M: 'static, S: PlaneStore<M>>(slots: usize) -> BatchSet<M, S> {
-    let reused = POOL.with(|pool| pool.borrow_mut().remove(&TypeId::of::<BatchSet<M, S>>()));
-    let mut stats = STATS.get();
-    match reused.and_then(|boxed| boxed.downcast::<BatchSet<M, S>>().ok()) {
-        Some(mut set) => {
-            stats.hits += 1;
-            STATS.set(stats);
-            set.prepare(slots);
-            *set
-        }
-        None => {
-            stats.misses += 1;
-            STATS.set(stats);
-            BatchSet::new(slots)
-        }
-    }
+    reuse_or_build(take(), slots)
 }
 
 /// Returns a plane set to this thread's pool for the next run to reuse.
 pub(crate) fn give_back_batch<M: 'static, S: PlaneStore<M>>(set: BatchSet<M, S>) {
-    POOL.with(|pool| {
-        pool.borrow_mut()
-            .insert(TypeId::of::<BatchSet<M, S>>(), Box::new(set))
-    });
+    put(set);
+}
+
+/// Checks this thread's shard-set list out of the pool: one set per entry
+/// of `slots`, the `s`-th resized and cleared for `slots[s]` slots exactly
+/// as [`checkout_batch`] does.  Sets the list lacks are built fresh; sets
+/// beyond `slots.len()` are dropped.
+pub(crate) fn checkout_shard_batches<M: 'static, S: PlaneStore<M>>(
+    slots: impl ExactSizeIterator<Item = usize>,
+) -> Vec<BatchSet<M, S>> {
+    let mut reused = take::<Vec<BatchSet<M, S>>>().unwrap_or_default();
+    reused.truncate(slots.len());
+    let mut reused = reused.into_iter();
+    slots
+        .map(|len| reuse_or_build(reused.next(), len))
+        .collect()
+}
+
+/// Returns a shard-set list to this thread's pool for the next
+/// shard-parallel run to reuse.
+pub(crate) fn give_back_shard_batches<M: 'static, S: PlaneStore<M>>(sets: Vec<BatchSet<M, S>>) {
+    put(sets);
+}
+
+/// Scrubs `reused` for `slots` slots, or builds a fresh set when there is
+/// none, and counts the checkout.
+fn reuse_or_build<M, S: PlaneStore<M>>(
+    reused: Option<BatchSet<M, S>>,
+    slots: usize,
+) -> BatchSet<M, S> {
+    let mut stats = STATS.get();
+    let set = match reused {
+        Some(mut set) => {
+            stats.hits += 1;
+            set.prepare(slots);
+            set
+        }
+        None => {
+            stats.misses += 1;
+            BatchSet::new(slots)
+        }
+    };
+    STATS.set(stats);
+    set
+}
+
+/// Takes this thread's pooled `T`, if any.
+fn take<T: 'static>() -> Option<T> {
+    POOL.with(|pool| pool.borrow_mut().remove(&TypeId::of::<T>()))
+        .and_then(|boxed| boxed.downcast::<T>().ok())
+        .map(|boxed| *boxed)
+}
+
+/// Pools `value` on this thread, replacing any pooled `T`.
+fn put<T: 'static>(value: T) {
+    POOL.with(|pool| pool.borrow_mut().insert(TypeId::of::<T>(), Box::new(value)));
 }
 
 #[cfg(test)]
@@ -168,6 +215,55 @@ mod tests {
     fn inbox_fill(inbox: &mut Vec<(Port, u64)>) {
         inbox.push((0, 1));
         inbox.push((1, 2));
+    }
+
+    #[test]
+    fn shard_sets_pool_as_one_list_beside_the_one_thread_set() {
+        type Inline = MessagePlane<u32>;
+        let before = stats();
+        let mut sets: Vec<BatchSet<u32, Inline>> = checkout_shard_batches([4, 6].into_iter());
+        // An aborted run leaves a message and a gathered inbox behind.
+        sets[1].cur.put(5, 9).unwrap();
+        sets[0].inbox.push((0, 1));
+        give_back_shard_batches(sets);
+
+        // Both pooled sets come back in shard order and scrubbed, although
+        // their sizes did not change; a third shard gets a fresh set.
+        let mut sets: Vec<BatchSet<u32, Inline>> = checkout_shard_batches([4, 6, 2].into_iter());
+        let sizes: Vec<usize> = sets.iter().map(|set| set.cur.slot_count()).collect();
+        assert_eq!(sizes, [4, 6, 2]);
+        assert_eq!(
+            sets[1].cur.take(5),
+            None,
+            "a stale message survived checkout"
+        );
+        assert!(sets[0].inbox.is_empty());
+        let after = stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (2, 3)
+        );
+
+        // The one-thread set of the same (message type, backing) is pooled
+        // apart from the list.
+        let one: BatchSet<u32, Inline> = checkout_batch(4);
+        assert_eq!(stats().misses - after.misses, 1);
+        give_back_batch(one);
+
+        // Fewer shards shrink the list to the run's width, and a pooled set
+        // is resized to its new shard.
+        give_back_shard_batches(sets);
+        let sets: Vec<BatchSet<u32, Inline>> = checkout_shard_batches([3].into_iter());
+        assert_eq!(sets[0].cur.slot_count(), 3);
+        give_back_shard_batches(sets);
+        let before = stats();
+        let sets: Vec<BatchSet<u32, Inline>> = checkout_shard_batches([3, 3].into_iter());
+        let after = stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (1, 1)
+        );
+        give_back_shard_batches(sets);
     }
 
     #[test]

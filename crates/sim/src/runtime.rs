@@ -374,8 +374,8 @@ mod tests {
             assert_eq!(view.node, u);
             assert_eq!(view.n, 5);
             assert_eq!(view.degree(), 2);
-            for (p, w) in &view.incident {
-                assert_eq!(g.incident(u)[*p].weight, *w);
+            for (p, w) in view.incident() {
+                assert_eq!(g.incident(u)[p].weight, w);
             }
         }
     }

@@ -10,8 +10,8 @@
 //! The gossip program is the shared `FixedGossip` fixture of
 //! `lma_baselines::flood_collect` (also driven by the `gossip` bench
 //! group), whose payload is built at construction time.
-//! The per-run fixed costs (local views, program construction, outputs)
-//! cancel in the difference, so
+//! The per-run fixed costs (outputs, shard bookkeeping) cancel in the
+//! difference, so
 //!
 //! > `allocs(run of 64 rounds) - allocs(run of 40 rounds) = 24 × (per-round
 //! > allocations)`
@@ -28,14 +28,21 @@
 //! beacon pin that the barrier protocol — shard reports, the leader's
 //! merge, the exchange buffers — reuses its buffers instead of allocating
 //! per round.
+//!
+//! A warm run allocates nothing per *node* either: a node's `LocalView`
+//! borrows the graph (the engines allocate one slice of views per run), and
+//! the one-thread set and the shard-parallel engine's shard sets come from
+//! the calling thread's pool.  So the same run on ring/1024 and on
+//! ring/2048 must allocate exactly as often, at one thread and at two.
 
 use lma_baselines::flood_collect::FixedGossip;
 use lma_graph::generators::ring;
 use lma_graph::weights::WeightStrategy;
-use lma_graph::Port;
+use lma_graph::{Partition, Port};
 use lma_sim::{collect_outbox, Backing, LocalView, MsgSink, NodeAlgorithm, Outbox, Sim};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Counts every allocation and reallocation served to this test binary.
 struct CountingAllocator;
@@ -65,6 +72,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// The counter is process-wide, so the tests of this binary take turns:
+/// each holds this lock for its whole body, and no other test's runs land
+/// in its counts.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const FACTS: usize = 48;
 /// Both round counts live in the 33..=64 capacity bracket of a doubling
@@ -157,6 +173,7 @@ fn beacon_allocations(g: &lma_graph::WeightedGraph, sim: Sim<'_>, rounds: usize)
 
 #[test]
 fn arena_gossip_steady_state_allocates_nothing_per_round() {
+    let _serial = serial();
     let g = ring(24, WeightStrategy::Unit);
     let on = |backing| Sim::on(&g).backing(backing);
 
@@ -210,4 +227,32 @@ fn arena_gossip_steady_state_allocates_nothing_per_round() {
          ({ROUNDS_LONG}-round run: {beacon_long} allocations, \
          {ROUNDS_SHORT}-round run: {beacon_short})"
     );
+}
+
+#[test]
+fn a_warm_run_allocates_independently_of_n() {
+    const ROUNDS: usize = 8;
+    let _serial = serial();
+    let graphs = [1024, 2048].map(|n| ring(n, WeightStrategy::Unit));
+    let partitions = graphs.each_ref().map(|g| Partition::new(g.csr(), 2));
+    for threads in [1, 2] {
+        for backing in Backing::ALL {
+            let [small, large] = [0, 1].map(|i| {
+                let g = &graphs[i];
+                let sim = Sim::on(g)
+                    .backing(backing)
+                    .threads(threads)
+                    .with_partition(&partitions[i]);
+                // Warm-up: size the pooled sets for this graph.
+                beacon_allocations(g, sim, ROUNDS);
+                beacon_allocations(g, sim, ROUNDS)
+            });
+            assert_eq!(
+                small, large,
+                "a warm {backing} run on {threads} thread(s) must allocate \
+                 independently of n (ring/1024: {small} allocations, \
+                 ring/2048: {large})"
+            );
+        }
+    }
 }
