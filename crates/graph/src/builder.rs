@@ -4,6 +4,7 @@
 //! identifiers, and finally produces an immutable graph.  All generators in
 //! [`crate::generators`] are thin layers over this builder.
 
+use crate::csr::CsrAdjacency;
 use crate::graph::{EdgeId, EdgeRecord, IncidentEdge, NodeIdx, Port, Weight, WeightedGraph};
 use crate::prng::SplitMix64;
 
@@ -170,61 +171,76 @@ impl GraphBuilder {
         }
 
         // Decide the order in which each node's incident edges receive ports.
-        // `incidences[u]` collects (edge id, neighbour, weight) in insertion
-        // order; an optional pseudo-random permutation then scrambles it.
-        let mut incidences: Vec<Vec<(EdgeId, NodeIdx, Weight)>> = vec![Vec::new(); self.n];
-        for (e, &(u, v, w)) in self.edges.iter().enumerate() {
-            incidences[u].push((e, v, w));
-            incidences[v].push((e, u, w));
+        // Node `u`'s CSR slots `offsets[u]..offsets[u + 1]` collect its
+        // incident edges in insertion order; an optional pseudo-random
+        // permutation then scrambles each node's range.
+        let mut offsets = vec![0; self.n + 1];
+        for &(u, v, _) in &self.edges {
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
         }
+        for u in 0..self.n {
+            offsets[u + 1] += offsets[u];
+        }
+        let unassigned = IncidentEdge {
+            port: 0,
+            neighbor: 0,
+            weight: 0,
+            edge: 0,
+        };
+        let mut incident = vec![unassigned; offsets[self.n]];
+        let mut next_slot = offsets[..self.n].to_vec();
+        for (edge, &(u, v, weight)) in self.edges.iter().enumerate() {
+            for (at, neighbor) in [(u, v), (v, u)] {
+                incident[next_slot[at]] = IncidentEdge {
+                    neighbor,
+                    weight,
+                    edge,
+                    ..unassigned
+                };
+                next_slot[at] += 1;
+            }
+        }
+        let range = |u: NodeIdx| offsets[u]..offsets[u + 1];
         if let Some(seed) = self.port_seed {
             let mut rng = SplitMix64::new(seed);
-            for inc in &mut incidences {
-                rng.shuffle(inc);
+            for u in 0..self.n {
+                rng.shuffle(&mut incident[range(u)]);
             }
         }
         for (&node, order) in &self.explicit_orders {
-            let inc = &mut incidences[node];
+            let inc = &mut incident[range(node)];
             assert_eq!(
                 order.len(),
                 inc.len(),
                 "explicit port order for node {node} must cover all {} incident edges",
                 inc.len()
             );
-            let by_edge: std::collections::BTreeMap<EdgeId, (EdgeId, NodeIdx, Weight)> =
-                inc.iter().map(|&entry| (entry.0, entry)).collect();
-            let mut reordered = Vec::with_capacity(order.len());
+            let by_edge: std::collections::BTreeMap<EdgeId, IncidentEdge> =
+                inc.iter().map(|&ie| (ie.edge, ie)).collect();
             let mut used = std::collections::BTreeSet::new();
-            for &e in order {
-                let entry = by_edge
+            for (slot, &e) in inc.iter_mut().zip(order) {
+                *slot = *by_edge
                     .get(&e)
                     .unwrap_or_else(|| panic!("edge {e} is not incident to node {node}"));
                 assert!(
                     used.insert(e),
                     "edge {e} listed twice in port order for node {node}"
                 );
-                reordered.push(*entry);
             }
-            *inc = reordered;
         }
 
         // Assign ports and assemble edge records.
         let mut port_of: Vec<(Option<Port>, Option<Port>)> = vec![(None, None); self.edges.len()];
-        let mut adj: Vec<Vec<IncidentEdge>> = vec![Vec::new(); self.n];
-        for (u, inc) in incidences.iter().enumerate() {
-            for (p, &(e, neighbor, weight)) in inc.iter().enumerate() {
-                adj[u].push(IncidentEdge {
-                    port: p as Port,
-                    neighbor,
-                    weight,
-                    edge: e,
-                });
-                let (eu, ev, _) = self.edges[e];
+        for u in 0..self.n {
+            for (p, ie) in incident[range(u)].iter_mut().enumerate() {
+                ie.port = p;
+                let (eu, ev, _) = self.edges[ie.edge];
                 if u == eu {
-                    port_of[e].0 = Some(p);
+                    port_of[ie.edge].0 = Some(p);
                 } else {
                     debug_assert_eq!(u, ev);
-                    port_of[e].1 = Some(p);
+                    port_of[ie.edge].1 = Some(p);
                 }
             }
         }
@@ -242,7 +258,8 @@ impl GraphBuilder {
             })
             .collect();
 
-        Ok(WeightedGraph::from_parts(self.ids.clone(), adj, edges))
+        let csr = CsrAdjacency::new(offsets, incident, &edges);
+        Ok(WeightedGraph::from_parts(self.ids.clone(), csr, edges))
     }
 }
 

@@ -1,10 +1,8 @@
-//! Flat (CSR) adjacency: the cache-friendly twin of the nested adjacency
-//! lists.
+//! Flat (CSR) adjacency: the graph's one adjacency representation.
 //!
 //! The simulator's hot loop addresses edges as `(node, port)` pairs, millions
-//! of times per run.  With `Vec<Vec<IncidentEdge>>` every lookup chases one
-//! pointer per node; the CSR layout stores all incident edges in one flat
-//! array, node-major and port-ordered, so
+//! of times per run.  The CSR layout stores all incident edges in one flat
+//! array, node-major and port-ordered, with no pointer per node, so
 //!
 //! * `(node, port) → IncidentEdge` is one add and one indexed load,
 //! * each `(node, port)` pair has a dense **slot** index in `0..2m` that
@@ -19,8 +17,8 @@ use crate::heap::{vec_bytes, HeapSize};
 
 /// Compressed-sparse-row adjacency with a precomputed mirror-slot table.
 ///
-/// Built once per graph by `WeightedGraph::from_parts`; immutable
-/// afterwards, like the graph itself.
+/// Built once per graph by [`crate::builder::GraphBuilder::build`];
+/// immutable afterwards, like the graph itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrAdjacency {
     /// `offsets[u]..offsets[u + 1]` is node `u`'s slot range; length `n + 1`.
@@ -42,27 +40,17 @@ impl HeapSize for CsrAdjacency {
 }
 
 impl CsrAdjacency {
-    /// Flattens nested adjacency lists (as assembled by the builder) into
-    /// CSR form and precomputes the mirror table from the edge records.
-    #[must_use]
-    pub fn from_lists(adj: &[Vec<IncidentEdge>], edges: &[EdgeRecord]) -> Self {
-        let mut offsets = Vec::with_capacity(adj.len() + 1);
-        offsets.push(0);
-        let mut total = 0usize;
-        for inc in adj {
-            total += inc.len();
-            offsets.push(total);
-        }
-        let mut incident = Vec::with_capacity(total);
-        for inc in adj {
-            incident.extend_from_slice(inc);
-        }
+    /// Wraps a flat incident array (node-major, port-ordered, as assembled
+    /// by the builder) and its `n + 1` prefix `offsets`, and precomputes the
+    /// mirror table from the edge records.
+    pub(crate) fn new(
+        offsets: Vec<usize>,
+        incident: Vec<IncidentEdge>,
+        edges: &[EdgeRecord],
+    ) -> Self {
         let mirror = incident
             .iter()
-            .map(|ie| {
-                let rec = edges[ie.edge];
-                offsets[ie.neighbor] + rec.port_at(ie.neighbor)
-            })
+            .map(|ie| offsets[ie.neighbor] + edges[ie.edge].port_at(ie.neighbor))
             .collect();
         Self {
             offsets,
@@ -149,9 +137,24 @@ mod tests {
         let csr = g.csr();
         assert_eq!(csr.node_count(), g.node_count());
         assert_eq!(csr.slot_count(), 2 * g.edge_count());
+        // Every edge record appears at both of its endpoints, at its ports.
+        let mut seen = vec![0; csr.slot_count()];
+        for (e, rec) in g.edges().iter().enumerate() {
+            for (at, port, neighbor) in [(rec.u, rec.port_u, rec.v), (rec.v, rec.port_v, rec.u)] {
+                let ie = csr.at(at, port);
+                assert_eq!(
+                    (ie.port, ie.neighbor, ie.weight, ie.edge),
+                    (port, neighbor, rec.weight, e)
+                );
+                seen[csr.slot(at, port)] += 1;
+            }
+        }
+        assert!(
+            seen.iter().all(|&k| k == 1),
+            "every slot is one edge endpoint"
+        );
         for u in g.nodes() {
             assert_eq!(csr.degree(u), g.degree(u));
-            assert_eq!(csr.incident(u), g.adj_lists()[u].as_slice());
             for (p, ie) in csr.incident(u).iter().enumerate() {
                 assert_eq!(csr.at(u, p), *ie);
             }

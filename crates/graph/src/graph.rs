@@ -120,27 +120,20 @@ pub struct IncidentEdge {
 /// generators in [`crate::generators`]); after construction the structure is
 /// immutable and freely shareable across threads.
 ///
-/// The adjacency is held in **two** synchronized representations: nested
-/// per-node lists (`Vec<Vec<IncidentEdge>>`, convenient for oracles and
-/// sequential algorithms) and a flat CSR layout ([`CsrAdjacency`], the
-/// cache-friendly form the simulator's message plane is built on).  Port-
-/// addressed accessors ([`WeightedGraph::incident`],
-/// [`WeightedGraph::incident_at`], …) are served from the CSR side.
+/// The adjacency is held once, in a flat CSR layout ([`CsrAdjacency`], the
+/// form the simulator's message plane is built on), next to the edge
+/// records.  Port-addressed accessors ([`WeightedGraph::incident`],
+/// [`WeightedGraph::incident_at`], …) and every traversal read it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightedGraph {
     ids: Vec<u64>,
-    adj: Vec<Vec<IncidentEdge>>,
     csr: CsrAdjacency,
     edges: Vec<EdgeRecord>,
 }
 
 impl HeapSize for WeightedGraph {
     fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.ids)
-            + vec_bytes(&self.adj)
-            + self.adj.iter().map(vec_bytes).sum::<usize>()
-            + self.csr.heap_bytes()
-            + vec_bytes(&self.edges)
+        vec_bytes(&self.ids) + self.csr.heap_bytes() + vec_bytes(&self.edges)
     }
 }
 
@@ -150,19 +143,9 @@ impl WeightedGraph {
     /// simplicity) are debug-asserted here and can be fully checked with
     /// [`crate::validate::check_well_formed`].
     #[must_use]
-    pub(crate) fn from_parts(
-        ids: Vec<u64>,
-        adj: Vec<Vec<IncidentEdge>>,
-        edges: Vec<EdgeRecord>,
-    ) -> Self {
-        debug_assert_eq!(ids.len(), adj.len());
-        let csr = CsrAdjacency::from_lists(&adj, &edges);
-        let g = Self {
-            ids,
-            adj,
-            csr,
-            edges,
-        };
+    pub(crate) fn from_parts(ids: Vec<u64>, csr: CsrAdjacency, edges: Vec<EdgeRecord>) -> Self {
+        debug_assert_eq!(ids.len(), csr.node_count());
+        let g = Self { ids, csr, edges };
         debug_assert!(crate::validate::check_well_formed(&g).is_ok());
         g
     }
@@ -219,13 +202,6 @@ impl WeightedGraph {
         &self.csr
     }
 
-    /// The nested per-node adjacency lists (the second, pointer-per-node
-    /// representation; kept for sequential code that wants owned `Vec`s).
-    #[must_use]
-    pub fn adj_lists(&self) -> &[Vec<IncidentEdge>] {
-        &self.adj
-    }
-
     /// All edge records.
     #[must_use]
     pub fn edges(&self) -> &[EdgeRecord] {
@@ -268,7 +244,7 @@ impl WeightedGraph {
     /// Looks up the edge joining `u` and `v`, if any.
     #[must_use]
     pub fn find_edge(&self, u: NodeIdx, v: NodeIdx) -> Option<EdgeId> {
-        self.adj[u]
+        self.incident(u)
             .iter()
             .find(|ie| ie.neighbor == v)
             .map(|ie| ie.edge)
@@ -292,7 +268,7 @@ impl WeightedGraph {
     /// Maximum degree Δ.
     #[must_use]
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
+        self.nodes().map(|u| self.degree(u)).max().unwrap_or(0)
     }
 
     /// True when all node identifiers are pairwise distinct.
@@ -321,7 +297,7 @@ impl WeightedGraph {
         dist[src] = 0;
         queue.push_back(src);
         while let Some(u) = queue.pop_front() {
-            for ie in &self.adj[u] {
+            for ie in self.incident(u) {
                 if dist[ie.neighbor] == usize::MAX {
                     dist[ie.neighbor] = dist[u] + 1;
                     queue.push_back(ie.neighbor);

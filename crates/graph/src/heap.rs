@@ -44,8 +44,9 @@ mod tests {
     fn graphs_and_partitions_grow_with_n() {
         let small = ring(16, WeightStrategy::DistinctRandom { seed: 1 });
         let large = ring(1024, WeightStrategy::DistinctRandom { seed: 1 });
-        // Every edge is stored at least three times (edge record, nested
-        // and CSR adjacency), so the charge is at least linear in m.
+        // Every edge is charged its record plus a CSR entry and a mirror
+        // slot at each endpoint, three records' worth of bytes, so the
+        // charge is at least linear in m.
         assert!(large.heap_bytes() >= 1024 * 3 * std::mem::size_of::<crate::EdgeRecord>());
         assert!(large.heap_bytes() > 32 * small.heap_bytes());
         let p = Partition::new(large.csr(), 4);

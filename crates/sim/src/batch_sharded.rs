@@ -368,8 +368,11 @@ fn worker<'g, S: PlaneStore<A::Msg>, A: NodeAlgorithm>(
 /// exchange buffers for `parity`, and the shard's report takes its pending
 /// traffic and done-delta (both reset for the next step), its mark words
 /// when tracking (the marks reset to the eager template), and any caught
-/// panic.  After a panic the planes are left as they are: the run stops at
-/// the next barrier, and a half-gathered plane must not be reset.
+/// panic: the step's, or one from the swap itself (the drained-plane debug
+/// assertion), which must reach the leader too or the other workers would
+/// wait at the barrier forever.  After a panic the planes are left as they
+/// are: the run stops at the next barrier, and a half-gathered plane must
+/// not be reset.
 fn publish<A: NodeAlgorithm, S: PlaneStore<A::Msg>>(
     s: usize,
     shared: &Shared<A::Msg, S>,
@@ -379,18 +382,21 @@ fn publish<A: NodeAlgorithm, S: PlaneStore<A::Msg>>(
     panic: Option<Panic>,
 ) {
     let k = partition.shard_count();
-    if panic.is_none() {
-        shard.swap_planes();
-        let slot_base = partition.slot_range(s).start;
-        for t in 0..k {
-            let boundary = partition.boundary(s, t);
-            if boundary.is_empty() {
-                continue;
+    let panic = panic.or_else(|| {
+        catch_unwind(AssertUnwindSafe(|| {
+            shard.swap_planes();
+            let slot_base = partition.slot_range(s).start;
+            for t in 0..k {
+                let boundary = partition.boundary(s, t);
+                if boundary.is_empty() {
+                    continue;
+                }
+                let mut buf = shared.pair_bufs[parity][s * k + t].0.lock().unwrap();
+                shard.set.cur.export_boundary(boundary, slot_base, &mut buf);
             }
-            let mut buf = shared.pair_bufs[parity][s * k + t].0.lock().unwrap();
-            shard.set.cur.export_boundary(boundary, slot_base, &mut buf);
-        }
-    }
+        }))
+        .err()
+    });
     let mut report = shared.reports[s].0.lock().unwrap();
     if A::MESSAGE_DRIVEN {
         report.frontier.clear();

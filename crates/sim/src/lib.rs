@@ -44,8 +44,9 @@
 //! every choice produces bit-identical results.  [`Sim::batch`] is a loop
 //! of solo runs: a sim plus a width, for [`Workload::execute_batch`].
 //!
-//! The plane is generic over its **slot-storage backend**
-//! ([`plane::PlaneStore`], selected by [`plane::Backing`] on [`RunConfig`]):
+//! The plane is generic over its **slot-storage backend**, selected by
+//! [`plane::Backing`] on [`RunConfig`] (see [`plane`] for the slot-state
+//! contract both backends keep):
 //!
 //! * **inline** (`Backing::Inline`, the default) — slots hold `Option<M>`
 //!   and delivery moves the value.  Pick it for small, flat message types
@@ -79,7 +80,6 @@ pub mod algorithm;
 pub(crate) mod barrier;
 pub mod batch;
 pub(crate) mod batch_sharded;
-pub mod bitset;
 pub mod digest;
 pub mod driver;
 pub mod executor;
@@ -96,7 +96,6 @@ pub mod wire;
 
 pub use algorithm::{collect_outbox, local_views, LocalView, MsgSink, NodeAlgorithm, Outbox};
 pub use batch::BatchSim;
-pub use bitset::FixedBitSet;
 pub use digest::{Digest, DigestWriter, FrontierProfile, RunSummary};
 pub use driver::{
     run_workload, run_workload_prepared, DynWorkload, FleetWorkload, PreparedOracle, Sim, Workload,
@@ -106,7 +105,7 @@ pub use executor::Engine;
 pub use frontier::FrontierMode;
 pub use message::BitSized;
 pub use model::Model;
-pub use plane::{ArenaPlane, Backing, MessagePlane, PlaneStore, SlotOccupied, UnknownBacking};
+pub use plane::{Backing, UnknownBacking};
 pub use runtime::{RunConfig, RunError, RunResult};
 pub use stats::RunStats;
 pub use wire::{Wire, WireReader};

@@ -6,16 +6,29 @@
 //! slots; receivers *gather* by reading the mirror slot of each of their
 //! ports.  The runtime keeps two planes and swaps them every round
 //! (double-buffering), so the steady-state loop performs **no** per-round
-//! allocation, and the occupancy [`FixedBitSet`] replaces the seed's
-//! per-node `HashSet` port-dedup.
+//! allocation.
 //!
-//! Two interchangeable backends implement [`PlaneStore`] (selected by
-//! [`Backing`] on `RunConfig`; both plane engines work with either):
+//! **Slot state.**  A slot is full exactly while it holds an undelivered
+//! message, and its own content is the only record of that: an inline slot
+//! is `Some`, an arena slot's span is not the `EMPTY` sentinel.  Every way
+//! a message leaves a slot — a gather's `fetch`, a shard's
+//! `export_boundary`, a consumer's `fetch_boundary` — empties it.  Both
+//! engines hand a plane to scatter only after every slot has been gathered
+//! or exported (the `reset_round` debug assertion checks it), so the
+//! scatter plane is empty by construction, and a model violation — a node
+//! sending twice through one port in a round — is a store into a full slot.
+//! `reset_round` therefore writes no slot; only checkout (`prepare`) clears
+//! every slot, once per run, because an aborted run (or one whose programs
+//! sent on their final round) leaves messages behind.
 //!
-//! * [`MessagePlane`] — **inline** `Option<M>` slots.  Delivery moves the
+//! Two interchangeable backends implement the crate-private `PlaneStore`
+//! trait (selected by [`Backing`] on `RunConfig`; both plane engines work
+//! with either):
+//!
+//! * `MessagePlane` — **inline** `Option<M>` slots.  Delivery moves the
 //!   message value; nothing is encoded.  The right default for fixed-size
 //!   (`Copy`-ish) messages, where moving *is* free.
-//! * [`ArenaPlane`] — **arena** slots: each slot is an `(offset, len)` span
+//! * `ArenaPlane` — **arena** slots: each slot is an `(offset, len)` span
 //!   into a per-round byte bump buffer, filled through the [`Wire`] codec.
 //!   Scattering encodes into the arena and gathering decodes into recycled
 //!   message values, so variable-size payloads (`Vec`-carrying gossip
@@ -26,11 +39,10 @@
 //! Planes are also reused *across* runs: both engines check their plane
 //! pairs out of a per-thread pool (see [`crate::pool`]) — the one-thread
 //! engine one pair over the whole slot space, the shard-parallel engine one
-//! pair per shard over the shard's contiguous slot range — and
-//! [`PlaneStore::prepare`] resizes and clears a pooled plane on checkout.
-//! The shard-parallel engine ships cross-shard traffic through the
-//! backend's [`PlaneStore::Boundary`] exchange buffers (owned values for
-//! the inline backend, copied byte spans for the arena backend).
+//! pair per shard over the shard's contiguous slot range.  The
+//! shard-parallel engine ships cross-shard traffic through the backend's
+//! exchange buffers (`PlaneStore::Boundary`: owned values for the inline
+//! backend, copied byte spans for the arena backend).
 //!
 //! A third backing, 16-byte tagged cells that spilled to the arena above
 //! 15 encoded bytes, was retired because it won no measured cell: inline
@@ -38,7 +50,6 @@
 //! 34.0 vs 51.6 ms, 1-core host), and on a 2-core host arena beat it on
 //! sharded gossip (gnp/2048, two threads: 37.3 vs 40.9 ms).
 
-use crate::bitset::FixedBitSet;
 use crate::wire::{Wire, WireReader};
 use std::marker::PhantomData;
 
@@ -57,10 +68,10 @@ use std::marker::PhantomData;
 ///   gossip messages): per-message allocations disappear in steady state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backing {
-    /// Inline `Option<M>` slot storage ([`MessagePlane`]).
+    /// Inline `Option<M>` slot storage.
     #[default]
     Inline,
-    /// Byte-arena slot storage ([`ArenaPlane`]).
+    /// Byte-arena slot storage.
     Arena,
 }
 
@@ -116,42 +127,30 @@ impl std::fmt::Display for UnknownBacking {
 
 impl std::error::Error for UnknownBacking {}
 
-/// Error returned when storing into a plane slot that was already written
-/// since the last occupancy reset (a duplicate port use).  Carries the
-/// offending slot plus the plane's slot count, so the runtime can report the
-/// exact port in `RunError::MalformedOutbox` — and diagnostics can tell a
-/// genuine duplicate from an out-of-plane index — instead of silently
-/// dropping the message.
+/// Returned when storing into a full slot: a node sent twice through one
+/// port in a round (see the [module docs](self)).  Carries the slot, in the
+/// plane's index space, so the kernel reports the exact port in
+/// `RunError::MalformedOutbox` instead of silently dropping the message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotOccupied {
-    /// The slot (in this plane's index space) that was already occupied.
+pub(crate) struct SlotOccupied {
+    /// The full slot the second message was stored into.
     pub slot: usize,
-    /// The plane's total slot count at the time of the collision.
-    pub len: usize,
 }
-
-impl std::fmt::Display for SlotOccupied {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "message slot {} of {} already occupied this round",
-            self.slot, self.len
-        )
-    }
-}
-
-impl std::error::Error for SlotOccupied {}
 
 /// A slot-storage backend for the message plane: the storage contract every
 /// plane engine (one-thread, shard-parallel) is generic over.
 ///
+/// A slot is full exactly while it holds an undelivered message; every
+/// method that takes a message out empties its slot, and the scatter plane
+/// is empty by construction (see the [module docs](self)).
+///
 /// The `spare` parameter threaded through [`PlaneStore::store`] and
 /// [`PlaneStore::fetch`] is the executor's recycling pool of message
-/// values: backends that serialize ([`ArenaPlane`]) park spent messages
+/// values: backends that serialize (`ArenaPlane`) park spent messages
 /// there on store and revive them (via [`Wire::decode_into`]) on fetch, so
 /// steady-state rounds allocate nothing; the inline backend ignores it
 /// (messages move through the slots themselves).
-pub trait PlaneStore<M>: Send + Sized + 'static {
+pub(crate) trait PlaneStore<M>: Send + Sized + 'static {
     /// Dense per-shard-pair exchange buffer used by the shard-parallel engine to
     /// carry this backend's boundary traffic (owned values inline, copied
     /// byte spans for the arena).
@@ -168,14 +167,15 @@ pub trait PlaneStore<M>: Send + Sized + 'static {
     fn with_len(len: usize) -> Self;
 
     /// Number of slots.
+    #[cfg(test)]
     fn slot_count(&self) -> usize;
 
     /// Stores `msg` into `slot`, consuming it (serializing backends park the
     /// spent value in `spare`).
     ///
     /// # Errors
-    /// [`SlotOccupied`] when the slot was already written since the last
-    /// [`PlaneStore::reset_round`]; the first message is preserved.
+    /// [`SlotOccupied`] when the slot is full; the first message is
+    /// preserved.
     fn store(&mut self, slot: usize, msg: M, spare: &mut Vec<M>) -> Result<(), SlotOccupied>;
 
     /// Stores a copy of `msg` into `slot` without consuming it — the
@@ -186,23 +186,23 @@ pub trait PlaneStore<M>: Send + Sized + 'static {
     /// Exactly as [`PlaneStore::store`].
     fn store_ref(&mut self, slot: usize, msg: &M) -> Result<(), SlotOccupied>;
 
-    /// Takes the message out of `slot`, if any (reviving a `spare` value in
-    /// serializing backends).
+    /// Takes the message out of `slot`, if any, emptying the slot (reviving
+    /// a `spare` value in serializing backends).
     fn fetch(&mut self, slot: usize, spare: &mut Vec<M>) -> Option<M>;
 
-    /// Resets the plane for the next round of scattering: occupancy
-    /// tracking is cleared and arena bytes are reset (not freed).  The
-    /// caller guarantees the slots have been drained (every slot is gathered
-    /// or exported exactly once per round).
+    /// Readies the drained plane for the next round of scattering: the
+    /// arena's bytes are reset (not freed); no slot is written.  The caller
+    /// guarantees every slot has been gathered or exported, which debug
+    /// builds assert.
     fn reset_round(&mut self);
 
-    /// Resizes to `len` slots and clears every slot, making the plane
+    /// Resizes to `len` slots and empties every slot, making the plane
     /// indistinguishable from a freshly built one while reusing its
     /// allocations (the pool checkout path: an aborted run may have left
     /// messages behind).
     fn prepare(&mut self, len: usize);
 
-    /// An exchange buffer with `len` dense positions.
+    /// An exchange buffer with `len` dense, empty positions.
     fn new_boundary(len: usize) -> Self::Boundary;
 
     /// Drains this plane's boundary slots (`slots`, global indices; the
@@ -211,101 +211,16 @@ pub trait PlaneStore<M>: Send + Sized + 'static {
     /// hand-off.  Every position is overwritten (empty slots clear it).
     fn export_boundary(&mut self, slots: &[usize], slot_base: usize, out: &mut Self::Boundary);
 
-    /// Takes the message at `pos` out of an exchange buffer, if any — the
-    /// consumer half of the hand-off.
+    /// Takes the message at `pos` out of an exchange buffer, if any,
+    /// emptying the position — the consumer half of the hand-off.
     fn fetch_boundary(buf: &mut Self::Boundary, pos: usize, spare: &mut Vec<M>) -> Option<M>;
 }
 
 /// The inline slot backend: a preallocated, reusable buffer of `Option<M>`
 /// message slots indexed by the graph's dense `(node, port)` slot space.
 #[derive(Debug)]
-pub struct MessagePlane<M> {
+pub(crate) struct MessagePlane<M> {
     slots: Vec<Option<M>>,
-    occupied: FixedBitSet,
-}
-
-impl<M> MessagePlane<M> {
-    /// A plane with `len` empty slots (`len = 2m` for a graph with `m`
-    /// edges).
-    #[must_use]
-    pub fn new(len: usize) -> Self {
-        Self {
-            slots: (0..len).map(|_| None).collect(),
-            occupied: FixedBitSet::new(len),
-        }
-    }
-
-    /// Number of slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when the plane has no slots at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Writes `msg` into `slot`.  Fails — dropping the message and surfacing
-    /// the offending slot — when the slot was already written since the last
-    /// [`MessagePlane::clear_occupancy`], i.e. on a duplicate port use.
-    ///
-    /// # Errors
-    /// Returns [`SlotOccupied`] naming the duplicate slot; the first message
-    /// written to the slot is preserved.
-    pub fn put(&mut self, slot: usize, msg: M) -> Result<(), SlotOccupied> {
-        if !self.occupied.insert(slot) {
-            return Err(SlotOccupied {
-                slot,
-                len: self.slots.len(),
-            });
-        }
-        self.slots[slot] = Some(msg);
-        Ok(())
-    }
-
-    /// Moves the message out of `slot`, if any (no clone: delivery transfers
-    /// ownership from the sender's slot to the receiver's inbox).
-    pub fn take(&mut self, slot: usize) -> Option<M> {
-        self.slots[slot].take()
-    }
-
-    /// Resets the occupancy tracking for the next round of scattering.
-    ///
-    /// The caller is responsible for the slots themselves having been
-    /// drained (every slot is gathered by exactly one receiver each round,
-    /// so after a full gather pass the `Option`s are all `None`).
-    pub fn clear_occupancy(&mut self) {
-        self.occupied.clear();
-    }
-
-    /// Empties every slot and the occupancy set without resizing — the
-    /// explicit "drop whatever is in flight" operation (aborted runs, reuse
-    /// on the same graph).  Only slots written since the last
-    /// [`MessagePlane::clear_occupancy`] can hold a message (that reset's
-    /// precondition is a drained plane), so only those are visited.
-    pub fn clear(&mut self) {
-        let slots = &mut self.slots;
-        self.occupied.for_each(|slot| slots[slot] = None);
-        self.occupied.clear();
-    }
-
-    /// Resizes the plane to `len` slots and clears every slot and the
-    /// occupancy set, making the plane indistinguishable from a freshly
-    /// built one while reusing its allocations (the pool checkout path:
-    /// an aborted run — or a completed one whose programs sent on their
-    /// final round — may have left messages behind).
-    pub fn prepare(&mut self, len: usize) {
-        // Clear before resizing: slots retained across a resize would
-        // otherwise keep their stale messages, and `take` reads the slot
-        // directly rather than consulting the (rebuilt) occupancy set.
-        self.clear();
-        if self.slots.len() != len {
-            self.slots.resize_with(len, || None);
-            self.occupied = FixedBitSet::new(len);
-        }
-    }
 }
 
 impl<M: Clone + Send + 'static> PlaneStore<M> for MessagePlane<M> {
@@ -314,31 +229,44 @@ impl<M: Clone + Send + 'static> PlaneStore<M> for MessagePlane<M> {
     const RECYCLES: bool = false;
 
     fn with_len(len: usize) -> Self {
-        Self::new(len)
+        Self {
+            slots: (0..len).map(|_| None).collect(),
+        }
     }
 
+    #[cfg(test)]
     fn slot_count(&self) -> usize {
-        self.len()
+        self.slots.len()
     }
 
     fn store(&mut self, slot: usize, msg: M, _spare: &mut Vec<M>) -> Result<(), SlotOccupied> {
-        self.put(slot, msg)
+        match &mut self.slots[slot] {
+            Some(_) => Err(SlotOccupied { slot }),
+            empty => {
+                *empty = Some(msg);
+                Ok(())
+            }
+        }
     }
 
     fn store_ref(&mut self, slot: usize, msg: &M) -> Result<(), SlotOccupied> {
-        self.put(slot, msg.clone())
+        self.store(slot, msg.clone(), &mut Vec::new())
     }
 
     fn fetch(&mut self, slot: usize, _spare: &mut Vec<M>) -> Option<M> {
-        self.take(slot)
+        self.slots[slot].take()
     }
 
     fn reset_round(&mut self) {
-        self.clear_occupancy();
+        debug_assert!(
+            self.slots.iter().all(Option::is_none),
+            "inline reset with undelivered messages"
+        );
     }
 
     fn prepare(&mut self, len: usize) {
-        MessagePlane::prepare(self, len);
+        self.slots.clear();
+        self.slots.resize_with(len, || None);
     }
 
     fn new_boundary(len: usize) -> Self::Boundary {
@@ -348,7 +276,7 @@ impl<M: Clone + Send + 'static> PlaneStore<M> for MessagePlane<M> {
     fn export_boundary(&mut self, slots: &[usize], slot_base: usize, out: &mut Self::Boundary) {
         debug_assert_eq!(out.len(), slots.len());
         for (pos, &slot) in slots.iter().enumerate() {
-            out[pos] = self.take(slot - slot_base);
+            out[pos] = self.slots[slot - slot_base].take();
         }
     }
 
@@ -362,11 +290,21 @@ impl<M: Clone + Send + 'static> PlaneStore<M> for MessagePlane<M> {
 /// rejected loudly at store time.
 type Span = (u32, u32);
 
+/// The span of an empty slot.  No stored span equals it: [`make_span`]
+/// keeps `offset + len` within a `u32`.
+const EMPTY: Span = (u32::MAX, u32::MAX);
+
 fn make_span(start: usize, end: usize) -> Span {
-    (
-        u32::try_from(start).expect("arena exceeded 4 GiB in one round"),
-        u32::try_from(end - start).expect("single message exceeded 4 GiB"),
-    )
+    let end = u32::try_from(end).expect("arena exceeded 4 GiB in one round");
+    let start = u32::try_from(start).expect("a span starts at or before its end");
+    (start, end - start)
+}
+
+/// Empties position `i` of `spans` and returns the bytes it held in
+/// `bytes`, if it was full.
+fn take_span<'a>(spans: &mut [Span], i: usize, bytes: &'a [u8]) -> Option<&'a [u8]> {
+    let span = std::mem::replace(&mut spans[i], EMPTY);
+    (span != EMPTY).then(|| &bytes[span.0 as usize..(span.0 + span.1) as usize])
 }
 
 /// The arena slot backend: each slot is a byte span into a per-round bump
@@ -379,55 +317,11 @@ fn make_span(start: usize, end: usize) -> Span {
 /// `bytes` without freeing, so one warmed-up arena serves every later round
 /// — and, via [`crate::pool`], every later run — allocation-free.
 #[derive(Debug)]
-pub struct ArenaPlane<M> {
+pub(crate) struct ArenaPlane<M> {
+    /// One span per slot, [`EMPTY`] unless the slot holds a message.
     spans: Vec<Span>,
-    /// Duplicate-port detection since the last round reset.
-    occupied: FixedBitSet,
-    /// Slots currently holding an undelivered message.
-    filled: FixedBitSet,
     bytes: Vec<u8>,
     _msg: PhantomData<fn(M) -> M>,
-}
-
-impl<M> ArenaPlane<M> {
-    /// A plane with `len` empty slots over an empty arena.
-    #[must_use]
-    pub fn new(len: usize) -> Self {
-        Self {
-            spans: vec![(0, 0); len],
-            occupied: FixedBitSet::new(len),
-            filled: FixedBitSet::new(len),
-            bytes: Vec::new(),
-            _msg: PhantomData,
-        }
-    }
-
-    /// Number of slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when the plane has no slots at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Bytes currently sitting in the arena (encoded, undelivered traffic
-    /// of the round being scattered) — exposed for benches and tests.
-    #[must_use]
-    pub fn arena_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Empties every slot, the occupancy tracking and the arena without
-    /// freeing any buffer.
-    pub fn clear(&mut self) {
-        self.occupied.clear();
-        self.filled.clear();
-        self.bytes.clear();
-    }
 }
 
 impl<M: Wire + Send + 'static> PlaneStore<M> for ArenaPlane<M> {
@@ -436,11 +330,16 @@ impl<M: Wire + Send + 'static> PlaneStore<M> for ArenaPlane<M> {
     const RECYCLES: bool = true;
 
     fn with_len(len: usize) -> Self {
-        Self::new(len)
+        Self {
+            spans: vec![EMPTY; len],
+            bytes: Vec::new(),
+            _msg: PhantomData,
+        }
     }
 
+    #[cfg(test)]
     fn slot_count(&self) -> usize {
-        self.len()
+        self.spans.len()
     }
 
     fn store(&mut self, slot: usize, msg: M, spare: &mut Vec<M>) -> Result<(), SlotOccupied> {
@@ -457,54 +356,36 @@ impl<M: Wire + Send + 'static> PlaneStore<M> for ArenaPlane<M> {
     }
 
     fn store_ref(&mut self, slot: usize, msg: &M) -> Result<(), SlotOccupied> {
-        if !self.occupied.insert(slot) {
-            return Err(SlotOccupied {
-                slot,
-                len: self.spans.len(),
-            });
+        if self.spans[slot] != EMPTY {
+            return Err(SlotOccupied { slot });
         }
         let start = self.bytes.len();
         msg.encode(&mut self.bytes);
         self.spans[slot] = make_span(start, self.bytes.len());
-        self.filled.insert(slot);
         Ok(())
     }
 
     fn fetch(&mut self, slot: usize, spare: &mut Vec<M>) -> Option<M> {
-        if !self.filled.remove(slot) {
-            return None;
-        }
-        let (offset, len) = self.spans[slot];
-        let span = &self.bytes[offset as usize..offset as usize + len as usize];
-        Some(decode_span(span, spare))
+        take_span(&mut self.spans, slot, &self.bytes).map(|span| decode_span(span, spare))
     }
 
     fn reset_round(&mut self) {
-        debug_assert_eq!(
-            self.filled.count(),
-            0,
+        debug_assert!(
+            self.spans.iter().all(|&span| span == EMPTY),
             "arena reset with undelivered messages"
         );
-        self.occupied.clear();
         self.bytes.clear();
     }
 
     fn prepare(&mut self, len: usize) {
-        if self.spans.len() != len {
-            self.spans.clear();
-            self.spans.resize(len, (0, 0));
-            self.occupied = FixedBitSet::new(len);
-            self.filled = FixedBitSet::new(len);
-            self.bytes.clear();
-        } else {
-            self.clear();
-        }
+        self.spans.clear();
+        self.spans.resize(len, EMPTY);
+        self.bytes.clear();
     }
 
     fn new_boundary(len: usize) -> Self::Boundary {
         ArenaBoundary {
-            spans: vec![(0, 0); len],
-            filled: FixedBitSet::new(len),
+            spans: vec![EMPTY; len],
             bytes: Vec::new(),
         }
     }
@@ -517,28 +398,19 @@ impl<M: Wire + Send + 'static> PlaneStore<M> for ArenaPlane<M> {
         debug_assert_eq!(out.spans.len(), slots.len());
         out.bytes.clear();
         for (pos, &slot) in slots.iter().enumerate() {
-            let local = slot - slot_base;
-            if self.filled.remove(local) {
-                let (offset, len) = self.spans[local];
-                let start = out.bytes.len();
-                out.bytes.extend_from_slice(
-                    &self.bytes[offset as usize..offset as usize + len as usize],
-                );
-                out.spans[pos] = make_span(start, out.bytes.len());
-                out.filled.insert(pos);
-            } else {
-                out.filled.remove(pos);
-            }
+            out.spans[pos] = match take_span(&mut self.spans, slot - slot_base, &self.bytes) {
+                Some(span) => {
+                    let start = out.bytes.len();
+                    out.bytes.extend_from_slice(span);
+                    make_span(start, out.bytes.len())
+                }
+                None => EMPTY,
+            };
         }
     }
 
     fn fetch_boundary(buf: &mut Self::Boundary, pos: usize, spare: &mut Vec<M>) -> Option<M> {
-        if !buf.filled.remove(pos) {
-            return None;
-        }
-        let (offset, len) = buf.spans[pos];
-        let span = &buf.bytes[offset as usize..offset as usize + len as usize];
-        Some(decode_span(span, spare))
+        take_span(&mut buf.spans, pos, &buf.bytes).map(|span| decode_span(span, spare))
     }
 }
 
@@ -556,12 +428,12 @@ fn decode_span<M: Wire>(span: &[u8], spare: &mut Vec<M>) -> M {
 }
 
 /// The arena backend's cross-shard exchange buffer: the boundary slots'
-/// encoded bytes, copied (not re-encoded) out of the producer shard's plane.
-/// Like the plane's own arena, its byte buffer is reset, never freed.
+/// encoded bytes, copied (not re-encoded) out of the producer shard's plane,
+/// one span per position, [`EMPTY`] where the slot was empty.  Like the
+/// plane's own arena, its byte buffer is reset, never freed.
 #[derive(Debug, Default)]
-pub struct ArenaBoundary {
+pub(crate) struct ArenaBoundary {
     spans: Vec<Span>,
-    filled: FixedBitSet,
     bytes: Vec<u8>,
 }
 
@@ -569,75 +441,86 @@ pub struct ArenaBoundary {
 mod tests {
     use super::*;
 
+    fn inline(len: usize) -> MessagePlane<u32> {
+        MessagePlane::with_len(len)
+    }
+
     #[test]
     fn put_take_round_trip() {
-        let mut p: MessagePlane<u32> = MessagePlane::new(4);
-        assert_eq!(p.len(), 4);
-        assert!(!p.is_empty());
-        assert!(p.put(2, 77).is_ok());
-        assert_eq!(p.take(2), Some(77));
-        assert_eq!(p.take(2), None);
+        let mut p = inline(4);
+        assert_eq!(p.slot_count(), 4);
+        assert!(p.store(2, 77, &mut Vec::new()).is_ok());
+        assert_eq!(p.fetch(2, &mut Vec::new()), Some(77));
+        assert_eq!(p.fetch(2, &mut Vec::new()), None);
     }
 
     #[test]
     fn duplicate_put_surfaces_the_slot_until_occupancy_reset() {
-        let mut p: MessagePlane<u32> = MessagePlane::new(2);
-        assert!(p.put(0, 1).is_ok());
+        let mut p = inline(2);
+        let spare = &mut Vec::new();
+        assert!(p.store(0, 1, spare).is_ok());
         assert_eq!(
-            p.put(0, 2),
-            Err(SlotOccupied { slot: 0, len: 2 }),
+            p.store_ref(0, &2),
+            Err(SlotOccupied { slot: 0 }),
             "second write to the same slot must be rejected with the slot"
         );
-        assert_eq!(p.take(0), Some(1), "the first message must be preserved");
-        p.clear_occupancy();
-        assert!(p.put(0, 3).is_ok());
-        assert_eq!(p.take(0), Some(3));
+        assert_eq!(
+            p.fetch(0, spare),
+            Some(1),
+            "the first message must be preserved"
+        );
+        p.reset_round();
+        assert!(p.store(0, 3, spare).is_ok(), "a fetch empties the slot");
+        assert_eq!(p.fetch(0, spare), Some(3));
     }
 
     #[test]
     fn empty_plane() {
-        let mut p: MessagePlane<()> = MessagePlane::new(0);
-        assert!(p.is_empty());
-        p.clear_occupancy();
+        let mut p: MessagePlane<()> = MessagePlane::with_len(0);
+        assert_eq!(p.slot_count(), 0);
+        p.reset_round();
     }
 
     #[test]
     fn clear_drops_messages_and_occupancy() {
-        let mut p: MessagePlane<u32> = MessagePlane::new(3);
-        assert!(p.put(1, 9).is_ok());
-        p.clear();
-        assert_eq!(p.take(1), None);
-        assert!(p.put(1, 4).is_ok(), "clear must reset occupancy");
-        assert_eq!(p.len(), 3, "clear must not resize");
+        let mut p = inline(3);
+        let spare = &mut Vec::new();
+        assert!(p.store(1, 9, spare).is_ok());
+        p.prepare(3);
+        assert_eq!(p.fetch(1, spare), None, "prepare must drop stale messages");
+        assert!(p.store(1, 4, spare).is_ok(), "prepare must empty the slot");
+        assert_eq!(p.slot_count(), 3, "a same-size prepare must not resize");
     }
 
     #[test]
     fn prepare_clears_stale_messages_and_resizes() {
-        let mut p: MessagePlane<u32> = MessagePlane::new(3);
-        assert!(p.put(1, 9).is_ok());
-        p.prepare(3);
-        assert_eq!(p.take(1), None, "prepare must drop stale messages");
-        assert!(p.put(1, 4).is_ok(), "prepare must reset occupancy");
+        let mut p = inline(3);
+        let spare = &mut Vec::new();
+        assert!(p.store(1, 9, spare).is_ok());
         p.prepare(5);
-        assert_eq!(p.len(), 5);
+        assert_eq!(p.slot_count(), 5);
         assert_eq!(
-            p.take(1),
+            p.fetch(1, spare),
             None,
             "a growing prepare must drop messages in retained slots"
         );
-        assert!(p.put(4, 1).is_ok());
-        assert!(p.put(1, 6).is_ok());
+        assert!(p.store(4, 1, spare).is_ok());
+        assert!(p.store(1, 6, spare).is_ok());
         p.prepare(2);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.take(1), None, "a shrinking prepare must drop messages");
+        assert_eq!(p.slot_count(), 2);
+        assert_eq!(
+            p.fetch(1, spare),
+            None,
+            "a shrinking prepare must drop messages"
+        );
     }
 
     fn arena_cycle(p: &mut ArenaPlane<Vec<u64>>, spare: &mut Vec<Vec<u64>>) {
         assert!(p.store_ref(0, &vec![1, 2, 3]).is_ok());
         assert!(p.store(2, vec![9; 10], spare).is_ok());
         assert_eq!(
-            PlaneStore::store(p, 2, vec![4], spare),
-            Err(SlotOccupied { slot: 2, len: 4 }),
+            p.store(2, vec![4], spare),
+            Err(SlotOccupied { slot: 2 }),
             "duplicate slot must be rejected"
         );
         let got = p.fetch(0, spare).expect("slot 0 holds a message");
@@ -653,12 +536,11 @@ mod tests {
 
     #[test]
     fn arena_store_fetch_round_trip_and_reuse() {
-        let mut p: ArenaPlane<Vec<u64>> = ArenaPlane::new(4);
-        assert_eq!(p.len(), 4);
-        assert!(!p.is_empty());
+        let mut p: ArenaPlane<Vec<u64>> = ArenaPlane::with_len(4);
+        assert_eq!(p.slot_count(), 4);
         let mut spare: Vec<Vec<u64>> = Vec::new();
         arena_cycle(&mut p, &mut spare);
-        assert_eq!(p.arena_bytes(), 0, "reset_round must empty the arena");
+        assert!(p.bytes.is_empty(), "reset_round must empty the arena");
         let capacity_before = spare.iter().map(Vec::capacity).max().unwrap_or(0);
         assert!(capacity_before >= 10, "spent values must be recycled");
         // A second identical round must revive spares instead of allocating
@@ -669,28 +551,38 @@ mod tests {
 
     #[test]
     fn arena_prepare_drops_stale_state_and_resizes() {
-        let mut p: ArenaPlane<u64> = ArenaPlane::new(3);
+        let mut p: ArenaPlane<u64> = ArenaPlane::with_len(3);
         let mut spare = Vec::new();
         assert!(p.store(1, 7, &mut spare).is_ok());
-        PlaneStore::<u64>::prepare(&mut p, 3);
+        p.prepare(3);
         assert_eq!(p.fetch(1, &mut spare), None, "prepare must drop messages");
-        assert!(p.store(1, 8, &mut spare).is_ok(), "occupancy must reset");
-        PlaneStore::<u64>::prepare(&mut p, 6);
-        assert_eq!(p.len(), 6);
+        assert!(
+            p.store(1, 8, &mut spare).is_ok(),
+            "prepare must empty the slot"
+        );
+        p.prepare(6);
+        assert_eq!(p.slot_count(), 6);
+        assert_eq!(
+            p.fetch(1, &mut spare),
+            None,
+            "a growing prepare must drop messages"
+        );
         assert!(p.store(5, 1, &mut spare).is_ok());
-        PlaneStore::<u64>::prepare(&mut p, 2);
-        assert_eq!(p.len(), 2);
+        p.prepare(2);
+        assert_eq!(p.slot_count(), 2);
+        assert!(p.bytes.is_empty(), "prepare must empty the arena");
     }
 
     #[test]
     fn arena_boundary_copies_encoded_spans() {
-        let mut p: ArenaPlane<Vec<u64>> = ArenaPlane::new(6);
+        type Arena = ArenaPlane<Vec<u64>>;
+        let mut p = Arena::with_len(6);
         let mut spare: Vec<Vec<u64>> = Vec::new();
         // Shard view: plane covers global slots 10..16.
         assert!(p.store_ref(2, &vec![5, 6]).is_ok());
         assert!(p.store_ref(4, &vec![7]).is_ok());
         let boundary_slots = [12usize, 13, 14];
-        let mut buf = <ArenaPlane<Vec<u64>> as PlaneStore<Vec<u64>>>::new_boundary(3);
+        let mut buf = Arena::new_boundary(3);
         p.export_boundary(&boundary_slots, 10, &mut buf);
         assert_eq!(
             p.fetch(2, &mut spare),
@@ -698,51 +590,66 @@ mod tests {
             "exported slots must be drained"
         );
         assert_eq!(
-            ArenaPlane::<Vec<u64>>::fetch_boundary(&mut buf, 0, &mut spare),
+            Arena::fetch_boundary(&mut buf, 0, &mut spare),
             Some(vec![5, 6])
         );
         assert_eq!(
-            ArenaPlane::<Vec<u64>>::fetch_boundary(&mut buf, 0, &mut spare),
+            Arena::fetch_boundary(&mut buf, 0, &mut spare),
             None,
             "a position is consumed only once"
         );
+        assert_eq!(Arena::fetch_boundary(&mut buf, 1, &mut spare), None);
         assert_eq!(
-            ArenaPlane::<Vec<u64>>::fetch_boundary(&mut buf, 1, &mut spare),
-            None
-        );
-        assert_eq!(
-            ArenaPlane::<Vec<u64>>::fetch_boundary(&mut buf, 2, &mut spare),
+            Arena::fetch_boundary(&mut buf, 2, &mut spare),
             Some(vec![7])
         );
         // A re-export overwrites every position.
         p.reset_round();
         assert!(p.store_ref(3, &vec![8, 8]).is_ok());
         p.export_boundary(&boundary_slots, 10, &mut buf);
+        assert_eq!(Arena::fetch_boundary(&mut buf, 0, &mut spare), None);
         assert_eq!(
-            ArenaPlane::<Vec<u64>>::fetch_boundary(&mut buf, 0, &mut spare),
-            None
-        );
-        assert_eq!(
-            ArenaPlane::<Vec<u64>>::fetch_boundary(&mut buf, 1, &mut spare),
+            Arena::fetch_boundary(&mut buf, 1, &mut spare),
             Some(vec![8, 8])
         );
     }
 
     #[test]
     fn inline_boundary_matches_arena_boundary_semantics() {
-        let mut p: MessagePlane<u64> = MessagePlane::new(4);
-        assert!(p.put(1, 42).is_ok());
-        let mut buf = <MessagePlane<u64> as PlaneStore<u64>>::new_boundary(2);
+        type Inline = MessagePlane<u64>;
+        let mut p = Inline::with_len(4);
         let mut spare = Vec::new();
+        assert!(p.store(1, 42, &mut spare).is_ok());
+        let mut buf = Inline::new_boundary(2);
         p.export_boundary(&[1, 2], 0, &mut buf);
         assert_eq!(
-            MessagePlane::<u64>::fetch_boundary(&mut buf, 0, &mut spare),
-            Some(42)
+            p.fetch(1, &mut spare),
+            None,
+            "exported slots must be drained"
         );
-        assert_eq!(
-            MessagePlane::<u64>::fetch_boundary(&mut buf, 1, &mut spare),
-            None
-        );
+        assert_eq!(Inline::fetch_boundary(&mut buf, 0, &mut spare), Some(42));
+        assert_eq!(Inline::fetch_boundary(&mut buf, 0, &mut spare), None);
+        assert_eq!(Inline::fetch_boundary(&mut buf, 1, &mut spare), None);
+    }
+
+    /// A plane reset with a message still in a slot: the kernel skipped a
+    /// gather, and the next round would report a spurious duplicate port.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "undelivered")]
+    fn inline_reset_with_an_undelivered_message_panics() {
+        let mut p = inline(2);
+        assert!(p.store(1, 5, &mut Vec::new()).is_ok());
+        p.reset_round();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "undelivered")]
+    fn arena_reset_with_an_undelivered_message_panics() {
+        let mut p: ArenaPlane<u64> = ArenaPlane::with_len(2);
+        assert!(p.store(1, 5, &mut Vec::new()).is_ok());
+        p.reset_round();
     }
 
     #[test]

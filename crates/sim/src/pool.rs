@@ -223,7 +223,7 @@ mod tests {
         let before = stats();
         let mut sets: Vec<BatchSet<u32, Inline>> = checkout_shard_batches([4, 6].into_iter());
         // An aborted run leaves a message and a gathered inbox behind.
-        sets[1].cur.put(5, 9).unwrap();
+        sets[1].cur.store(5, 9, &mut Vec::new()).unwrap();
         sets[0].inbox.push((0, 1));
         give_back_shard_batches(sets);
 
@@ -233,7 +233,7 @@ mod tests {
         let sizes: Vec<usize> = sets.iter().map(|set| set.cur.slot_count()).collect();
         assert_eq!(sizes, [4, 6, 2]);
         assert_eq!(
-            sets[1].cur.take(5),
+            sets[1].cur.fetch(5, &mut Vec::new()),
             None,
             "a stale message survived checkout"
         );

@@ -1,10 +1,11 @@
 //! The wire codec: byte encodings for message payloads.
 //!
-//! The arena-backed message plane ([`crate::plane::ArenaPlane`]) stores every
-//! message as a contiguous byte span inside a per-round bump buffer instead
-//! of an in-memory `Option<M>` slot.  That requires a codec: [`Wire`] types
-//! know how to *encode* themselves onto the end of a byte buffer and how to
-//! *decode* themselves back from a [`WireReader`] over the stored span.
+//! The arena-backed message plane ([`Backing::Arena`](crate::Backing::Arena))
+//! stores every message as a contiguous byte span inside a per-round bump
+//! buffer instead of an in-memory `Option<M>` slot.  That requires a codec:
+//! [`Wire`] types know how to *encode* themselves onto the end of a byte
+//! buffer and how to *decode* themselves back from a [`WireReader`] over the
+//! stored span.
 //!
 //! Design points:
 //!

@@ -33,7 +33,10 @@
 //! borrows the graph (the engines allocate one slice of views per run), and
 //! the one-thread set and the shard-parallel engine's shard sets come from
 //! the calling thread's pool.  So the same run on ring/1024 and on
-//! ring/2048 must allocate exactly as often, at one thread and at two.
+//! ring/2048 must allocate exactly as often, at one thread and at two, and
+//! so must a run right after a run on the other size: checkout resizes a
+//! pooled plane within its capacity and keeps no size-dependent record
+//! beside the slots.
 
 use lma_baselines::flood_collect::FixedGossip;
 use lma_graph::generators::ring;
@@ -237,21 +240,35 @@ fn a_warm_run_allocates_independently_of_n() {
     let partitions = graphs.each_ref().map(|g| Partition::new(g.csr(), 2));
     for threads in [1, 2] {
         for backing in Backing::ALL {
-            let [small, large] = [0, 1].map(|i| {
+            let run = |i: usize| {
                 let g = &graphs[i];
                 let sim = Sim::on(g)
                     .backing(backing)
                     .threads(threads)
                     .with_partition(&partitions[i]);
-                // Warm-up: size the pooled sets for this graph.
-                beacon_allocations(g, sim, ROUNDS);
                 beacon_allocations(g, sim, ROUNDS)
-            });
+            };
+            // Warm-up: size the pooled sets for both graphs.
+            run(0);
+            run(1);
+            // Each size once right after itself and once right after the
+            // other size, as consecutive requests on one thread would run.
+            let large = run(1);
+            let small_after_large = run(0);
+            let small = run(0);
+            let large_after_small = run(1);
             assert_eq!(
                 small, large,
                 "a warm {backing} run on {threads} thread(s) must allocate \
                  independently of n (ring/1024: {small} allocations, \
                  ring/2048: {large})"
+            );
+            assert_eq!(
+                [small_after_large, large_after_small],
+                [small, large],
+                "a warm {backing} run on {threads} thread(s) right after a run \
+                 on the other ring size must allocate as often as one right \
+                 after the same size ([ring/1024, ring/2048] allocations)"
             );
         }
     }

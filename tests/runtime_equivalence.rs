@@ -457,8 +457,9 @@ fn sharded_reports_the_same_malformed_outbox_error() {
     let g = ring(24, WeightStrategy::Unit);
     // The culprit in the middle of the node range lands in an interior
     // shard; plant the bug both at init and mid-run, and check it on both
-    // plane backings (the arena detects duplicates through its own
-    // occupancy set, so the error path is genuinely different code).
+    // plane backings (the arena finds a duplicate by its slot's span, the
+    // inline backing by its `Option`, so the error path is genuinely
+    // different code).
     for (culprit, at_round) in [(13usize, 0usize), (13, 2), (0, 1), (23, 3)] {
         let mk = || {
             g.nodes()
