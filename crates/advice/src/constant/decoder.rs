@@ -19,6 +19,19 @@
 //! * the **final phase** collects the per-node final bits of the first
 //!   `⌈log n⌉` BFS positions of each remaining fragment so its root can
 //!   decode the rank of its parent edge (steps 8–9).
+//!
+//! # State and sends
+//!
+//! Every node borrows the run's one [`Schedule`], its advice and its levels.
+//! Per run it computes its `(weight, port)` order once and allocates one
+//! slot per port.  Per phase (and again for the final phase) a slot holds
+//! the latest report of the child behind that port, refreshed in place, and
+//! in the level variant the neighbour's level; the node also keeps the map
+//! it received or built, whose children's entries it forwards once, and the
+//! chooser payload it was handed.  Every phase starts by emptying all of
+//! that, keeping the buffers.  A node sends straight into the round's sink
+//! ([`NodeAlgorithm::round_into`]), so a node-round allocates only for the
+//! messages it sends.
 
 use super::messages::{ChooserPayload, ConstMsg, MapEntry, Report};
 use super::schedule::{PhaseWindow, Schedule};
@@ -26,50 +39,65 @@ use super::ConstantVariant;
 use crate::bits::BitString;
 use lma_graph::Port;
 use lma_mst::verify::UpwardOutput;
-use lma_sim::{LocalView, NodeAlgorithm, Outbox};
-use std::collections::{BTreeMap, HashMap}; // lint: allow(hash-iteration) — HashMap only feeds the pointer-keyed position index below
+use lma_sim::{collect_outbox, LocalView, MsgSink, NodeAlgorithm, Outbox};
+
+/// What one port delivered in the current phase.
+#[derive(Default)]
+struct Slot {
+    /// The latest report of the child behind the port; empty when none.
+    report: Report,
+    /// The neighbour's fragment level (paper-literal level variant only).
+    level: Option<u8>,
+}
 
 /// The per-node program of the constant-advice scheme.
-pub struct ConstantDecoder {
+pub struct ConstantDecoder<'a> {
     variant: ConstantVariant,
-    schedule: Schedule,
+    schedule: &'a Schedule,
     /// Advice prefix holding the packed phase strings (everything except the
     /// trailing final segment).
-    phase_bits: Vec<bool>,
+    phase_bits: &'a [bool],
     /// The trailing final-phase segment: exactly one bit in the paper's
     /// Theorem 3 scheme, and `⌈log n / 2^P⌉` bits in the tradeoff scheme
     /// that stops the packed phases after phase `P` (see
     /// [`crate::tradeoff`]).
-    final_bits: Vec<bool>,
+    final_bits: &'a [bool],
     /// How many BFS positions of each remaining fragment the final
     /// collection must gather (`⌈log n / |final_bits|⌉`).
     final_limit: usize,
     /// Idealized per-phase fragment levels (paper-literal level variant
     /// only; empty for the index variant).  `my_levels[i - 1]` is this node's
     /// fragment level at phase `i`.
-    my_levels: Vec<u8>,
+    my_levels: &'a [u8],
 
-    // --- dynamic state ---
+    // --- per run ---
+    /// Ports in `(weight, port)` order: the paper's local rank order and
+    /// the child order of reports and maps.
+    port_order: Vec<Port>,
+    /// One slot per port.
+    slots: Vec<Slot>,
     cons: usize,
     parent_port: Option<Port>,
-    child_reports: BTreeMap<Port, Report>,
-    pending_map: Option<Vec<MapEntry>>,
-    map_child_ports: Vec<Port>,
-    chooser: Option<ChooserPayload>,
-    neighbor_levels: BTreeMap<Port, u8>,
-    final_child_reports: BTreeMap<Port, Report>,
     output: Option<UpwardOutput>,
+
+    // --- per phase ---
+    /// The map entry received from the parent (or, at a root, built) this
+    /// phase.
+    map: MapEntry,
+    /// Whether `map`'s children still await their entries.
+    map_pending: bool,
+    chooser: Option<ChooserPayload>,
 }
 
-impl ConstantDecoder {
+impl<'a> ConstantDecoder<'a> {
     /// Creates the program for one node (the paper's setting: the advice
     /// ends in a single final-phase bit).
     #[must_use]
     pub fn new(
         variant: ConstantVariant,
-        schedule: Schedule,
-        advice: &BitString,
-        my_levels: Vec<u8>,
+        schedule: &'a Schedule,
+        advice: &'a BitString,
+        my_levels: &'a [u8],
     ) -> Self {
         Self::with_final_width(variant, schedule, advice, my_levels, 1)
     }
@@ -80,15 +108,14 @@ impl ConstantDecoder {
     #[must_use]
     pub fn with_final_width(
         variant: ConstantVariant,
-        schedule: Schedule,
-        advice: &BitString,
-        my_levels: Vec<u8>,
+        schedule: &'a Schedule,
+        advice: &'a BitString,
+        my_levels: &'a [u8],
         final_width: usize,
     ) -> Self {
-        let all: Vec<bool> = advice.iter().collect();
+        let all = advice.as_slice();
         let width = final_width.max(1).min(all.len());
-        let split = all.len() - width;
-        let (phase_bits, final_bits) = (all[..split].to_vec(), all[split..].to_vec());
+        let (phase_bits, final_bits) = all.split_at(all.len() - width);
         let l = super::schedule::log_n(schedule.n);
         let final_limit = l.div_ceil(final_width.max(1)).max(1);
         Self {
@@ -98,63 +125,51 @@ impl ConstantDecoder {
             final_bits,
             final_limit,
             my_levels,
+            port_order: Vec::new(),
+            slots: Vec::new(),
             cons: 0,
             parent_port: None,
-            child_reports: BTreeMap::new(),
-            pending_map: None,
-            map_child_ports: Vec::new(),
-            chooser: None,
-            neighbor_levels: BTreeMap::new(),
-            final_child_reports: BTreeMap::new(),
             output: None,
+            map: MapEntry::default(),
+            map_pending: false,
+            chooser: None,
         }
     }
 
     /// This node's still-unconsumed phase-advice bits.
-    fn unconsumed(&self) -> Vec<bool> {
-        self.phase_bits[self.cons.min(self.phase_bits.len())..].to_vec()
+    fn unconsumed(&self) -> &'a [bool] {
+        &self.phase_bits[self.cons.min(self.phase_bits.len())..]
     }
 
-    /// Child ports ordered by `(weight, port)` — the order the paper's BFS
-    /// uses, shared by reports and maps.
-    fn ordered_child_ports(&self, view: &LocalView, reports: &BTreeMap<Port, Report>) -> Vec<Port> {
-        let mut ports: Vec<Port> = reports.keys().copied().collect();
-        ports.sort_by_key(|&p| (view.weight_at(p), p));
-        ports
+    /// This node's report: `bits` above the children's latest reports in
+    /// `(weight, port)` order — the order the paper's BFS uses — truncated
+    /// to the first `limit` BFS nodes.
+    fn report(&self, bits: &[bool], limit: usize) -> Report {
+        let children = self.port_order.iter().map(|&p| &self.slots[p].report);
+        Report::join(bits, children).into_truncated(limit.max(1))
     }
 
-    /// Builds this node's current report for the main phases.
-    fn build_report(&self, view: &LocalView, limit: usize) -> Report {
-        let children = self
-            .ordered_child_ports(view, &self.child_reports)
-            .into_iter()
-            .map(|p| self.child_reports[&p].clone())
-            .collect();
-        Report {
-            bits: self.unconsumed(),
-            children,
+    /// The ports that delivered a report this phase, in `(weight, port)`
+    /// order: the child order of this node's report and map.
+    fn child_ports(&self) -> impl Iterator<Item = Port> + '_ {
+        self.port_order
+            .iter()
+            .copied()
+            .filter(|&p| self.slots[p].report.node_count() > 0)
+    }
+
+    /// Empties every slot, keeping its buffers.
+    fn clear_slots(&mut self) {
+        for slot in &mut self.slots {
+            slot.report.clear();
+            slot.level = None;
         }
-        .truncate_bfs(limit.max(1))
-    }
-
-    /// Builds this node's current report for the final phase.
-    fn build_final_report(&self, view: &LocalView, limit: usize) -> Report {
-        let children = self
-            .ordered_child_ports(view, &self.final_child_reports)
-            .into_iter()
-            .map(|p| self.final_child_reports[&p].clone())
-            .collect();
-        Report {
-            bits: self.final_bits.clone(),
-            children,
-        }
-        .truncate_bfs(limit.max(1))
     }
 
     /// Resolves the local rank `r` (1-based, in `(weight, port)` order) to a
     /// port.
-    fn port_of_rank(view: &LocalView, rank: usize) -> Option<Port> {
-        view.ports_by_weight().get(rank.checked_sub(1)?).copied()
+    fn port_of_rank(&self, rank: usize) -> Option<Port> {
+        self.port_order.get(rank.checked_sub(1)?).copied()
     }
 
     /// The fragment root's work at the end of a convergecast window:
@@ -162,7 +177,7 @@ impl ConstantDecoder {
     fn root_assemble(&mut self, view: &LocalView, window: &PhaseWindow) {
         let i = window.phase;
         let threshold = 1usize << i.min(60);
-        let report = self.build_report(view, threshold);
+        let report = self.report(self.unconsumed(), threshold);
         let count = report.node_count();
         if count >= threshold || count == view.n {
             // Passive fragment (or the whole graph): nothing to decode.
@@ -205,36 +220,31 @@ impl ConstantDecoder {
                 break;
             }
         }
-        // Build the map tree with the same shape as the report.
-        let map = build_map(&report, &consume, j as usize, &payload, &mut 0);
-        // Apply the root's own entry.
-        self.cons = (self.cons + map.consume).min(self.phase_bits.len());
-        if map.chooser.is_some() {
-            self.chooser = map.chooser;
-        }
-        self.map_child_ports = self.ordered_child_ports(view, &self.child_reports);
-        self.pending_map = Some(map.children);
+        self.map = build_map(&report, &consume, j as usize, payload);
+        self.apply_map();
     }
 
-    /// Applies a map entry received from the parent.
-    fn apply_map(&mut self, view: &LocalView, entry: MapEntry) {
-        self.cons = (self.cons + entry.consume).min(self.phase_bits.len());
-        if entry.chooser.is_some() {
-            self.chooser = entry.chooser;
+    /// Applies this node's own entry of `self.map` and queues its children's
+    /// entries for the next broadcast round.
+    fn apply_map(&mut self) {
+        self.cons = (self.cons + self.map.consume()).min(self.phase_bits.len());
+        if let Some(chooser) = self.map.chooser() {
+            self.chooser = Some(chooser);
         }
-        self.map_child_ports = self.ordered_child_ports(view, &self.child_reports);
-        self.pending_map = Some(entry.children);
+        self.map_pending = true;
     }
 
     /// The choosing node's action, producing the optional notify message.
-    fn resolve_chooser(&mut self, view: &LocalView) -> Option<(Port, ConstMsg)> {
+    fn resolve_chooser(&mut self) -> Option<(Port, ConstMsg)> {
         let payload = self.chooser.take()?;
         let (up, port) = match payload {
-            ChooserPayload::Index { up, rank } => (up, Self::port_of_rank(view, rank)?),
+            ChooserPayload::Index { up, rank } => (up, self.port_of_rank(rank)?),
             ChooserPayload::Level { up, target_level } => {
-                let port = (0..view.degree())
-                    .filter(|p| self.neighbor_levels.get(p) == Some(&target_level))
-                    .min_by_key(|&p| (view.weight_at(p), p))?;
+                let port = self
+                    .port_order
+                    .iter()
+                    .copied()
+                    .find(|&p| self.slots[p].level == Some(target_level))?;
                 (up, port)
             }
         };
@@ -250,22 +260,24 @@ impl ConstantDecoder {
 
     /// Handles everything delivered in round `r`.
     fn process(&mut self, view: &LocalView, r: usize, inbox: &[(Port, ConstMsg)]) {
-        if let Some(window) = self.schedule.phase_of_round(r).copied() {
+        let schedule = self.schedule;
+        if let Some(window) = schedule.phase_of_round(r) {
             for (port, msg) in inbox {
                 match msg {
                     ConstMsg::Level(l) if Some(r) == window.level_round => {
-                        self.neighbor_levels.insert(*port, *l);
+                        self.slots[*port].level = Some(*l);
                     }
                     ConstMsg::Report(rep)
                         if (window.converge_start..=window.converge_end).contains(&r) =>
                     {
-                        self.child_reports.insert(*port, rep.clone());
+                        self.slots[*port].report.clone_from(rep);
                     }
                     ConstMsg::Map(entry)
                         if (window.broadcast_start..=window.broadcast_end).contains(&r)
                             && Some(*port) == self.parent_port =>
                     {
-                        self.apply_map(view, entry.clone());
+                        self.map.clone_from(entry);
+                        self.apply_map();
                     }
                     ConstMsg::Parent if r == window.notify_round && self.parent_port.is_none() => {
                         self.parent_port = Some(*port);
@@ -274,64 +286,66 @@ impl ConstantDecoder {
                 }
             }
             if r == window.converge_end && self.parent_port.is_none() {
-                self.root_assemble(view, &window);
+                self.root_assemble(view, window);
             }
-        } else if self.schedule.is_final_round(r) {
+        } else if schedule.is_final_round(r) {
             for (port, msg) in inbox {
                 if let ConstMsg::Report(rep) = msg {
-                    self.final_child_reports.insert(*port, rep.clone());
+                    self.slots[*port].report.clone_from(rep);
                 }
             }
         }
     }
 
-    /// Produces the messages to send in round `next`.
-    fn emit(&mut self, view: &LocalView, next: usize) -> Outbox<ConstMsg> {
-        let mut outbox = Vec::new();
-        if let Some(window) = self.schedule.phase_of_round(next).copied() {
+    /// Sends the messages of round `next` into `out`.
+    fn emit(&mut self, view: &LocalView, next: usize, out: &mut MsgSink<'_, ConstMsg>) {
+        let schedule = self.schedule;
+        if let Some(window) = schedule.phase_of_round(next) {
             let phase_start = window.level_round.unwrap_or(window.converge_start);
             if next == phase_start {
                 // A new phase begins: reset the per-phase state.
-                self.child_reports.clear();
-                self.neighbor_levels.clear();
-                self.pending_map = None;
-                self.map_child_ports.clear();
+                self.clear_slots();
+                self.map_pending = false;
                 self.chooser = None;
             }
             if Some(next) == window.level_round {
                 let level = self.my_levels.get(window.phase - 1).copied().unwrap_or(0);
                 for p in 0..view.degree() {
-                    outbox.push((p, ConstMsg::Level(level)));
+                    out.send(p, ConstMsg::Level(level));
                 }
             }
             if (window.converge_start..=window.converge_end).contains(&next) {
                 if let Some(parent) = self.parent_port {
                     let limit = 1usize << window.phase.min(60);
-                    outbox.push((parent, ConstMsg::Report(self.build_report(view, limit))));
+                    out.send(
+                        parent,
+                        ConstMsg::Report(self.report(self.unconsumed(), limit)),
+                    );
                 }
             }
-            if (window.broadcast_start..=window.broadcast_end).contains(&next) {
-                if let Some(entries) = self.pending_map.take() {
-                    for (entry, port) in entries.into_iter().zip(self.map_child_ports.iter()) {
-                        outbox.push((*port, ConstMsg::Map(entry)));
-                    }
+            if (window.broadcast_start..=window.broadcast_end).contains(&next)
+                && std::mem::take(&mut self.map_pending)
+            {
+                for (entry, port) in self.map.children().zip(self.child_ports()) {
+                    out.send(port, ConstMsg::Map(entry));
                 }
             }
             if next == window.notify_round {
-                if let Some((port, msg)) = self.resolve_chooser(view) {
-                    outbox.push((port, msg));
+                if let Some((port, msg)) = self.resolve_chooser() {
+                    out.send(port, msg);
                 }
             }
-        } else if self.schedule.is_final_round(next) {
+        } else if schedule.is_final_round(next) {
+            if next == schedule.final_start {
+                self.clear_slots();
+            }
             if let Some(parent) = self.parent_port {
-                let limit = self.final_limit;
-                outbox.push((
+                out.send(
                     parent,
-                    ConstMsg::Report(self.build_final_report(view, limit)),
-                ));
+                    ConstMsg::Report(self.report(self.final_bits, self.final_limit)),
+                );
             }
         }
-        outbox
     }
 
     /// Computes the node's final output after the last round.
@@ -340,14 +354,13 @@ impl ConstantDecoder {
             UpwardOutput::Parent(port)
         } else {
             let l = super::schedule::log_n(view.n);
-            let report = self.build_final_report(view, self.final_limit);
-            let bits = report.bfs_bits();
+            let bits = self.report(self.final_bits, self.final_limit).bfs_bits();
             let take = bits.len().min(l);
             let value = bits_to_uint(&bits[..take]);
             if value == 0 {
                 UpwardOutput::Root
             } else {
-                match Self::port_of_rank(view, value as usize) {
+                match self.port_of_rank(value as usize) {
                     Some(p) => UpwardOutput::Parent(p),
                     None => UpwardOutput::Root,
                 }
@@ -362,55 +375,27 @@ fn bits_to_uint(bits: &[bool]) -> u64 {
     bits.iter().fold(0u64, |acc, &b| (acc << 1) | u64::from(b))
 }
 
-/// Builds the map tree parallel to a report tree.  `bfs_counter` tracks the
-/// BFS position assigned so far; `consume` is indexed by BFS position.
-fn build_map(
+/// Builds the map tree parallel to a report tree: the node at BFS position
+/// `k` consumes `consume[k]` bits, and the node at 1-based BFS position
+/// `chooser_pos` receives `payload`.
+pub(super) fn build_map(
     report: &Report,
     consume: &[usize],
     chooser_pos: usize,
-    payload: &ChooserPayload,
-    _unused: &mut usize,
+    payload: ChooserPayload,
 ) -> MapEntry {
-    // Assign BFS positions to report nodes, then build the map recursively
-    // (shape-preserving, so children stay aligned with ports).
-    let order = report.bfs_order();
-    // lint: allow(hash-iteration) — pointer-keyed position index, lookups only (never iterated)
-    let mut positions: HashMap<*const Report, usize> = HashMap::new();
-    for (k, node) in order.iter().enumerate() {
-        positions.insert(std::ptr::from_ref::<Report>(node), k);
-    }
-    fn build(
-        node: &Report,
-        // lint: allow(hash-iteration) — pointer-keyed position index, lookups only (never iterated)
-        positions: &HashMap<*const Report, usize>,
-        consume: &[usize],
-        chooser_pos: usize,
-        payload: &ChooserPayload,
-    ) -> MapEntry {
-        let pos = positions[&std::ptr::from_ref::<Report>(node)];
-        MapEntry {
-            consume: consume.get(pos).copied().unwrap_or(0),
-            chooser: (pos + 1 == chooser_pos).then_some(*payload),
-            children: node
-                .children
-                .iter()
-                .map(|c| build(c, positions, consume, chooser_pos, payload))
-                .collect(),
-        }
-    }
-    build(report, &positions, consume, chooser_pos, payload)
+    MapEntry::shaped_like(report, |k| {
+        let chooser = (k + 1 == chooser_pos).then_some(payload);
+        (consume.get(k).copied().unwrap_or(0), chooser)
+    })
 }
 
-impl NodeAlgorithm for ConstantDecoder {
+impl NodeAlgorithm for ConstantDecoder<'_> {
     type Msg = ConstMsg;
     type Output = UpwardOutput;
 
     fn init(&mut self, view: &LocalView) -> Outbox<ConstMsg> {
-        if self.schedule.total_rounds() == 0 {
-            self.finalize(view);
-            return Vec::new();
-        }
-        self.emit(view, 1)
+        collect_outbox(|out| self.init_into(view, out))
     }
 
     fn round(
@@ -419,12 +404,32 @@ impl NodeAlgorithm for ConstantDecoder {
         round: usize,
         inbox: &[(Port, ConstMsg)],
     ) -> Outbox<ConstMsg> {
+        collect_outbox(|out| self.round_into(view, round, inbox, out))
+    }
+
+    fn init_into(&mut self, view: &LocalView, out: &mut MsgSink<'_, ConstMsg>) {
+        self.port_order = view.ports_by_weight();
+        self.slots.resize_with(view.degree(), Slot::default);
+        if self.schedule.total_rounds() == 0 {
+            self.finalize(view);
+            return;
+        }
+        self.emit(view, 1, out);
+    }
+
+    fn round_into(
+        &mut self,
+        view: &LocalView,
+        round: usize,
+        inbox: &[(Port, ConstMsg)],
+        out: &mut MsgSink<'_, ConstMsg>,
+    ) {
         self.process(view, round, inbox);
         if round >= self.schedule.total_rounds() {
             self.finalize(view);
-            return Vec::new();
+            return;
         }
-        self.emit(view, round + 1)
+        self.emit(view, round + 1, out);
     }
 
     fn is_done(&self) -> bool {
@@ -451,27 +456,21 @@ mod tests {
     #[test]
     fn build_map_marks_the_right_bfs_position() {
         // Report: root with two children, second child has one child.
-        let report = Report {
-            bits: vec![true, true],
-            children: vec![
-                Report::leaf(vec![false]),
-                Report {
-                    bits: vec![true],
-                    children: vec![Report::leaf(vec![false, false])],
-                },
-            ],
-        };
+        let second = Report::join(&[true], [&Report::leaf(&[false, false])]);
+        let report = Report::join(&[true, true], [&Report::leaf(&[false]), &second]);
         let consume = vec![2, 1, 0, 0];
         let payload = ChooserPayload::Index { up: true, rank: 3 };
-        let map = build_map(&report, &consume, 3, &payload, &mut 0);
-        assert_eq!(map.consume, 2);
-        assert!(map.chooser.is_none());
-        assert_eq!(map.children.len(), 2);
-        assert_eq!(map.children[0].consume, 1);
-        assert!(map.children[0].chooser.is_none());
+        let map = build_map(&report, &consume, 3, payload);
+        assert_eq!(map.consume(), 2);
+        assert!(map.chooser().is_none());
+        let children: Vec<MapEntry> = map.children().collect();
+        assert_eq!(children.len(), 2);
+        assert_eq!(children[0].consume(), 1);
+        assert!(children[0].chooser().is_none());
         // BFS position 3 is the second child of the root.
-        assert!(map.children[1].chooser.is_some());
-        assert_eq!(map.children[1].children.len(), 1);
-        assert!(map.children[1].children[0].chooser.is_none());
+        assert_eq!(children[1].chooser(), Some(payload));
+        let grandchildren: Vec<MapEntry> = children[1].children().collect();
+        assert_eq!(grandchildren.len(), 1);
+        assert!(grandchildren[0].chooser().is_none());
     }
 }

@@ -138,7 +138,7 @@ impl AdvisingScheme for ConstantScheme {
         // the published advice (gap G1 in DESIGN.md), so it is injected here
         // as idealized ground truth from a fresh oracle run.
         let levels: Vec<Vec<u8>> = match self.variant {
-            ConstantVariant::Index => vec![Vec::new(); n],
+            ConstantVariant::Index => Vec::new(),
             ConstantVariant::Level => {
                 let run = run_boruvka(g, &self.boruvka)?;
                 let k = schedule::log_log_n(n);
@@ -151,14 +151,15 @@ impl AdvisingScheme for ConstantScheme {
                     .collect()
             }
         };
+        let empty = BitString::new();
         let programs: Vec<ConstantDecoder> = g
             .nodes()
             .map(|u| {
                 ConstantDecoder::new(
                     self.variant,
-                    schedule.clone(),
-                    advice.per_node.get(u).unwrap_or(&BitString::new()),
-                    levels[u].clone(),
+                    &schedule,
+                    advice.per_node.get(u).unwrap_or(&empty),
+                    levels.get(u).map_or(&[], Vec::as_slice),
                 )
             })
             .collect();

@@ -143,7 +143,7 @@ impl AdvisingScheme for TradeoffScheme {
         let p = self.effective_cutoff(n);
         let width = self.final_width(n);
         let levels: Vec<Vec<u8>> = match self.variant {
-            ConstantVariant::Index => vec![Vec::new(); n],
+            ConstantVariant::Index => Vec::new(),
             ConstantVariant::Level => {
                 let run = run_boruvka(g, &self.boruvka)?;
                 (0..n)
@@ -161,9 +161,9 @@ impl AdvisingScheme for TradeoffScheme {
             .map(|u| {
                 ConstantDecoder::with_final_width(
                     self.variant,
-                    schedule.clone(),
+                    &schedule,
                     advice.per_node.get(u).unwrap_or(&empty),
-                    levels[u].clone(),
+                    levels.get(u).map_or(&[], Vec::as_slice),
                     width,
                 )
             })

@@ -37,9 +37,16 @@
 //! so must a run right after a run on the other size: checkout resizes a
 //! pooled plane within its capacity and keeps no size-dependent record
 //! beside the slots.
+//!
+//! The Theorem 3 decoder (Process `A`) allocates per message it sends, not
+//! per node-round: a warm constant-scheme decode on a serve-cold-shaped
+//! graph (sparse-random, 192 nodes) stays within two allocations per
+//! message (a report's entry and payload buffers) plus twenty per node (its
+//! port order and slots, and a fragment root's assembly work).
 
+use lma_advice::{AdvisingScheme, ConstantScheme};
 use lma_baselines::flood_collect::FixedGossip;
-use lma_graph::generators::ring;
+use lma_graph::generators::{ring, Family};
 use lma_graph::weights::WeightStrategy;
 use lma_graph::{Partition, Port};
 use lma_sim::{collect_outbox, Backing, LocalView, MsgSink, NodeAlgorithm, Outbox, Sim};
@@ -272,4 +279,26 @@ fn a_warm_run_allocates_independently_of_n() {
             );
         }
     }
+}
+
+#[test]
+fn a_warm_constant_decode_allocates_per_message_sent() {
+    let _serial = serial();
+    let g = Family::SparseRandom.instantiate(192, WeightStrategy::DistinctRandom { seed: 7 }, 7);
+    let scheme = ConstantScheme::default();
+    let advice = scheme.advise(&g).unwrap();
+    let sim = Sim::on(&g);
+    // Warm-up: the plane pool.
+    scheme.decode(&sim, &advice).unwrap();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let outcome = scheme.decode(&sim, &advice).unwrap();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    lma_mst::verify::verify_upward_outputs(&g, &outcome.outputs).unwrap();
+    let (messages, n) = (outcome.stats.total_messages, g.node_count() as u64);
+    let bound = 2 * messages + 20 * n;
+    assert!(
+        allocations <= bound,
+        "a warm constant decode on sparse-random/{n} allocated {allocations} times \
+         for {messages} messages, over 2 per message + 20 per node = {bound}"
+    );
 }

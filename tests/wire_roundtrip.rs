@@ -99,19 +99,18 @@ fn fact((a, b, w): (u64, u64, u64)) -> EdgeFact {
 /// Assembles a tree out of flat drawn data: item 0 is the root; each later
 /// node attaches under an earlier node chosen by its `parent` draw.
 fn build_report(items: &[(Vec<bool>, usize)]) -> Report {
-    let mut nodes: Vec<Report> = items
-        .iter()
-        .map(|(bits, _)| Report::leaf(bits.clone()))
-        .collect();
-    while nodes.len() > 1 {
-        let child = nodes.pop().expect("len > 1");
-        let index = nodes.len();
-        let parent = items[index].1 % index;
-        nodes[parent].children.push(child);
+    fn subtree(items: &[(Vec<bool>, usize)], i: usize) -> Report {
+        let children: Vec<Report> = (i + 1..items.len())
+            .filter(|&k| items[k].1 % k == i)
+            .map(|k| subtree(items, k))
+            .collect();
+        Report::join(&items[i].0, &children)
     }
-    nodes.pop().expect("one root remains")
+    subtree(items, 0)
 }
 
+/// A map over the tree shape drawn as in [`build_report`], with each
+/// node's `(consume, chooser)` drawn by its BFS position.
 fn build_map(items: &[(usize, u64, usize)]) -> MapEntry {
     let chooser = |draw: u64| match draw % 3 {
         0 => None,
@@ -124,21 +123,14 @@ fn build_map(items: &[(usize, u64, usize)]) -> MapEntry {
             target_level: (draw >> 3) as u8,
         }),
     };
-    let mut nodes: Vec<MapEntry> = items
+    let shape: Vec<(Vec<bool>, usize)> = items
         .iter()
-        .map(|&(consume, draw, _)| MapEntry {
-            consume,
-            chooser: chooser(draw),
-            children: Vec::new(),
-        })
+        .map(|&(_, _, parent)| (Vec::new(), parent))
         .collect();
-    while nodes.len() > 1 {
-        let child = nodes.pop().expect("len > 1");
-        let index = nodes.len();
-        let parent = items[index].2 % index;
-        nodes[parent].children.push(child);
-    }
-    nodes.pop().expect("one root remains")
+    MapEntry::shaped_like(&build_report(&shape), |k| {
+        let (consume, draw, _) = items[k];
+        (consume, chooser(draw))
+    })
 }
 
 fn ghs_msg(tag: u64, a: u64, b: u64, c: u64) -> GhsMsg {
@@ -213,12 +205,14 @@ proptest! {
     ) {
         let report = build_report(&report_items);
         let map = build_map(&map_items);
-        pin_codec(&report, Report::leaf(vec![true]));
-        pin_codec(&map, MapEntry::empty());
+        pin_codec(&report, Report::leaf(&[true]));
+        pin_codec(&report, Report::default());
+        pin_codec(&report.clone().into_truncated(3), report.clone());
+        pin_codec(&map, MapEntry::default());
         pin_codec(&ConstMsg::Report(report.clone()), ConstMsg::Parent);
-        pin_codec(&ConstMsg::Map(map.clone()), ConstMsg::Report(Report::leaf(vec![])));
+        pin_codec(&ConstMsg::Map(map.clone()), ConstMsg::Report(Report::leaf(&[])));
         pin_codec(&ConstMsg::Parent, ConstMsg::Level(0));
-        pin_codec(&ConstMsg::Level(level), ConstMsg::Map(MapEntry::empty()));
+        pin_codec(&ConstMsg::Level(level), ConstMsg::Map(MapEntry::default()));
     }
 
     #[test]
