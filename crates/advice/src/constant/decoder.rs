@@ -90,23 +90,11 @@ pub struct ConstantDecoder<'a> {
 }
 
 impl<'a> ConstantDecoder<'a> {
-    /// Creates the program for one node (the paper's setting: the advice
-    /// ends in a single final-phase bit).
+    /// Creates the program for one node whose advice ends in a final-phase
+    /// segment of `final_width` bits (one in the paper's Theorem 3, and
+    /// `⌈log n / 2^P⌉` in the tradeoff scheme that stops after phase `P`).
     #[must_use]
     pub fn new(
-        variant: ConstantVariant,
-        schedule: &'a Schedule,
-        advice: &'a BitString,
-        my_levels: &'a [u8],
-    ) -> Self {
-        Self::with_final_width(variant, schedule, advice, my_levels, 1)
-    }
-
-    /// Creates the program for one node whose advice ends in a final-phase
-    /// segment of `final_width` bits (the tradeoff scheme's generalization;
-    /// `final_width = 1` is the paper's Theorem 3).
-    #[must_use]
-    pub fn with_final_width(
         variant: ConstantVariant,
         schedule: &'a Schedule,
         advice: &'a BitString,

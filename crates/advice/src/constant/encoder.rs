@@ -1,22 +1,24 @@
-//! The Theorem 3 oracle: building the constant-size advice strings.
+//! The packed-advice oracle of Theorem 3 and of the advice-vs-time
+//! tradeoff.
 //!
-//! For every phase `i = 1 … ⌈log log n⌉` and every active fragment `F` with a
+//! For every phase `i = 1 … P` and every active fragment `F` with a
 //! selection, the oracle builds the fragment string `A(F)` and *packs* it
 //! into the advice of `F`'s nodes, walking the fragment's BFS order and
 //! filling each node up to the per-node capacity `c` (the paper's
-//! `used(v, i)` procedure).  The final phase then writes, for every fragment
-//! of phase `⌈log log n⌉ + 1`, the identity of the fragment root's parent
-//! edge (its local rank, `⌈log n⌉` bits, `0` meaning "I am the MST root"),
-//! one bit per node along the fragment's BFS order; every other node receives
-//! a padding `0` bit so that the final bit always sits at a known position
-//! (the last bit of the advice).
+//! `used(v, i)` procedure).  Every node then receives a final segment of
+//! `B` bits: the first `⌈log n / B⌉` BFS nodes of each fragment of phase
+//! `P + 1` jointly spell the `⌈log n⌉`-bit identity of the fragment root's
+//! parent edge (its local rank, `0` meaning "I am the MST root"), and every
+//! other node receives `B` padding zeros, so the segment always ends the
+//! advice.  Theorem 3 is `P = ⌈log log n⌉` and `B = 1`; the tradeoff scheme
+//! ([`crate::tradeoff`]) stops after fewer phases with a wider segment.
 
 use crate::bits::BitString;
-use crate::constant::schedule::{log_log_n, log_n};
+use crate::constant::schedule::log_n;
 use crate::constant::ConstantVariant;
 use crate::scheme::{Advice, SchemeError};
 use lma_graph::{index, WeightedGraph};
-use lma_mst::decomposition::BoruvkaRun;
+use lma_mst::decomposition::{BoruvkaRun, PhaseRecord};
 
 /// The per-node capacity `c` used for packing the phase strings.
 ///
@@ -34,15 +36,16 @@ pub fn capacity(variant: ConstantVariant) -> usize {
     }
 }
 
-/// Builds the fragment string `A(F)` for one selection at phase `i`.
-pub(crate) fn fragment_string(
+/// Builds the fragment string `A(F)` for one selection of phase `i`, whose
+/// fragments are `rec`.
+fn fragment_string(
     g: &WeightedGraph,
+    rec: &PhaseRecord,
     variant: ConstantVariant,
-    phase: usize,
+    i: usize,
     frag: &lma_mst::FragmentRecord,
     sel: &lma_mst::Selection,
 ) -> Result<BitString, SchemeError> {
-    let i = phase;
     let j = sel.bfs_position;
     if j > frag.size() || j > (1usize << i.min(60)) {
         return Err(SchemeError::Encoding(format!(
@@ -56,7 +59,21 @@ pub(crate) fn fragment_string(
             // The level stored is the level of the fragment on the *other*
             // side of the selected edge (see DESIGN.md, deviation D2/G1):
             // fragments adjacent in the fragment tree have opposite parity.
+            // The choosing node will take its first port, in `(weight,
+            // port)` order, towards a fragment of that level; under
+            // duplicate weights that can be another edge, so refuse then.
             let target = 1 - frag.level;
+            let first = g
+                .incident(sel.choosing_node)
+                .iter()
+                .filter(|ie| rec.fragment_containing(ie.neighbor).level == target)
+                .min_by_key(|ie| (ie.weight, ie.port));
+            if first.map(|ie| ie.edge) != Some(sel.edge) {
+                return Err(SchemeError::Encoding(format!(
+                    "phase {i}: the choosing node's first port towards a level-{target} \
+                     fragment is not the selected edge"
+                )));
+            }
             s.push(target == 1);
             s.push_uint((j - 1) as u64, i);
         }
@@ -87,65 +104,52 @@ pub fn fragment_string_len(variant: ConstantVariant, phase: usize) -> usize {
     }
 }
 
-/// Runs the full oracle: phase packing plus the final-phase bit.
+/// Runs the oracle: packs `A(F)` for phases `1 ‥ phases` at `capacity` bits
+/// per node, then appends every node's `final_width`-bit final segment.
+/// Theorem 3 passes `(⌈log log n⌉, capacity(variant), 1)`.
 pub fn encode(
     g: &WeightedGraph,
     run: &BoruvkaRun,
     variant: ConstantVariant,
-) -> Result<Advice, SchemeError> {
-    encode_with_capacity(g, run, variant, capacity(variant))
-}
-
-/// Like [`encode`], but with an explicit per-node packing capacity `c`
-/// (used by the A1 ablation to find the smallest capacity that still packs).
-pub fn encode_with_capacity(
-    g: &WeightedGraph,
-    run: &BoruvkaRun,
-    variant: ConstantVariant,
-    c: usize,
+    phases: usize,
+    capacity: usize,
+    final_width: usize,
 ) -> Result<Advice, SchemeError> {
     let n = g.node_count();
-    let k = log_log_n(n);
-    let l = log_n(n);
+    let mut per_node = vec![BitString::new(); n];
 
-    let mut phase_advice = vec![BitString::new(); n];
-
-    // Phases 1..=K: pack A(F) along each active fragment's BFS order.
-    for i in 1..=k {
+    for i in 1..=phases {
         let rec = run.phase(i);
         for frag in &rec.fragments {
             let Some(sel) = &frag.selection else { continue };
-            let a_f = fragment_string(g, variant, i, frag, sel)?;
+            let a_f = fragment_string(g, rec, variant, i, frag, sel)?;
             debug_assert_eq!(a_f.len(), fragment_string_len(variant, i));
-            let mut remaining: Vec<bool> = a_f.iter().collect();
-            remaining.reverse(); // pop() yields bits in order
+            let mut rest = a_f.as_slice();
             for &v in &frag.bfs_order {
-                while phase_advice[v].len() < c {
-                    match remaining.pop() {
-                        Some(bit) => phase_advice[v].push(bit),
-                        None => break,
-                    }
+                let take = capacity.saturating_sub(per_node[v].len()).min(rest.len());
+                for &bit in &rest[..take] {
+                    per_node[v].push(bit);
                 }
-                if remaining.is_empty() {
+                rest = &rest[take..];
+                if rest.is_empty() {
                     break;
                 }
             }
-            if !remaining.is_empty() {
+            if !rest.is_empty() {
                 return Err(SchemeError::Encoding(format!(
                     "phase {i}: could not pack {} leftover bits of A(F) into a fragment of size \
-                     {} with capacity {c}",
-                    remaining.len(),
+                     {} with capacity {capacity}",
+                    rest.len(),
                     frag.size()
                 )));
             }
         }
     }
 
-    // Final phase: one bit per node (padded with 0 for nodes outside the
-    // first ⌈log n⌉ BFS positions of their fragment).
-    let mut final_bit = vec![false; n];
-    let rec = run.phase(k + 1);
-    for frag in &rec.fragments {
+    let l = log_n(n);
+    let b = final_width.max(1);
+    let positions = l.div_ceil(b);
+    for frag in &run.phase(phases + 1).fragments {
         let value: u64 = if frag.root == run.root {
             0
         } else {
@@ -158,41 +162,35 @@ pub fn encode_with_capacity(
                 "final phase: parent-edge rank {value} does not fit in {l} bits"
             )));
         }
-        if frag.size() < l && frag.root != run.root {
+        if frag.size() < positions && frag.root != run.root {
             return Err(SchemeError::Encoding(format!(
-                "final phase: fragment of size {} cannot hold {l} bits one per node",
+                "final phase: fragment of size {} cannot hold {l} bits at {b} bits per node",
                 frag.size()
             )));
         }
-        let mut bits = BitString::new();
-        bits.push_uint(value, l);
-        for (pos, &node) in frag.bfs_order.iter().take(l).enumerate() {
-            final_bit[node] = bits.get(pos).unwrap_or(false);
+        // BFS position `k` holds bits `k·B ‥ (k + 1)·B` of the value, most
+        // significant first, and zeros past the value's `⌈log n⌉` bits.
+        for (k, &v) in frag.bfs_order.iter().enumerate() {
+            for q in k * b..(k + 1) * b {
+                per_node[v].push(q < l && (value >> (l - 1 - q)) & 1 == 1);
+            }
         }
     }
-
-    // Assemble: phase advice followed by the single final bit.
-    let per_node = (0..n)
-        .map(|u| {
-            let mut s = phase_advice[u].clone();
-            s.push(final_bit[u]);
-            debug_assert!(s.len() <= c + 1);
-            s
-        })
-        .collect();
     Ok(Advice { per_node })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constant::schedule::log_log_n;
     use lma_graph::generators::{complete, connected_random, grid, path, ring, star};
     use lma_graph::weights::WeightStrategy;
     use lma_mst::boruvka::{run_boruvka, BoruvkaConfig};
 
     fn encode_for(g: &WeightedGraph, variant: ConstantVariant) -> Advice {
         let run = run_boruvka(g, &BoruvkaConfig::default()).unwrap();
-        encode(g, &run, variant).unwrap()
+        let k = log_log_n(g.node_count());
+        encode(g, &run, variant, k, capacity(variant), 1).unwrap()
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! fragment, lets the choosing node pick the fragment's outgoing edge, and
 //! finishes after `O(log n)` rounds in total.
 //!
+//! The same pipeline, stopped after fewer phases with a wider final segment,
+//! is the advice-vs-time tradeoff of [`crate::tradeoff`]: [`encoder::encode`],
+//! [`Schedule::new`] and [`decoder::ConstantDecoder::new`] take the phase
+//! count and final-segment width, and [`ConstantScheme`] is the point
+//! `P = ⌈log log n⌉`, `B = 1` with a `⌈log n⌉`-round final window.
+//!
 //! Two variants are provided (see `DESIGN.md`, deviation D2 and gap G1):
 //!
 //! * [`ConstantVariant::Index`] (default): `A(F)` carries the *local rank* of
@@ -25,7 +31,9 @@
 //!   ground-truth per-phase level of its own fragment (one extra
 //!   level-exchange round per phase then makes neighbours' levels known).
 //!   The idealized bits are **not** counted as advice; the variant exists to
-//!   reproduce the paper's exact accounting and to quantify the gap.
+//!   reproduce the paper's exact accounting and to quantify the gap.  When
+//!   duplicate weights make that cheapest edge differ from the selected
+//!   one, the oracle refuses with [`SchemeError::Encoding`].
 
 pub mod decoder;
 pub mod encoder;
@@ -38,7 +46,7 @@ use decoder::ConstantDecoder;
 use lma_graph::WeightedGraph;
 use lma_mst::boruvka::{run_boruvka, BoruvkaConfig};
 use lma_sim::Sim;
-use schedule::{Schedule, ScheduleVariant};
+use schedule::{log_log_n, log_n, Schedule};
 
 /// Which decoder/encoder variant of Theorem 3 to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,13 +61,6 @@ pub enum ConstantVariant {
 }
 
 impl ConstantVariant {
-    fn schedule_variant(self) -> ScheduleVariant {
-        match self {
-            ConstantVariant::Index => ScheduleVariant::Index,
-            ConstantVariant::Level => ScheduleVariant::Level,
-        }
-    }
-
     /// Short label used in experiment tables.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -104,7 +105,7 @@ impl ConstantScheme {
     /// The round schedule the decoder follows on an `n`-node graph.
     #[must_use]
     pub fn schedule_for(&self, n: usize) -> Schedule {
-        Schedule::for_n(n, self.variant.schedule_variant())
+        Schedule::new(n, self.variant, log_log_n(n), log_n(n))
     }
 }
 
@@ -126,49 +127,63 @@ impl AdvisingScheme for ConstantScheme {
 
     fn advise(&self, g: &WeightedGraph) -> Result<Advice, SchemeError> {
         let run = run_boruvka(g, &self.boruvka)?;
-        encoder::encode(g, &run, self.variant)
+        let k = log_log_n(g.node_count());
+        encoder::encode(g, &run, self.variant, k, encoder::capacity(self.variant), 1)
     }
 
     fn decode(&self, sim: &Sim<'_>, advice: &Advice) -> Result<DecodeOutcome, SchemeError> {
-        let g = sim.graph();
-        let n = g.node_count();
-        let schedule = self.schedule_for(n);
-        // The paper-literal level variant needs every node to know its own
-        // fragment's level at every phase; this cannot be reconstructed from
-        // the published advice (gap G1 in DESIGN.md), so it is injected here
-        // as idealized ground truth from a fresh oracle run.
-        let levels: Vec<Vec<u8>> = match self.variant {
-            ConstantVariant::Index => Vec::new(),
-            ConstantVariant::Level => {
-                let run = run_boruvka(g, &self.boruvka)?;
-                let k = schedule::log_log_n(n);
-                (0..n)
-                    .map(|u| {
-                        (1..=k)
-                            .map(|i| run.phase(i).fragment_containing(u).level)
-                            .collect()
-                    })
-                    .collect()
-            }
-        };
-        let empty = BitString::new();
-        let programs: Vec<ConstantDecoder> = g
-            .nodes()
-            .map(|u| {
-                ConstantDecoder::new(
-                    self.variant,
-                    &schedule,
-                    advice.per_node.get(u).unwrap_or(&empty),
-                    levels.get(u).map_or(&[], Vec::as_slice),
-                )
-            })
-            .collect();
-        let result = sim.run(programs)?;
-        Ok(DecodeOutcome {
-            outputs: result.outputs,
-            stats: result.stats,
-        })
+        let schedule = self.schedule_for(sim.graph().node_count());
+        decode(sim, advice, self.variant, &self.boruvka, &schedule, 1)
     }
+}
+
+/// Runs Process `A` on every node: each follows `schedule`, reading its
+/// advice as packed phase strings followed by a `final_width`-bit final
+/// segment.
+pub(crate) fn decode(
+    sim: &Sim<'_>,
+    advice: &Advice,
+    variant: ConstantVariant,
+    boruvka: &BoruvkaConfig,
+    schedule: &Schedule,
+    final_width: usize,
+) -> Result<DecodeOutcome, SchemeError> {
+    let g = sim.graph();
+    // The paper-literal level variant needs every node to know its own
+    // fragment's level at every phase; this cannot be reconstructed from
+    // the published advice (gap G1 in DESIGN.md), so it is injected here
+    // as idealized ground truth from a fresh oracle run.
+    let levels: Vec<Vec<u8>> = match variant {
+        ConstantVariant::Index => Vec::new(),
+        ConstantVariant::Level => {
+            let run = run_boruvka(g, boruvka)?;
+            g.nodes()
+                .map(|u| {
+                    (1..=schedule.phases.len())
+                        .map(|i| run.phase(i).fragment_containing(u).level)
+                        .collect()
+                })
+                .collect()
+        }
+    };
+    let empty = BitString::new();
+    let programs: Vec<ConstantDecoder> = g
+        .nodes()
+        .map(|u| {
+            ConstantDecoder::new(
+                variant,
+                schedule,
+                advice.per_node.get(u).unwrap_or(&empty),
+                levels.get(u).map_or(&[], Vec::as_slice),
+                final_width,
+            )
+        })
+        .collect();
+    let result = sim.run(programs)?;
+    Ok(DecodeOutcome {
+        outputs: result.outputs,
+        stats: result.stats,
+    })
 }
 
 #[cfg(test)]
@@ -258,7 +273,7 @@ mod tests {
             let e = eval_with(&g, ConstantVariant::Index);
             rounds.push((n, e.run.rounds));
             assert!(
-                e.run.rounds <= Schedule::nine_log_n(n) + 3 * schedule::log_log_n(n) + 8,
+                e.run.rounds <= Schedule::nine_log_n(n),
                 "n={n}: {} rounds",
                 e.run.rounds
             );

@@ -8,22 +8,16 @@
 //! without any extra coordination, exactly as in the paper's accounting
 //! (`Σ_i 2^{i+1} + ⌈log n⌉ ≤ 9⌈log n⌉`).
 //!
-//! The schedule below adds a constant number of bookkeeping rounds per phase
-//! (the explicit notify round and, for the paper-literal level variant, a
-//! level-exchange round), so the total is `9⌈log n⌉ + O(log log n)`; the
-//! experiments report the measured count next to the paper's `9⌈log n⌉`.
+//! The schedule below adds one notify round per phase and, for the
+//! paper-literal level variant, one level-exchange round.  With
+//! `K = ⌈log log n⌉` phases and `L = ⌈log n⌉` that is
+//! `2^{K+2} − 4 + K + L` rounds (index) and `2^{K+2} − 4 + 2K + L` (level).
+//! Since `2^{K+2} ≤ 8L − 8` for `L ≥ 2`, both stay within the paper's
+//! `9⌈log n⌉` for every `L ≤ 64`; the level variant meets it exactly at
+//! `L = 33`.
 
+use super::ConstantVariant;
 use lma_graph::graph::ceil_log2;
-
-/// Which decoder variant the schedule serves (the level variant has one extra
-/// round per phase for the level exchange).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleVariant {
-    /// Index variant (default).
-    Index,
-    /// Paper-literal level variant.
-    Level,
-}
 
 /// `⌈log₂ n⌉` — the paper's `⌈log n⌉`.
 #[must_use]
@@ -71,7 +65,7 @@ impl PhaseWindow {
 pub struct Schedule {
     /// Number of nodes the schedule was computed for.
     pub n: usize,
-    /// Phase windows for phases `1..=⌈log log n⌉`.
+    /// Windows of the packed phases `1..=P` (`P = ⌈log log n⌉` in Theorem 3).
     pub phases: Vec<PhaseWindow>,
     /// First round of the final-phase convergecast.
     pub final_start: usize,
@@ -81,36 +75,21 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Computes the schedule for an `n`-node network (the paper's setting:
-    /// `⌈log log n⌉` packed phases followed by a `⌈log n⌉`-round final
-    /// collection).
+    /// Computes the schedule for an `n`-node network: `phases` packed
+    /// Borůvka phases, then a `final_len`-round final collection.  Theorem 3
+    /// runs `⌈log log n⌉` phases and a `⌈log n⌉`-round final window; the
+    /// advice-vs-time tradeoff ([`crate::tradeoff`]) stops after fewer
+    /// phases and reads a wider per-node final segment in fewer rounds.  The
+    /// level variant spends one extra round per phase on the level exchange.
     #[must_use]
-    pub fn for_n(n: usize, variant: ScheduleVariant) -> Self {
-        Self::custom(n, log_log_n(n), log_n(n), variant)
-    }
-
-    /// Computes a schedule with an explicit number of packed Borůvka phases
-    /// and an explicit final-collection window length.  This is what the
-    /// advice-vs-time tradeoff scheme ([`crate::tradeoff`]) uses: fewer
-    /// packed phases mean a shorter packed prefix but a wider per-node final
-    /// segment (and vice versa); `phase_count = ⌈log log n⌉` and
-    /// `final_len = ⌈log n⌉` recover the paper's Theorem 3 schedule.
-    #[must_use]
-    pub fn custom(
-        n: usize,
-        phase_count: usize,
-        final_len: usize,
-        variant: ScheduleVariant,
-    ) -> Self {
-        let k = phase_count;
-        let l = final_len;
-        let mut phases = Vec::with_capacity(k);
+    pub fn new(n: usize, variant: ConstantVariant, phases: usize, final_len: usize) -> Self {
+        let mut windows = Vec::with_capacity(phases);
         let mut next = 0usize; // last assigned round
-        for i in 1..=k {
+        for i in 1..=phases {
             let span = 1usize << i.min(40);
             let level_round = match variant {
-                ScheduleVariant::Index => None,
-                ScheduleVariant::Level => {
+                ConstantVariant::Index => None,
+                ConstantVariant::Level => {
                     next += 1;
                     Some(next)
                 }
@@ -121,7 +100,7 @@ impl Schedule {
             let broadcast_end = converge_end + span;
             let notify_round = broadcast_end + 1;
             next = notify_round;
-            phases.push(PhaseWindow {
+            windows.push(PhaseWindow {
                 phase: i,
                 level_round,
                 converge_start,
@@ -131,13 +110,11 @@ impl Schedule {
                 notify_round,
             });
         }
-        let final_start = next + 1;
-        let final_end = next + l;
         Self {
             n,
-            phases,
-            final_start,
-            final_end,
+            phases: windows,
+            final_start: next + 1,
+            final_end: next + final_len,
         }
     }
 
@@ -172,6 +149,11 @@ impl Schedule {
 mod tests {
     use super::*;
 
+    /// The paper's Theorem 3 schedule.
+    fn theorem3(n: usize, variant: ConstantVariant) -> Schedule {
+        Schedule::new(n, variant, log_log_n(n), log_n(n))
+    }
+
     #[test]
     fn log_helpers() {
         assert_eq!(log_n(2), 1);
@@ -186,8 +168,8 @@ mod tests {
     #[test]
     fn windows_are_contiguous_and_disjoint() {
         for n in [2usize, 5, 16, 100, 1024, 1 << 15] {
-            for variant in [ScheduleVariant::Index, ScheduleVariant::Level] {
-                let s = Schedule::for_n(n, variant);
+            for variant in [ConstantVariant::Index, ConstantVariant::Level] {
+                let s = theorem3(n, variant);
                 let mut expected_next = 1usize;
                 for w in &s.phases {
                     let start = w.level_round.unwrap_or(w.converge_start);
@@ -208,8 +190,8 @@ mod tests {
     #[test]
     fn total_rounds_is_o_log_n() {
         for n in [16usize, 256, 4096, 1 << 16, 1 << 20] {
-            let s = Schedule::for_n(n, ScheduleVariant::Index);
-            let bound = Schedule::nine_log_n(n) + 3 * log_log_n(n) + 8;
+            let s = theorem3(n, ConstantVariant::Index);
+            let bound = Schedule::nine_log_n(n);
             assert!(
                 s.total_rounds() <= bound,
                 "n={n}: {} rounds exceeds {bound}",
@@ -218,9 +200,42 @@ mod tests {
         }
     }
 
+    /// The paper's `9⌈log n⌉` holds for every `⌈log n⌉ ≤ 64`, in closed form:
+    /// `2^{K+2} − 4 + K + L` rounds for the index variant and one more per
+    /// phase for the level variant (`K = ⌈log log n⌉`, `L = ⌈log n⌉`).
+    #[test]
+    fn total_rounds_meet_nine_log_n_in_closed_form() {
+        for l in 1..=64usize {
+            let n = (1usize << (l - 1)) + 1;
+            assert_eq!(log_n(n), l);
+            let k = log_log_n(n);
+            for (variant, per_phase) in [(ConstantVariant::Index, 1), (ConstantVariant::Level, 2)] {
+                let total = theorem3(n, variant).total_rounds();
+                assert_eq!(
+                    total,
+                    (1 << (k + 2)) - 4 + per_phase * k + l,
+                    "L={l} {variant:?}"
+                );
+                assert!(
+                    total <= Schedule::nine_log_n(n),
+                    "L={l} {variant:?}: {total} rounds exceed 9L = {}",
+                    Schedule::nine_log_n(n)
+                );
+            }
+        }
+        // The tight points: the level variant meets 9L at L = 33, and the
+        // index variant's smallest margin over this range is 6 rounds.
+        let n = (1usize << 32) + 1;
+        assert_eq!(theorem3(n, ConstantVariant::Level).total_rounds(), 9 * 33);
+        assert_eq!(
+            theorem3(n, ConstantVariant::Index).total_rounds(),
+            9 * 33 - 6
+        );
+    }
+
     #[test]
     fn phase_of_round_lookup() {
-        let s = Schedule::for_n(1024, ScheduleVariant::Index);
+        let s = theorem3(1024, ConstantVariant::Index);
         for w in &s.phases {
             assert_eq!(s.phase_of_round(w.converge_start).unwrap().phase, w.phase);
             assert_eq!(s.phase_of_round(w.notify_round).unwrap().phase, w.phase);
@@ -233,7 +248,7 @@ mod tests {
 
     #[test]
     fn tiny_networks_have_only_the_final_phase() {
-        let s = Schedule::for_n(2, ScheduleVariant::Index);
+        let s = theorem3(2, ConstantVariant::Index);
         assert!(s.phases.is_empty());
         assert_eq!(s.final_start, 1);
         assert_eq!(s.total_rounds(), 1);

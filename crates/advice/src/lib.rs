@@ -16,7 +16,14 @@
 //! | [`trivial::TrivialScheme`] | §1 | (⌈log n⌉, 0) | baseline upper bound |
 //! | [`one_round::OneRoundScheme`] | Theorem 2 | (O(log² n), 1), **average** O(1) | upper bound |
 //! | [`constant::ConstantScheme`] | Theorem 3 | (O(1), O(log n)) | main result |
+//! | [`tradeoff::TradeoffScheme`] | closing open question | (c + ⌈log n / 2^P⌉, O(2^P + log n / 2^P)) | frontier |
 //! | [`lowerbound`] | Theorem 1 | average Ω(log n) at t = 0 | lower bound |
+//!
+//! Theorem 3 and the tradeoff share one pipeline ([`constant::encoder`],
+//! [`constant::schedule`], [`constant::decoder`]): the tradeoff is that
+//! pipeline stopped after `P` Borůvka phases with a `⌈log n / 2^P⌉`-bit
+//! final segment, and [`constant::ConstantScheme`] is its
+//! `P = ⌈log log n⌉` point.
 //!
 //! The oracles are built on the Borůvka decomposition of
 //! [`lma_mst::boruvka`]; the decoders are [`lma_sim::NodeAlgorithm`]s run by

@@ -5,17 +5,25 @@
 //! *maximum* advice size and the computation time is real, i.e. whether an
 //! (O(1), O(1))-advising scheme for MST exists.  This module does not answer
 //! the question (nobody has), but it maps out the frontier achievable with
-//! the paper's own machinery, by truncating the Theorem 3 construction after
-//! a parameterized number of Borůvka phases:
+//! the paper's own machinery: it is the Theorem 3 pipeline of
+//! [`crate::constant`] stopped after a parameterized number `P` of Borůvka
+//! phases.
 //!
-//! * the oracle packs the fragment strings `A(F)` for phases `1 ‥ P` exactly
-//!   as in Theorem 3 (at most `c` bits per node);
+//! * the oracle ([`encoder::encode`]) packs the fragment strings `A(F)` for
+//!   phases `1 ‥ P` exactly as in Theorem 3 (at most `c` bits per node);
 //! * instead of running the remaining phases, every fragment of phase
 //!   `P + 1` spreads the `⌈log n⌉`-bit identity of its root's MST parent
 //!   edge over its first `⌈log n / B⌉` BFS nodes at `B = ⌈log n / 2^P⌉`
 //!   bits per node (Lemma 1 guarantees the fragment is large enough);
 //! * the decoder replays phases `1 ‥ P` (Process `A`) and then collects the
-//!   root's parent-edge identity in `⌈log n / B⌉` rounds.
+//!   root's parent-edge identity in `⌈log n / B⌉` rounds, or in none when
+//!   one node holds it all.
+//!
+//! [`ConstantScheme`](crate::ConstantScheme) is the point
+//! `P = ⌈log log n⌉`, where `B = 1`.  The two agree in advice, schedule,
+//! claims, rounds and tree on every `n ≥ 3`; at `n = 2` Theorem 3 keeps its
+//! one-round final window (and claims `c + 1` bits) where the tradeoff
+//! decodes in zero rounds and claims one bit.
 //!
 //! The resulting scheme is a genuine `(c + ⌈log n / 2^P⌉, O(2^P + log n /
 //! 2^P))`-advising scheme for every cutoff `0 ≤ P ≤ ⌈log log n⌉`:
@@ -31,15 +39,12 @@
 //! which is the quantitative content of "the machinery of the paper does not
 //! by itself yield an (O(1), O(1)) scheme".
 
-use crate::bits::BitString;
-use crate::constant::decoder::ConstantDecoder;
-use crate::constant::encoder::{self, fragment_string, fragment_string_len};
+use crate::constant::encoder;
 use crate::constant::schedule::{log_log_n, log_n, Schedule};
-use crate::constant::ConstantVariant;
+use crate::constant::{self, ConstantVariant};
 use crate::scheme::{evaluate_scheme, Advice, AdvisingScheme, DecodeOutcome, SchemeError};
-use lma_graph::{index, WeightedGraph};
+use lma_graph::WeightedGraph;
 use lma_mst::boruvka::{run_boruvka, BoruvkaConfig};
-use lma_mst::decomposition::BoruvkaRun;
 use lma_sim::Sim;
 
 /// The budgeted advising scheme interpolating between the trivial scheme
@@ -89,20 +94,14 @@ impl TradeoffScheme {
         log_n(n).div_ceil(self.final_width(n)).max(1)
     }
 
-    /// The deterministic round schedule of the decoder.
+    /// The deterministic round schedule of the decoder: the final window
+    /// reads one BFS position per round, and takes no round at all when one
+    /// position holds the whole rank.
     #[must_use]
     pub fn schedule_for(&self, n: usize) -> Schedule {
         let positions = self.final_positions(n);
         let final_len = if positions <= 1 { 0 } else { positions };
-        Schedule::custom(
-            n,
-            self.effective_cutoff(n),
-            final_len,
-            match self.variant {
-                ConstantVariant::Index => crate::constant::schedule::ScheduleVariant::Index,
-                ConstantVariant::Level => crate::constant::schedule::ScheduleVariant::Level,
-            },
-        )
+        Schedule::new(n, self.variant, self.effective_cutoff(n), final_len)
     }
 }
 
@@ -126,154 +125,24 @@ impl AdvisingScheme for TradeoffScheme {
 
     fn advise(&self, g: &WeightedGraph) -> Result<Advice, SchemeError> {
         let run = run_boruvka(g, &self.boruvka)?;
-        encode_tradeoff(
+        let n = g.node_count();
+        let c = encoder::capacity(self.variant);
+        encoder::encode(
             g,
             &run,
             self.variant,
-            self.effective_cutoff(g.node_count()),
-            encoder::capacity(self.variant),
-            self.final_width(g.node_count()),
+            self.effective_cutoff(n),
+            c,
+            self.final_width(n),
         )
     }
 
     fn decode(&self, sim: &Sim<'_>, advice: &Advice) -> Result<DecodeOutcome, SchemeError> {
-        let g = sim.graph();
-        let n = g.node_count();
+        let n = sim.graph().node_count();
         let schedule = self.schedule_for(n);
-        let p = self.effective_cutoff(n);
         let width = self.final_width(n);
-        let levels: Vec<Vec<u8>> = match self.variant {
-            ConstantVariant::Index => Vec::new(),
-            ConstantVariant::Level => {
-                let run = run_boruvka(g, &self.boruvka)?;
-                (0..n)
-                    .map(|u| {
-                        (1..=p)
-                            .map(|i| run.phase(i).fragment_containing(u).level)
-                            .collect()
-                    })
-                    .collect()
-            }
-        };
-        let empty = BitString::new();
-        let programs: Vec<ConstantDecoder> = g
-            .nodes()
-            .map(|u| {
-                ConstantDecoder::with_final_width(
-                    self.variant,
-                    &schedule,
-                    advice.per_node.get(u).unwrap_or(&empty),
-                    levels.get(u).map_or(&[], Vec::as_slice),
-                    width,
-                )
-            })
-            .collect();
-        let result = sim.run(programs)?;
-        Ok(DecodeOutcome {
-            outputs: result.outputs,
-            stats: result.stats,
-        })
+        constant::decode(sim, advice, self.variant, &self.boruvka, &schedule, width)
     }
-}
-
-/// The tradeoff oracle: Theorem 3 packing for phases `1 ‥ cutoff`, then a
-/// `final_width`-bit final segment per node spelling out each remaining
-/// fragment root's parent edge.
-pub fn encode_tradeoff(
-    g: &WeightedGraph,
-    run: &BoruvkaRun,
-    variant: ConstantVariant,
-    cutoff: usize,
-    capacity: usize,
-    final_width: usize,
-) -> Result<Advice, SchemeError> {
-    let n = g.node_count();
-    let l = log_n(n);
-    let b = final_width.max(1);
-    let positions = l.div_ceil(b);
-
-    let mut phase_advice = vec![BitString::new(); n];
-
-    // Packed prefix: identical to the Theorem 3 oracle, stopped at `cutoff`.
-    for i in 1..=cutoff {
-        let rec = run.phase(i);
-        for frag in &rec.fragments {
-            let Some(sel) = &frag.selection else { continue };
-            let a_f = fragment_string(g, variant, i, frag, sel)?;
-            debug_assert_eq!(a_f.len(), fragment_string_len(variant, i));
-            let mut remaining: Vec<bool> = a_f.iter().collect();
-            remaining.reverse();
-            for &v in &frag.bfs_order {
-                while phase_advice[v].len() < capacity {
-                    match remaining.pop() {
-                        Some(bit) => phase_advice[v].push(bit),
-                        None => break,
-                    }
-                }
-                if remaining.is_empty() {
-                    break;
-                }
-            }
-            if !remaining.is_empty() {
-                return Err(SchemeError::Encoding(format!(
-                    "phase {i}: could not pack {} leftover bits of A(F) into a fragment of size \
-                     {} with capacity {capacity}",
-                    remaining.len(),
-                    frag.size()
-                )));
-            }
-        }
-    }
-
-    // Final segment: `b` bits per node; the first `positions` BFS nodes of
-    // every phase-(cutoff + 1) fragment jointly spell the ⌈log n⌉-bit rank
-    // of the fragment root's parent edge (0 = "I am the MST root").
-    let mut final_segment: Vec<BitString> = (0..n)
-        .map(|_| {
-            let mut s = BitString::new();
-            s.push_uint(0, b);
-            s
-        })
-        .collect();
-    let rec = run.phase(cutoff + 1);
-    for frag in &rec.fragments {
-        let value: u64 = if frag.root == run.root {
-            0
-        } else {
-            let port = run.tree.parent_port[frag.root]
-                .expect("non-root fragment roots have a parent in the MST");
-            index::rank_of(g, frag.root, port) as u64
-        };
-        if value >= (1u64 << l.min(63)) {
-            return Err(SchemeError::Encoding(format!(
-                "final phase: parent-edge rank {value} does not fit in {l} bits"
-            )));
-        }
-        if frag.size() < positions && frag.root != run.root {
-            return Err(SchemeError::Encoding(format!(
-                "final phase: fragment of size {} cannot hold {l} bits at {b} bits per node",
-                frag.size()
-            )));
-        }
-        let mut bits = BitString::new();
-        bits.push_uint(value, l);
-        for (pos, &node) in frag.bfs_order.iter().take(positions).enumerate() {
-            let mut segment = BitString::new();
-            for k in 0..b {
-                segment.push(bits.get(pos * b + k).unwrap_or(false));
-            }
-            final_segment[node] = segment;
-        }
-    }
-
-    let per_node = (0..n)
-        .map(|u| {
-            let mut s = phase_advice[u].clone();
-            s.extend(&final_segment[u]);
-            s
-        })
-        .collect();
-    Ok(Advice { per_node })
 }
 
 /// One point of the measured advice-vs-time frontier.
@@ -328,7 +197,7 @@ mod tests {
     use super::*;
     use crate::constant::ConstantScheme;
     use crate::trivial::TrivialScheme;
-    use lma_graph::generators::{complete, connected_random, grid, path, ring, torus};
+    use lma_graph::generators::{complete, connected_random, grid, path, ring, torus, Family};
     use lma_graph::weights::WeightStrategy;
 
     fn eval(scheme: &TradeoffScheme, g: &WeightedGraph) -> crate::scheme::SchemeEvaluation {
@@ -395,15 +264,89 @@ mod tests {
 
     #[test]
     fn full_cutoff_matches_theorem_three() {
-        let g = connected_random(128, 380, 8, WeightStrategy::DistinctRandom { seed: 8 });
-        let n = g.node_count();
-        let full = eval(&TradeoffScheme::default(), &g);
-        let t3 = evaluate_scheme(&ConstantScheme::default(), &Sim::on(&g)).unwrap();
-        assert_eq!(full.advice.max_bits, t3.advice.max_bits);
-        assert_eq!(full.run.rounds, t3.run.rounds);
-        assert_eq!(full.tree.edges, t3.tree.edges);
-        assert!(full.advice.max_bits <= encoder::capacity(ConstantVariant::Index) + 1);
-        assert!(full.run.rounds <= Schedule::nine_log_n(n) + 3 * log_log_n(n) + 8);
+        let mut graphs = vec![connected_random(
+            128,
+            380,
+            8,
+            WeightStrategy::DistinctRandom { seed: 8 },
+        )];
+        for family in Family::ALL {
+            for n in [3usize, 5, 17, 64, 129] {
+                graphs.push(family.instantiate(n, WeightStrategy::DistinctRandom { seed: 8 }, 8));
+            }
+        }
+        // The hypercube at n = 3 has two nodes, the one case that differs
+        // (pinned below).
+        graphs.retain(|g| g.node_count() > 2);
+        let schemes = |variant| {
+            let full = TradeoffScheme {
+                variant,
+                ..TradeoffScheme::default()
+            };
+            let t3 = ConstantScheme {
+                variant,
+                ..ConstantScheme::default()
+            };
+            (full, t3)
+        };
+        for g in &graphs {
+            let n = g.node_count();
+            for variant in [ConstantVariant::Index, ConstantVariant::Level] {
+                let (full_scheme, t3_scheme) = schemes(variant);
+                let case = format!("n={n} {variant:?}");
+                assert_eq!(full_scheme.advise(g), t3_scheme.advise(g), "{case}");
+                assert_eq!(
+                    full_scheme.schedule_for(n),
+                    t3_scheme.schedule_for(n),
+                    "{case}"
+                );
+                assert_eq!(
+                    (
+                        full_scheme.claimed_max_bits(n),
+                        full_scheme.claimed_rounds(n)
+                    ),
+                    (t3_scheme.claimed_max_bits(n), t3_scheme.claimed_rounds(n)),
+                    "{case}"
+                );
+                let full = eval(&full_scheme, g);
+                let t3 = evaluate_scheme(&t3_scheme, &Sim::on(g)).unwrap();
+                assert_eq!(full.advice.max_bits, t3.advice.max_bits);
+                assert_eq!(full.run.rounds, t3.run.rounds);
+                assert_eq!(full.tree.edges, t3.tree.edges);
+                assert_eq!(full.tree, t3.tree, "{case}");
+                assert!(full.advice.max_bits <= encoder::capacity(ConstantVariant::Index) + 1);
+                assert!(full.run.rounds <= Schedule::nine_log_n(n));
+            }
+        }
+        // The one corner where the two differ: at n = 2 there is no packed
+        // phase, and Theorem 3 keeps its one-round final window (claiming
+        // c + 1 bits) while the tradeoff decodes in zero rounds (claiming
+        // one bit).  The advice is the same.
+        let g = path(2, WeightStrategy::DistinctRandom { seed: 8 });
+        for variant in [ConstantVariant::Index, ConstantVariant::Level] {
+            let (full_scheme, t3_scheme) = schemes(variant);
+            assert_eq!(full_scheme.advise(&g), t3_scheme.advise(&g));
+            let full = eval(&full_scheme, &g);
+            let t3 = evaluate_scheme(&t3_scheme, &Sim::on(&g)).unwrap();
+            assert_eq!(full.tree, t3.tree);
+            let c = encoder::capacity(variant);
+            assert_eq!(
+                (
+                    t3.run.rounds,
+                    t3_scheme.claimed_rounds(2),
+                    t3_scheme.claimed_max_bits(2)
+                ),
+                (1, Some(1), Some(c + 1))
+            );
+            assert_eq!(
+                (
+                    full.run.rounds,
+                    full_scheme.claimed_rounds(2),
+                    full_scheme.claimed_max_bits(2)
+                ),
+                (0, Some(0), Some(1))
+            );
+        }
     }
 
     #[test]

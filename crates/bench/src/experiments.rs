@@ -12,7 +12,7 @@
 use crate::harness::{fan_out, RunHarness};
 use crate::table::{fmt_f64, Table};
 use lma_advice::constant::encoder;
-use lma_advice::constant::schedule::Schedule;
+use lma_advice::constant::schedule::{log_log_n, Schedule};
 use lma_advice::lowerbound::{attack_scheme_at, certified_report, truncated_trivial};
 use lma_advice::tradeoff::frontier;
 use lma_advice::{AdvisingScheme, ConstantScheme, ConstantVariant, OneRoundScheme, TrivialScheme};
@@ -413,9 +413,10 @@ pub fn run_a1_capacity_sweep(n: usize) -> Table {
     );
     let g = experiment_graph(n, 0xA1);
     let run = run_boruvka(&g, &BoruvkaConfig::default()).expect("boruvka succeeds");
+    let k = log_log_n(g.node_count());
     for variant in [ConstantVariant::Index, ConstantVariant::Level] {
         for c in 1..=encoder::capacity(variant) + 2 {
-            let result = encoder::encode_with_capacity(&g, &run, variant, c);
+            let result = encoder::encode(&g, &run, variant, k, c, 1);
             let (packs, max_bits) = match result {
                 Ok(advice) => (true, advice.stats().max_bits),
                 Err(_) => (false, 0),

@@ -647,7 +647,7 @@ mod tests {
                         "selected edge must leave the fragment"
                     );
                     assert!(run.tree.contains_edge(sel.edge));
-                    // Lemma 2 (with the +1 slack of our tie-break analysis).
+                    // Lemma 2, with the +1 slack of `DESIGN.md`, L2.
                     assert!(
                         sel.index.sum() <= frag.size() + 1,
                         "phase {i}: index sum {} exceeds fragment size {}",

@@ -1,11 +1,14 @@
 //! Cross-crate end-to-end tests: every advising scheme, on every graph
 //! family, produces a verified rooted MST within its claimed (m, t) bounds.
 
+use lma_advice::constant::schedule::log_log_n;
 use lma_advice::{
-    evaluate_scheme, AdvisingScheme, ConstantScheme, ConstantVariant, OneRoundScheme, TrivialScheme,
+    evaluate_scheme, AdvisingScheme, ConstantScheme, ConstantVariant, OneRoundScheme, SchemeError,
+    TradeoffScheme, TrivialScheme,
 };
 use lma_graph::generators::Family;
 use lma_graph::weights::WeightStrategy;
+use lma_mst::boruvka::{BoruvkaConfig, TieBreak};
 use lma_mst::kruskal::mst_weight;
 use lma_sim::Sim;
 
@@ -112,4 +115,55 @@ fn advice_size_ordering_matches_the_paper() {
         constant_max[1] <= constant_max[0] + 1,
         "constant max must not grow with n: {constant_max:?}"
     );
+}
+
+/// Under the canonical tie-break, duplicate weights can defeat a scheme's
+/// compact encoding (Lemma 2's rank bound, or the level variant's port
+/// rule).  A scheme may then refuse with a typed oracle or encoding error,
+/// but it must never decode a wrong tree.
+#[test]
+fn duplicate_weights_give_a_verified_mst_or_a_typed_refusal() {
+    let boruvka = BoruvkaConfig {
+        root: None,
+        tie_break: TieBreak::CanonicalGlobal,
+    };
+    for family in Family::ALL {
+        for n in [5usize, 17, 33] {
+            for seed in 1..=3u64 {
+                for max in [2u64, 3] {
+                    let g =
+                        family.instantiate(n, WeightStrategy::UniformRandom { seed, max }, seed);
+                    let mut schemes: Vec<Box<dyn AdvisingScheme>> = vec![
+                        Box::new(TrivialScheme { boruvka }),
+                        Box::new(OneRoundScheme { boruvka }),
+                        Box::new(ConstantScheme {
+                            variant: ConstantVariant::Index,
+                            boruvka,
+                        }),
+                        Box::new(ConstantScheme {
+                            variant: ConstantVariant::Level,
+                            boruvka,
+                        }),
+                    ];
+                    for cutoff in 0..=log_log_n(g.node_count()) {
+                        schemes.push(Box::new(TradeoffScheme {
+                            cutoff: Some(cutoff),
+                            variant: ConstantVariant::Level,
+                            boruvka,
+                        }));
+                    }
+                    for scheme in &schemes {
+                        match evaluate_scheme(scheme.as_ref(), &Sim::on(&g)) {
+                            Ok(_) | Err(SchemeError::Oracle(_) | SchemeError::Encoding(_)) => {}
+                            Err(e) => panic!(
+                                "{} on {} (n={n}, seed {seed}, max {max}): {e}",
+                                scheme.name(),
+                                family.name()
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -63,7 +63,7 @@ proptest! {
                 prop_assert_eq!(frag.bfs_order.len(), frag.size());
                 prop_assert_eq!(frag.bfs_order[0], frag.root);
                 if let Some(sel) = &frag.selection {
-                    // Lemma 2 (with the +1 slack documented in DESIGN.md).
+                    // Lemma 2, with the +1 slack of `DESIGN.md`, L2.
                     prop_assert!(sel.index.sum() <= frag.size() + 1);
                     prop_assert!(run.tree.contains_edge(sel.edge));
                     prop_assert_eq!(sel.up, run.tree.is_up_at(sel.choosing_node, sel.edge));
