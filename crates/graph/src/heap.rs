@@ -3,11 +3,14 @@
 //! A byte-bounded cache (the oracle and graph cache of `lma-serve`) charges
 //! every value it retains by what the value keeps alive: its inline
 //! `size_of` plus [`HeapSize::heap_bytes`].  Vectors count by capacity, not
-//! length — spare capacity is retained memory too.
+//! length — spare capacity is retained memory too — and by the malloc
+//! chunk that holds the buffer ([`vec_bytes`]), so a value made of many
+//! small buffers is charged what it takes, not what it asked for.
 
 /// Heap bytes a value owns beyond its inline `size_of`.
 pub trait HeapSize {
-    /// Bytes of heap memory owned by `self` (allocator overhead excluded).
+    /// Bytes of heap memory owned by `self`, each buffer charged its malloc
+    /// chunk, allocator overhead included ([`vec_bytes`]).
     fn heap_bytes(&self) -> usize;
 }
 
@@ -17,11 +20,17 @@ impl HeapSize for () {
     }
 }
 
-/// The heap bytes of a vector's own buffer, by capacity.  Elements that own
-/// heap memory themselves are the caller's to add.
+/// The heap bytes of a vector's own buffer, by capacity and allocator
+/// overhead: a non-empty buffer of `b` bytes is charged
+/// `max(32, round_up(b + 8, 16))`, glibc's malloc chunk on 64-bit Linux and
+/// an estimate elsewhere.  Elements that own heap memory themselves are the
+/// caller's to add.
 #[must_use]
 pub fn vec_bytes<T>(v: &Vec<T>) -> usize {
-    v.capacity() * std::mem::size_of::<T>()
+    match v.capacity() * std::mem::size_of::<T>() {
+        0 => 0,
+        bytes => (bytes + 8).next_multiple_of(16).max(32),
+    }
 }
 
 #[cfg(test)]
@@ -35,7 +44,7 @@ mod tests {
     fn vectors_count_by_capacity() {
         let mut v: Vec<u64> = Vec::with_capacity(10);
         v.push(1);
-        assert_eq!(vec_bytes(&v), 80);
+        assert_eq!(vec_bytes(&v), 96);
         assert_eq!(vec_bytes(&Vec::<u64>::new()), 0);
         assert_eq!(().heap_bytes(), 0);
     }

@@ -20,7 +20,10 @@
 //! charged to its entry: the graph and each partition by their vectors'
 //! capacities ([`HeapSize`]), each oracle by its prep's inline size plus
 //! heap ([`DynWorkload::oracle_bytes`]), and the map slot and list slots
-//! that hold them.  Allocator overhead is not charged.
+//! that hold them.  Each heap buffer is charged its malloc chunk, allocator
+//! overhead included ([`vec_bytes`](lma_graph::heap::vec_bytes)): an
+//! oracle's advice is hundreds of small bit strings, each taking a 32-byte
+//! chunk for its 8 bytes.
 //!
 //! **The LRU rule.**  Every lookup and every store stamps the entry with a
 //! fresh value of one use counter.  After a store, whole topologies are

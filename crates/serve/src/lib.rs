@@ -16,8 +16,8 @@
 //!   that runs a dispatch window's groups on every core, per-request
 //!   deadline budgets and error isolation, graceful drain.
 //! * [`metrics`] — queue/total latency percentiles, group-width histogram,
-//!   cache hit rates and size gauges, executor gauges; served on the wire
-//!   as `Stats`.
+//!   door counters (why each coalescing window closed), cache hit rates
+//!   and size gauges, executor gauges; served on the wire as `Stats`.
 //! * [`replay`] — a client that replays registry mixes against an
 //!   in-process server: digest verification against `SCENARIOS.lock` and
 //!   the coalescing-on/off throughput trajectory behind `BENCH_serve.json`.

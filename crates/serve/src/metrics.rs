@@ -1,6 +1,6 @@
 //! Server-side instrumentation: request counters, the group-width
-//! histogram, the executing-group gauge, and queue/total latency
-//! percentiles.
+//! histogram, the door counters (why each coalescing window closed), the
+//! executing-group gauge, and queue/total latency percentiles.
 //!
 //! Latencies are kept in a bounded ring of recent samples (the last
 //! [`SAMPLE_WINDOW`] requests); percentiles are computed over a sorted copy
@@ -51,6 +51,19 @@ pub fn percentile(sorted: &[u64], pct: u32) -> u64 {
     sorted[rank.max(1) - 1]
 }
 
+/// Why the dispatcher closed a coalescing window's door.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Door {
+    /// The queue reached `max_batch`.
+    Full,
+    /// The queue reached the previous window's width, below `max_batch`.
+    Expected,
+    /// `coalesce_window` elapsed first.
+    Window,
+    /// Draining began.
+    Drain,
+}
+
 /// The server's metrics (see the module docs).
 #[derive(Debug, Default)]
 pub struct Metrics {
@@ -58,6 +71,8 @@ pub struct Metrics {
     failed: AtomicU64,
     coalesced: AtomicU64,
     in_flight_groups: AtomicU64,
+    /// One counter per [`Door`] variant, in declaration order.
+    doors: [AtomicU64; 4],
     batch_widths: Mutex<BTreeMap<u32, u64>>,
     queue_ns: Mutex<SampleRing>,
     total_ns: Mutex<SampleRing>,
@@ -82,6 +97,11 @@ impl Metrics {
             self.coalesced
                 .fetch_add(u64::from(width), Ordering::Relaxed);
         }
+    }
+
+    /// Records why one coalescing window's door closed.
+    pub(crate) fn record_door(&self, door: Door) {
+        self.doors[door as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Marks one group as executing (the `in_flight_groups` gauge).
@@ -134,6 +154,7 @@ impl Metrics {
             .lock()
             .expect("total samples poisoned")
             .percentiles();
+        let door = |door: Door| self.doors[door as usize].load(Ordering::Relaxed);
         StatsReport {
             served: self.served.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
@@ -161,6 +182,10 @@ impl Metrics {
             executors: executors as u64,
             queue_depth: queue_depth as u64,
             in_flight_groups: self.in_flight_groups.load(Ordering::Relaxed),
+            door_full: door(Door::Full),
+            door_expected: door(Door::Expected),
+            door_window: door(Door::Window),
+            door_drain: door(Door::Drain),
         }
     }
 }
@@ -192,6 +217,9 @@ mod tests {
         m.group_started();
         m.group_started();
         m.group_finished();
+        for door in [Door::Full, Door::Full, Door::Expected, Door::Window] {
+            m.record_door(door);
+        }
         let cache = HotCache::new();
         let ring = lma_graph::generators::Family::from_name("ring").unwrap();
         cache.graph(ring, 12, 1);
@@ -205,6 +233,10 @@ mod tests {
         assert_eq!((s.cache_entries, s.cache_evictions), (1, 0));
         assert_eq!(s.cache_bytes, cache.gauges().bytes);
         assert_eq!((s.executors, s.queue_depth, s.in_flight_groups), (2, 3, 1));
+        assert_eq!(
+            (s.door_full, s.door_expected, s.door_window, s.door_drain),
+            (2, 1, 1, 0)
+        );
         assert!(s.queue_p50_ns >= 100 && s.queue_p99_ns <= 116);
         assert!(s.total_p50_ns >= 1000);
     }

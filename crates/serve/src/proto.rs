@@ -184,9 +184,10 @@ pub struct RunReport {
     /// Total message bits of the run.
     pub bits: u64,
     /// Nanoseconds from admission to the start of the group's run: the
-    /// coalescing window, earlier groups on the same executor (and the
-    /// window before, when the request arrived during it), cache lookups
-    /// and prepare.
+    /// wait (the coalescing door, earlier groups on the same executor, and
+    /// the window before, when the request arrived during it) plus
+    /// [`prepare_ns`](Self::prepare_ns).  `queue_ns − prepare_ns` is the
+    /// wait alone.
     pub queue_ns: u64,
     /// Nanoseconds the run itself took (shared by every member of a
     /// coalesced group).
@@ -194,6 +195,12 @@ pub struct RunReport {
     /// Width of the coalesced group this request was answered in (1 =
     /// solo).  A group runs once, whatever its width.
     pub lanes: u32,
+    /// Nanoseconds from the group's start to its run start: the graph,
+    /// partition and oracle lookups, or builds on a miss (shared by every
+    /// member of a coalesced group).  It is the tail of
+    /// [`queue_ns`](Self::queue_ns), so `queue_ns − prepare_ns` is the
+    /// wait.
+    pub prepare_ns: u64,
 }
 
 /// A typed failure; `code` is one of the [`code`] constants.
@@ -253,9 +260,10 @@ pub struct StatsReport {
     /// Group-width histogram: `(width, groups executed at that width)`.
     /// Each group is one run, so the counts sum to the runs executed.
     pub batch_widths: Vec<(u32, u64)>,
-    /// p50 of queue-wait nanoseconds (over the retained sample window).
+    /// p50 of [`RunReport::queue_ns`] (wait plus prepare) over the retained
+    /// sample window.
     pub queue_p50_ns: u64,
-    /// p99 of queue-wait nanoseconds.
+    /// p99 of [`RunReport::queue_ns`].
     pub queue_p99_ns: u64,
     /// p50 of per-request total (queue + run) nanoseconds.
     pub total_p50_ns: u64,
@@ -274,6 +282,17 @@ pub struct StatsReport {
     pub queue_depth: u64,
     /// Groups executing at snapshot time.
     pub in_flight_groups: u64,
+    /// Coalescing windows whose door closed because the queue reached
+    /// `max_batch`.
+    pub door_full: u64,
+    /// Coalescing windows whose door closed because the queue reached the
+    /// previous window's width, below `max_batch`.
+    pub door_expected: u64,
+    /// Coalescing windows whose door closed because `coalesce_window`
+    /// elapsed.
+    pub door_window: u64,
+    /// Coalescing windows whose door closed because draining began.
+    pub door_drain: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -310,6 +329,7 @@ fn encode_run_report(report: &RunReport, out: &mut Vec<u8>) {
     report.queue_ns.encode(out);
     report.run_ns.encode(out);
     report.lanes.encode(out);
+    report.prepare_ns.encode(out);
 }
 
 fn encode_stats_report(stats: &StatsReport, out: &mut Vec<u8>) {
@@ -333,6 +353,10 @@ fn encode_stats_report(stats: &StatsReport, out: &mut Vec<u8>) {
     stats.executors.encode(out);
     stats.queue_depth.encode(out);
     stats.in_flight_groups.encode(out);
+    stats.door_full.encode(out);
+    stats.door_expected.encode(out);
+    stats.door_window.encode(out);
+    stats.door_drain.encode(out);
 }
 
 impl Request {
@@ -561,6 +585,7 @@ impl<'a> CheckedReader<'a> {
             queue_ns: self.varint()?,
             run_ns: self.varint()?,
             lanes: u32::try_from(self.varint()?).map_err(|_| FrameError::IntOutOfRange)?,
+            prepare_ns: self.varint()?,
         })
     }
 
@@ -603,6 +628,10 @@ impl<'a> CheckedReader<'a> {
             executors: self.varint()?,
             queue_depth: self.varint()?,
             in_flight_groups: self.varint()?,
+            door_full: self.varint()?,
+            door_expected: self.varint()?,
+            door_window: self.varint()?,
+            door_drain: self.varint()?,
         })
     }
 
@@ -692,6 +721,7 @@ mod tests {
                 queue_ns: 1200,
                 run_ns: 88_000,
                 lanes: 8,
+                prepare_ns: 700,
             }),
             ResponseBody::Failed(ErrorReport {
                 code: code::DEADLINE,
@@ -703,6 +733,8 @@ mod tests {
                 cache_entries: 2,
                 cache_bytes: 64 << 20,
                 cache_evictions: 5,
+                door_expected: 2,
+                door_drain: 1,
                 ..StatsReport::default()
             }),
             ResponseBody::Bye(41),

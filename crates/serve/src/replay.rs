@@ -223,7 +223,8 @@ pub fn verify_lock(opts: &ReplayOpts) -> Result<(), String> {
         "ok: {total} served runs over {} scenarios matched SCENARIOS.lock \
          (coalesced {}, graph cache {}/{}, oracle cache {}/{}, \
          cache {} topologies / {} bytes / {} evictions, \
-         {} executors / {} queued / {} groups in flight)",
+         {} executors / {} queued / {} groups in flight, \
+         doors {} full / {} expected / {} window / {} drain)",
         scenarios.len(),
         stats.coalesced,
         stats.graph_hits,
@@ -236,6 +237,10 @@ pub fn verify_lock(opts: &ReplayOpts) -> Result<(), String> {
         stats.executors,
         stats.queue_depth,
         stats.in_flight_groups,
+        stats.door_full,
+        stats.door_expected,
+        stats.door_window,
+        stats.door_drain,
     );
     Ok(())
 }

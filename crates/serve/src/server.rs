@@ -12,20 +12,30 @@
 //!    (unknown names fail *before* queueing) and pushes a job onto the
 //!    bounded admission queue — full queue → `OVERLOADED`, draining server
 //!    → `DRAINING`.
-//! 3. The dispatcher thread drains the whole queue per wakeup (holding the
-//!    door open for [`ServerConfig::coalesce_window`] while a burst is
-//!    still arriving), groups jobs by run identity, and executes each
-//!    group as **one** `run_fold_prepared` call whose digest and summary
-//!    answer every live member — W queued requests for the same identity
-//!    cost one run.  The identity (workload, topology, seed and every run
-//!    knob) proves the members equivalent: a digest depends only on
-//!    (workload, family, n, seed), which `SCENARIOS.lock` pins across every
-//!    engine and backing.  A one-group window runs inline on the
-//!    dispatcher.  A wider window's groups run on the executor pool: the
-//!    dispatcher plus [`ServerConfig::workers`]` − 1` long-lived helpers,
-//!    each claiming the next unclaimed group and keeping its thread-local
-//!    plane pool warm across windows.  The dispatcher takes the next
-//!    window only once every group of this one has answered.
+//! 3. The dispatcher thread drains the whole queue per wakeup, groups jobs
+//!    by run identity, and executes each group as **one**
+//!    `run_fold_prepared` call whose digest and summary answer every live
+//!    member — W queued requests for the same identity cost one run.  The
+//!    identity (workload, topology, seed and every run knob) proves the
+//!    members equivalent: a digest depends only on (workload, family, n,
+//!    seed), which `SCENARIOS.lock` pins across every engine and backing.
+//!    A one-group window runs inline on the dispatcher.  A wider window's
+//!    groups run on the executor pool: the dispatcher plus
+//!    [`ServerConfig::workers`]` − 1` long-lived helpers, each claiming the
+//!    next unclaimed group and keeping its thread-local plane pool warm
+//!    across windows.  The dispatcher takes the next window only once
+//!    every group of this one has answered.
+//!
+//!    Before it drains, the dispatcher holds the door open while a burst
+//!    is still arriving: until the queue holds as many jobs as the
+//!    previous window took, capped at [`ServerConfig::max_batch`], or
+//!    until [`ServerConfig::coalesce_window`] elapses or draining begins.
+//!    A closed-loop client answers each reply with one new request, so the
+//!    last window's width counts the requests on their way: a client with
+//!    one request in flight never waits, and one with eight waits for all
+//!    eight.  A fresh server expects `max_batch`, so its first window
+//!    collects a pipelined burst whole.  `Stats` counts why each door
+//!    closed.
 //! 4. Every job gets exactly one terminal response: `Done` with digest and
 //!    latencies, or a typed `Failed` (deadline expired in queue, prepare
 //!    failure, verification failure, or a panic caught at the group
@@ -37,7 +47,7 @@
 //! answered.
 
 use crate::cache::{HotCache, TopologyKey};
-use crate::metrics::Metrics;
+use crate::metrics::{Door, Metrics};
 use crate::proto::{
     code, read_frame, write_frame, ErrorReport, Request, RequestBody, Response, ResponseBody,
     RunReport, RunSpec, StatsReport,
@@ -77,12 +87,16 @@ pub struct ServerConfig {
     /// request runs on its own — the uncoalesced baseline of the
     /// `BENCH_serve.json` trajectory.
     pub coalesce: bool,
-    /// How long the dispatcher holds the door open for a still-arriving
-    /// burst before executing a partial group (only with `coalesce`).
+    /// The longest the dispatcher holds the door open for a still-arriving
+    /// burst (only with `coalesce`).  The door closes earlier once the
+    /// queue holds as many jobs as the previous window took, capped at
+    /// `max_batch` (see the module docs).
     pub coalesce_window: Duration,
     /// Admission-queue capacity; a full queue answers `OVERLOADED`.
     pub max_queue: usize,
-    /// Most requests one coalesced group may answer from its single run.
+    /// Most requests one coalesced group may answer from its single run,
+    /// and the most jobs the door waits for: a fresh server's first window
+    /// waits for this many.
     pub max_batch: usize,
 }
 
@@ -542,6 +556,10 @@ fn error(code: u8, message: &str) -> ErrorReport {
 
 fn dispatch_loop(shared: &Arc<Shared>) {
     let mut helpers: Vec<JoinHandle<()>> = Vec::new();
+    let max_batch = shared.config.max_batch;
+    // The jobs the door waits for: the previous window's width, capped at
+    // `max_batch`.  A fresh server expects a whole burst.
+    let mut expected = max_batch;
     loop {
         let jobs = {
             let mut state = shared.state.lock().expect("server state poisoned");
@@ -559,28 +577,35 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 return;
             }
             // Coalescing window: a pipelined burst lands frame by frame, so
-            // hold the door open briefly while the queue is still filling.
+            // hold the door open until the jobs the last window predicts are
+            // queued, the window ends or draining begins.
             if shared.config.coalesce {
                 let door_closes = Instant::now() + shared.config.coalesce_window;
-                while state.queue.len() < shared.config.max_batch && !state.draining {
-                    let Some(patience) = door_closes.checked_duration_since(Instant::now()) else {
-                        break;
-                    };
-                    if patience.is_zero() {
-                        break;
+                let door = loop {
+                    if state.queue.len() >= max_batch {
+                        break Door::Full;
                     }
-                    let (next, timeout) = shared
+                    if state.queue.len() >= expected {
+                        break Door::Expected;
+                    }
+                    if state.draining {
+                        break Door::Drain;
+                    }
+                    let patience = door_closes.saturating_duration_since(Instant::now());
+                    if patience.is_zero() {
+                        break Door::Window;
+                    }
+                    state = shared
                         .wakeup
                         .wait_timeout(state, patience)
-                        .expect("server state poisoned");
-                    state = next;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
+                        .expect("server state poisoned")
+                        .0;
+                };
+                shared.metrics.record_door(door);
             }
             std::mem::take(&mut state.queue)
         };
+        expected = jobs.len().min(max_batch);
         let mut groups = group(shared, jobs);
         if groups.len() == 1 {
             execute_group(shared, groups.pop().expect("one group"));
@@ -758,9 +783,11 @@ fn execute_group(shared: &Shared, jobs: Vec<Job>) {
 
 /// Runs a group's live members as one run on the lead's cached graph,
 /// oracle and partition.  Returns the members' shared report — its
-/// `queue_ns` is each member's own, measured up to the returned run start —
+/// `prepare_ns` runs from this call's start to the returned run start, and
+/// its `queue_ns` is each member's own, measured up to the same run start —
 /// or the typed failure they all share.
 fn run_group(shared: &Shared, live: &[&Job]) -> Result<(RunReport, Instant), ErrorReport> {
+    let started = Instant::now();
     let lead = live[0];
     let topology = lead.topology_key();
     let graph = shared.cache.graph(lead.family, lead.n, lead.seed);
@@ -804,6 +831,7 @@ fn run_group(shared: &Shared, live: &[&Job]) -> Result<(RunReport, Instant), Err
         queue_ns: 0,
         run_ns,
         lanes: width,
+        prepare_ns: duration_ns(run_started.saturating_duration_since(started)),
     };
     Ok((report, run_started))
 }

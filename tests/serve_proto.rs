@@ -62,6 +62,7 @@ fn response(tag: u64, id: u64, words: &[Vec<u8>], nums: &[u64]) -> Response {
             queue_ns: at(3),
             run_ns: at(4),
             lanes: at(5) as u32,
+            prepare_ns: at(6),
         }),
         2 => ResponseBody::Failed(ErrorReport {
             code: at(0) as u8,
@@ -91,6 +92,10 @@ fn response(tag: u64, id: u64, words: &[Vec<u8>], nums: &[u64]) -> Response {
             executors: at(16),
             queue_depth: at(17),
             in_flight_groups: at(18),
+            door_full: at(19),
+            door_expected: at(20),
+            door_window: at(21),
+            door_drain: at(22),
         }),
         _ => ResponseBody::Bye(at(0)),
     };
@@ -147,7 +152,7 @@ proptest! {
         tag in any::<u64>(),
         id in any::<u64>(),
         words in collection::vec(collection::vec(any::<u8>(), 0..48), 0..3),
-        nums in collection::vec(any::<u64>(), 0..20),
+        nums in collection::vec(any::<u64>(), 0..48),
     ) {
         pin_response(&response(tag, id, &words, &nums));
     }

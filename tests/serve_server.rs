@@ -1,11 +1,11 @@
 //! End-to-end tests for the `lma-serve` server over real loopback TCP:
 //! digest parity with the committed goldens, one run per coalesced group,
-//! multi-group windows on one executor and on the pool, typed admission
-//! failures, malformed-frame isolation, deadline budgets, and drain
-//! semantics.
+//! the coalescing door's rule, multi-group windows on one executor and on
+//! the pool, typed admission failures, malformed-frame isolation, deadline
+//! budgets, and drain semantics.
 
 use lma_bench::scenarios::LockFile;
-use lma_serve::proto::{code, write_frame, RequestBody, ResponseBody, RunSpec};
+use lma_serve::proto::{code, write_frame, RequestBody, ResponseBody, RunSpec, StatsReport};
 use lma_serve::replay::Client;
 use lma_serve::server::{ServerConfig, TcpServer};
 use std::collections::HashMap;
@@ -36,6 +36,13 @@ fn golden_digest(id: &str) -> String {
     let lock =
         LockFile::parse(&std::fs::read_to_string(path).expect("lock file")).expect("lock parses");
     lock.get(id).expect("scenario in lock").digest.to_string()
+}
+
+fn stats(client: &mut Client) -> StatsReport {
+    match client.call(RequestBody::Stats).expect("stats").body {
+        ResponseBody::Stats(stats) => stats,
+        other => panic!("expected Stats, got {other:?}"),
+    }
 }
 
 fn shutdown(mut client: Client, tcp: TcpServer) -> u64 {
@@ -72,10 +79,7 @@ fn served_digests_match_the_committed_goldens() {
             other => panic!("expected Done, got {other:?}"),
         }
     }
-    let stats = match client.call(RequestBody::Stats).expect("stats").body {
-        ResponseBody::Stats(stats) => stats,
-        other => panic!("expected Stats, got {other:?}"),
-    };
+    let stats = stats(&mut client);
     assert_eq!(stats.served, 2);
     assert_eq!(stats.graph_hits, 1, "second run must reuse the graph");
     assert_eq!(stats.oracle_hits, 1, "second run must reuse the oracle");
@@ -146,10 +150,7 @@ fn one_run_answers_a_pipelined_group(id: &str, spec: RunSpec) {
             other => panic!("{id}: expected Done, got {other:?}"),
         }
     }
-    let stats = match client.call(RequestBody::Stats).expect("stats").body {
-        ResponseBody::Stats(stats) => stats,
-        other => panic!("expected Stats, got {other:?}"),
-    };
+    let stats = stats(&mut client);
     assert_eq!(stats.served, width as u64, "{id}");
     assert_eq!(stats.coalesced, width as u64, "{id}");
     assert_eq!(
@@ -175,6 +176,86 @@ fn one_run_answers_a_coalesced_fleet_group() {
         "flood/preferential-attachment/n64/s12",
         run_spec("flood", "preferential-attachment", 64, 12),
     );
+}
+
+/// A client with one request in flight: a fresh server's first window waits
+/// out `coalesce_window` for a burst that never comes, and every later
+/// window closes as soon as the one request the last window predicts is
+/// queued.
+#[test]
+fn a_lone_client_waits_out_only_the_first_window() {
+    let window = Duration::from_millis(200);
+    let (tcp, mut client) = boot(ServerConfig {
+        coalesce_window: window,
+        ..ServerConfig::default()
+    });
+    let golden = golden_digest("flood/ring/n48/s11");
+    for request in 0..11 {
+        let response = client
+            .call(RequestBody::Run(run_spec("flood", "ring", 48, 11)))
+            .expect("run");
+        let ResponseBody::Done(report) = response.body else {
+            panic!("request {request}: expected Done, got {:?}", response.body);
+        };
+        assert_eq!(report.digest, golden, "served digest must match the lock");
+        assert_eq!(report.lanes, 1);
+        assert!(
+            report.prepare_ns <= report.queue_ns,
+            "prepare is queue's tail"
+        );
+        let wait = Duration::from_nanos(report.queue_ns - report.prepare_ns);
+        if request == 0 {
+            assert!(wait >= window, "the first window waits for a burst");
+        } else {
+            assert!(
+                Duration::from_nanos(report.queue_ns) < Duration::from_millis(100),
+                "request {request} sat {wait:?} at the door"
+            );
+        }
+    }
+    let stats = stats(&mut client);
+    assert_eq!(stats.door_window, 1, "only the first window times out");
+    assert_eq!(stats.door_expected, 10);
+    assert_eq!((stats.door_full, stats.door_drain), (0, 0));
+    assert_eq!(shutdown(client, tcp), 11);
+}
+
+/// Two pipelined bursts of `max_batch`, one after the other: the second
+/// window expects as many jobs as the first took, so it collects its burst
+/// whole too.
+#[test]
+fn a_burst_after_a_same_width_burst_still_forms_one_group() {
+    let width = 4;
+    let (tcp, mut client) = boot(ServerConfig {
+        max_batch: width,
+        coalesce_window: Duration::from_secs(30),
+        ..ServerConfig::default()
+    });
+    let golden = golden_digest("wave/ring/n48/s81");
+    for _ in 0..2 {
+        for _ in 0..width {
+            client
+                .send(RequestBody::Run(run_spec("wave", "ring", 48, 81)))
+                .expect("send");
+        }
+        for _ in 0..width {
+            match client.recv().expect("recv").body {
+                ResponseBody::Done(report) => {
+                    assert_eq!(report.digest, golden, "served digest must match the lock");
+                    assert_eq!(report.lanes as usize, width, "group width");
+                }
+                other => panic!("expected Done, got {other:?}"),
+            }
+        }
+    }
+    let stats = stats(&mut client);
+    assert_eq!(
+        stats.batch_widths,
+        vec![(width as u32, 2)],
+        "one group per burst"
+    );
+    assert_eq!(stats.door_full, 2);
+    assert_eq!(shutdown(client, tcp), 2 * width as u64);
 }
 
 /// Pipelines two copies each of four identities into a server whose
@@ -223,10 +304,7 @@ fn a_multi_group_window_answers_every_member(workers: usize) {
             other => panic!("{id}: expected Done, got {other:?}"),
         }
     }
-    let stats = match client.call(RequestBody::Stats).expect("stats").body {
-        ResponseBody::Stats(stats) => stats,
-        other => panic!("expected Stats, got {other:?}"),
-    };
+    let stats = stats(&mut client);
     assert_eq!(stats.batch_widths, vec![(2, 4)], "four groups, four runs");
     assert_eq!(stats.executors, workers as u64);
     assert_eq!(stats.queue_depth, 0, "every request was answered");
